@@ -10,8 +10,8 @@ the classical counting formulas give the number of blocks through any i-set,
 and the projection of the design's pair matrix onto the Bose-Mesner algebra
 is (|D| / C(n,k)) * (I + M(n,k,t)), where the matrix M is assembled from the
 alternating excess sums below.  M is well defined whether or not a design
-exists, and both a numeric and a symbolic (rational function of the ground-
-set size) form are provided for identity testing.
+exists.  Each formula is written once over a binomial provider, numeric
+(``exact.binom_at_size(n)``) or symbolic in nu (``exact.binom_rf``).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import RationalFunction, binom, binom_rf, rat_to_str
-from .johnson import BMVector, SchemeParams, identity_vector, trace, entry_sum
+from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
+from .johnson import BMVector, SchemeParams, entry_sum, plus_identity, trace
 from .projection import project_family
 from .subsets import Family, KSubset, colex_rank, family_to_dict, make_family
 
@@ -99,16 +99,13 @@ def partition_design(n: int, k: int) -> Design:
 def block_count(n: int, k: int, t: int, i: int) -> Fraction:
     """lambda_i = C(n-i, k-i) / C(n-t, k-t), blocks through a fixed i-set."""
     _check_formula_params(n, k, t, i, "i")
-    return Fraction(binom(n - i, k - i), binom(n - t, k - t))
+    return _block_count(binom_at_size(n), k, t, i)
 
 
 def excess_sum(n: int, k: int, t: int, s: int) -> Fraction:
     """Alternating sum over i of C(i,s) C(k,i) (lambda_i - 1), i = s..t."""
     _check_formula_params(n, k, t, s, "s")
-    return sum(
-        (-1) ** (i - s) * binom(i, s) * binom(k, i) * (block_count(n, k, t, i) - 1)
-        for i in range(s, t + 1)
-    )
+    return _excess_sums(binom_at_size(n), k, t)[s]
 
 
 def _check_formula_params(n, k, t, idx, name):
@@ -116,8 +113,6 @@ def _check_formula_params(n, k, t, idx, name):
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
     if not 0 <= idx <= t:
         raise ValueError(f"index {name}={idx} out of range [0, {t}]")
-    if binom(n - t, k - t) == 0:
-        raise ValueError(f"degenerate parameters: C({n - t},{k - t}) = 0")
 
 
 def design_matrix(n: int, k: int, t: int) -> BMVector:
@@ -126,35 +121,35 @@ def design_matrix(n: int, k: int, t: int) -> BMVector:
     Supported on the classes A_{k-t}..A_k only (and the A_{k-t} coefficient
     itself vanishes because lambda_t = 1 kills the s = t excess).
     """
-    if not t < k:
-        raise ValueError(f"need t < k, got t={t}, k={k}")
+    if not 0 <= t < k:
+        raise ValueError(f"need 0 <= t < k, got t={t}, k={k}")
     params = SchemeParams(n, k)
-    coeffs = [Fraction(0)] * (k + 1)
-    for s in range(t + 1):
-        den = binom(n - k, k - s) * binom(k, s)
-        if den == 0:
-            raise ValueError(
-                f"out of regime: C({n - k},{k - s}) = 0 (need k <= n-k)"
-            )
-        coeffs[k - s] = excess_sum(n, k, t, s) / den
-    return BMVector(params, tuple(coeffs))
-
-
-def _block_count_symbolic(k: int, t: int, i: int) -> RationalFunction:
-    return binom_rf(-i, k - i) / binom_rf(-t, k - t)
+    if k > n - k:
+        raise ValueError(f"out of regime: C({n - k},{k}) = 0 (need k <= n-k)")
+    return BMVector(params, tuple(_design_coeffs(binom_at_size(n), k, t)))
 
 
 def design_matrix_symbolic(k: int, t: int) -> list[RationalFunction]:
     """Coefficients of M(nu,k,t) on A_0..A_k as rational functions of nu."""
     if not 0 <= t < k:
         raise ValueError(f"need 0 <= t < k, got t={t}, k={k}")
-    coeffs = [RationalFunction.const(0) for _ in range(k + 1)]
-    for s in range(t + 1):
-        gamma = RationalFunction.const(0)
-        for i in range(s, t + 1):
-            term = _block_count_symbolic(k, t, i) - 1
-            gamma = gamma + (-1) ** (i - s) * binom(i, s) * binom(k, i) * term
-        coeffs[k - s] = gamma / (binom_rf(-k, k - s) * binom(k, s))
+    return _design_coeffs(binom_rf, k, t)
+
+
+def _block_count(binom_at, k, t, i):
+    return binom_at(-i, k - i) / binom_at(-t, k - t)
+
+
+def _excess_sums(binom_at, k, t):
+    excess = [_block_count(binom_at, k, t, i) - 1 for i in range(t + 1)]
+    return [sum((-1) ** (i - s) * binom(i, s) * binom(k, i) * excess[i]
+                for i in range(s, t + 1)) for s in range(t + 1)]
+
+
+def _design_coeffs(binom_at, k, t):
+    coeffs = [0 * binom_at(0, 0)] * (k + 1)  # zeros of the provider's type
+    for s, gamma in enumerate(_excess_sums(binom_at, k, t)):
+        coeffs[k - s] = gamma / (binom_at(-k, k - s) * binom(k, s))
     return coeffs
 
 
@@ -203,7 +198,7 @@ def design_projection_report(design: Design) -> DesignProjectionReport:
     proj = project_family(fam)
     m = design_matrix(fam.n, fam.k, design.t)
     scale = Fraction(fam.size, params.order)
-    rhs = (identity_vector(params) + m).scale(scale)
+    rhs = BMVector(params, tuple(plus_identity(m.coeffs))).scale(scale)
     return DesignProjectionReport(
         n=fam.n,
         k=fam.k,

@@ -374,3 +374,8 @@ def binom_poly(shift: int, b: int) -> Polynomial:
 def binom_rf(shift: int, b: int) -> RationalFunction:
     """:func:`binom_poly` packaged as a rational function."""
     return RationalFunction(binom_poly(shift, b))
+
+
+def binom_at_size(n: int):
+    """Binomial provider (shift, b) -> Fraction(C(n + shift, b)), at size n."""
+    return lambda shift, b: Fraction(binom(n + shift, b))

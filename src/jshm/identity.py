@@ -10,9 +10,9 @@ form, so "equal" means every h_r is the zero rational function.
 A pointwise comparator re-derives the verdict from exact evaluations at
 integer ground-set sizes: once both sides agree at more points than the
 degree of the cleared numerators (2k+1 suffices), polynomial vanishing
-forces symbolic equality.  The two routes cross-check each other, and a
-third route verifies the identity at ground-set sizes where a Steiner
-system is actually found by search.
+forces symbolic equality.  Both routes share one transcription of M and
+Omega, so this tests the binomial providers; the formulas themselves are
+checked by :func:`design_witness_check`, M = Omega and perfbench/checks.py.
 """
 
 from __future__ import annotations
@@ -29,47 +29,46 @@ from .designs import (
     DEFAULT_SEARCH_BUDGET,
 )
 from .exact import PoleError, RationalFunction, rat_to_str, rf_to_str
-from .johnson import BMVector, SchemeParams, SelfCheckError, identity_vector
-from .wilson import certificate_matrix, wilson_matrix, wilson_matrix_symbolic
+from .johnson import BMVector, SchemeParams, SelfCheckError, plus_identity
+from .wilson import wilson_matrix, wilson_matrix_symbolic
 
-LHS_CHOICES = ("m", "m_plus_i")
-RHS_CHOICES = ("omega_literal", "omega_corrected", "nabla_corrected")
+# side -> (builder, Wilson variant, adds I on A_0)
+_SIDES = {
+    "m": ("m", None, False),
+    "m_plus_i": ("m", None, True),
+    "omega_literal": ("omega", "literal", False),
+    "omega_corrected": ("omega", "corrected", False),
+    "nabla_corrected": ("omega", "corrected", True),
+}
+LHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "m")
+RHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "omega")
 
 _WITNESS_SCAN_LIMIT = 200
 
 
+def _side_coeffs(name: str, n: int | None, k: int, t: int) -> list:
+    """One side at ground-set size n, or in nu when n is None."""
+    if name not in _SIDES:
+        raise ValueError(f"unknown side {name!r}")
+    builder, variant, adds_identity = _SIDES[name]
+    if builder == "m":
+        coeffs = design_matrix_symbolic(k, t) if n is None else design_matrix(n, k, t).coeffs
+    elif n is None:
+        coeffs = wilson_matrix_symbolic(k, t, variant)
+    else:
+        coeffs = wilson_matrix(n, k, t, variant).coeffs
+    return plus_identity(coeffs) if adds_identity else list(coeffs)
+
+
 def symbolic_side(name: str, k: int, t: int) -> list[RationalFunction]:
     """Coefficients on A_0..A_k of one side, as rational functions of nu."""
-    if name == "m":
-        return design_matrix_symbolic(k, t)
-    if name == "m_plus_i":
-        coeffs = design_matrix_symbolic(k, t)
-        coeffs[0] = coeffs[0] + 1
-        return coeffs
-    if name == "omega_literal":
-        return wilson_matrix_symbolic(k, t, "literal")
-    if name == "omega_corrected":
-        return wilson_matrix_symbolic(k, t, "corrected")
-    if name == "nabla_corrected":
-        coeffs = wilson_matrix_symbolic(k, t, "corrected")
-        coeffs[0] = coeffs[0] + 1
-        return coeffs
-    raise ValueError(f"unknown side {name!r}")
+    return _side_coeffs(name, None, k, t)
 
 
 def numeric_side(name: str, n: int, k: int, t: int) -> BMVector:
     """One side evaluated at a concrete ground-set size."""
-    if name == "m":
-        return design_matrix(n, k, t)
-    if name == "m_plus_i":
-        return identity_vector(SchemeParams(n, k)) + design_matrix(n, k, t)
-    if name == "omega_literal":
-        return wilson_matrix(n, k, t, "literal")
-    if name == "omega_corrected":
-        return wilson_matrix(n, k, t, "corrected")
-    if name == "nabla_corrected":
-        return certificate_matrix(n, k, t, "corrected")
-    raise ValueError(f"unknown side {name!r}")
+    coeffs = tuple(_side_coeffs(name, n, k, t))
+    return BMVector(SchemeParams(n, k), coeffs)
 
 
 @dataclass(frozen=True)
@@ -302,13 +301,11 @@ def design_witness_check(k: int, t: int, ns: list[int],
             continue
         design = outcome.design
         proj = design_projection_report(design)
-        m = design_matrix(n, k, t)
-        omega = wilson_matrix(n, k, t, "corrected")
         if not proj.verified:
             points.append(WitnessPoint(n, "failed",
                                        "design projection identity failed",
                                        outcome.nodes))
-        elif m.coeffs != omega.coeffs:
+        elif numeric_side("m", n, k, t) != numeric_side("omega_corrected", n, k, t):
             points.append(WitnessPoint(n, "failed",
                                        "design matrix differs from the corrected "
                                        "Wilson matrix", outcome.nodes))

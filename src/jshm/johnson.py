@@ -24,9 +24,12 @@ from .subsets import KSubset, all_ksubsets
 
 DEFAULT_DENSE_BUDGET = 5000
 
+# colex_masks refuses larger C(n,k); admits C(25,8) = 1 081 575 (~350 MB peak)
+MAX_ENUMERATED_SUBSETS = 2_000_000
+
 
 class SizeBudgetError(RuntimeError):
-    """Dense materialization refused: order exceeds the configured budget."""
+    """Work refused: a dense order or an enumeration exceeds its budget."""
 
 
 class SelfCheckError(RuntimeError):
@@ -111,6 +114,11 @@ def identity_vector(params: SchemeParams) -> BMVector:
     return basis_vector(params, 0)
 
 
+def plus_identity(coeffs) -> list:
+    """Coefficients of X + I from those of X (any scalar type; I is A_0)."""
+    return [coeffs[0] + 1, *coeffs[1:]]
+
+
 def all_ones_vector(params: SchemeParams) -> BMVector:
     """J = sum of all classes."""
     return BMVector(params, tuple(Fraction(1) for _ in range(params.num_classes)))
@@ -128,6 +136,9 @@ def entry(v: BMVector, s: KSubset, t: KSubset) -> object:
 @lru_cache(maxsize=None)
 def colex_masks(n: int, k: int) -> tuple[int, ...]:
     """Bitmasks of all k-subsets in colex order (cached; sweeps reuse it)."""
+    if binom(n, k) > MAX_ENUMERATED_SUBSETS:
+        raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} subsets exceed the "
+                              f"enumeration cap {MAX_ENUMERATED_SUBSETS}")
     return tuple(s.mask for s in all_ksubsets(n, k))
 
 
@@ -198,8 +209,8 @@ def wilson_basis_vector(i: int, params: SchemeParams) -> BMVector:
     """The k-subset-indexed product of the inclusion and disjointness matrices.
 
     Entry (S, T) counts the i-subsets of S avoiding T, which depends only on
-    |S minus T|, so the coefficient on A_r is C(r, i).  These vectors form
-    the alternative algebra basis used by the certificate matrix.
+    |S minus T|, so the coefficient on A_r is C(r, i).  Wilson's matrix is
+    written in this basis.
     """
     if not 0 <= i <= params.k:
         raise ValueError(f"basis index {i} out of range [0, {params.k}]")

@@ -129,7 +129,7 @@ def family_from_dict(doc: dict) -> Family:
 
     The format is ``{"n": int, "k": int, "blocks": [[int, ...], ...]}`` with
     1-based elements; block elements are sorted on load, duplicate blocks
-    and out-of-range or repeated elements are rejected.
+    and out-of-range or repeated elements are rejected (JSON booleans too).
     """
     if not isinstance(doc, dict):
         raise ValueError("family document must be a JSON object")
@@ -137,13 +137,13 @@ def family_from_dict(doc: dict) -> Family:
         if key not in doc:
             raise ValueError(f"family document missing key {key!r}")
     n, k, blocks = doc["n"], doc["k"], doc["blocks"]
-    if not isinstance(n, int) or not isinstance(k, int):
+    if type(n) is not int or type(k) is not int:
         raise ValueError("n and k must be integers")
     if not isinstance(blocks, list):
         raise ValueError("blocks must be a list of blocks")
     members = []
     for b in blocks:
-        if not isinstance(b, list) or not all(isinstance(e, int) for e in b):
+        if not isinstance(b, list) or not all(type(e) is int for e in b):
             raise ValueError(f"block must be a list of integers: {b!r}")
         if len(set(b)) != len(b):
             raise ValueError(f"duplicate element in block {b}")

@@ -11,7 +11,8 @@ Two variants of Omega are implemented side by side:
 
 Only the corrected variant agrees with the design-projection matrix (the
 identity module demonstrates the mismatch of the literal one mechanically),
-so ``corrected`` is the default everywhere.
+so ``corrected`` is the default everywhere.  Omega is written once, over a
+binomial provider, for both its numeric and its symbolic form.
 
 A certificate for (n,k,t) verifies, with exact arithmetic throughout: the
 matrix is positive semidefinite, its off-diagonal support avoids A_1..
@@ -26,16 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .designs import Design
-from .exact import RationalFunction, binom, binom_rf, rat_to_str
+from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
 from .johnson import (
     BMVector,
     SchemeParams,
     entry_sum,
-    identity_vector,
+    plus_identity,
     psd_report,
     schur,
     trace,
-    wilson_basis_vector,
 )
 from .projection import family_lemma_report, project_family
 from .subsets import Family
@@ -49,28 +49,17 @@ def _check_variant(variant: str):
 
 
 def wilson_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVector:
-    """Omega(n,k,t): alternating sum of scaled contained/avoiding vectors.
-
-    The summation runs over i = 0..t-1; beyond t-1 the numerator binomial
-    C(k-1-i, k-t) vanishes, so nothing is lost by stopping there.
-    """
+    """Omega(n,k,t): alternating sum of scaled contained/avoiding vectors."""
     _check_variant(variant)
     if not 1 <= t <= k <= n - k:
         raise ValueError(f"need 1 <= t <= k <= n-k, got t={t}, k={k}, n={n}")
-    params = SchemeParams(n, k)
-    total = BMVector(params, (Fraction(0),) * (k + 1))
-    for i in range(t):
-        den = binom(n - k - t + (1 if variant == "literal" else i), k - t)
-        if den == 0:
-            raise ValueError(f"zero denominator at summation index {i}")
-        coeff = Fraction((-1) ** (t - 1 - i) * binom(k - 1 - i, k - t), den)
-        total = total + wilson_basis_vector(k - i, params).scale(coeff)
-    return total
+    return BMVector(SchemeParams(n, k), tuple(_omega_coeffs(binom_at_size(n), k, t, variant)))
 
 
 def certificate_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVector:
     """I + Omega(n,k,t)."""
-    return identity_vector(SchemeParams(n, k)) + wilson_matrix(n, k, t, variant)
+    omega = wilson_matrix(n, k, t, variant)
+    return BMVector(omega.params, tuple(plus_identity(omega.coeffs)))
 
 
 def wilson_matrix_symbolic(k: int, t: int, variant: str = "corrected") -> list[RationalFunction]:
@@ -78,17 +67,19 @@ def wilson_matrix_symbolic(k: int, t: int, variant: str = "corrected") -> list[R
     _check_variant(variant)
     if not 1 <= t <= k:
         raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
-    coeffs = [RationalFunction.const(0) for _ in range(k + 1)]
+    return _omega_coeffs(binom_rf, k, t, variant)
+
+
+def _omega_coeffs(binom_at, k, t, variant):
+    """Sum over i < t of (-1)^(t-1-i) C(k-1-i, k-t) / C(nu-k-t+d, k-t) times
+    the vector with C(r, k-i) on A_r; d is 1 (literal) or i (corrected).
+    Beyond t-1 the numerator C(k-1-i, k-t) vanishes, so the sum stops there."""
+    coeffs = [0 * binom_at(0, 0)] * (k + 1)  # zeros of the provider's type
     for i in range(t):
-        shift = -k - t + (1 if variant == "literal" else i)
-        den = binom_rf(shift, k - t)
-        if den.is_zero():
-            raise ValueError(f"zero denominator at summation index {i}")
+        den = binom_at(-k - t + (1 if variant == "literal" else i), k - t)
         sign_num = (-1) ** (t - 1 - i) * binom(k - 1 - i, k - t)
-        for r in range(k + 1):
-            weight = binom(r, k - i)
-            if weight:
-                coeffs[r] = coeffs[r] + (sign_num * weight) / den
+        for r in range(k - i, k + 1):  # C(r, k-i) vanishes below r = k-i
+            coeffs[r] = coeffs[r] + sign_num * binom(r, k - i) / den
     return coeffs
 
 

@@ -76,6 +76,15 @@ class TestWilson:
                              "--n", "5", "--k", "3", "--t", "1")
         assert code == 2
 
+    def test_certify_refuses_huge_enumeration(self, capsys):
+        # C(60,10) ~ 7.5e10 subsets: refused before enumerating, exit 3
+        code = main(["wilson", "certify", "--n", "60", "--k", "10", "--t", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: C(60,10) = ")
+        assert "Traceback" not in captured.err
+
 
 class TestProject:
     def test_star_verifies(self, capsys, tmp_path):
@@ -96,9 +105,15 @@ class TestProject:
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        code, _, _ = run_cli(capsys, "project", "--file", str(path), "--t", "1")
-        assert code == 2
+        # JSON booleans must not pass as the integers 0 and 1
+        for text in ["{not json",
+                     '{"n": true, "k": true, "blocks": [[true]]}',
+                     '{"n": 7, "k": true, "blocks": [[1]]}',
+                     '{"n": 7, "k": 1, "blocks": [[true]]}']:
+            path.write_text(text, encoding="utf-8")
+            for command in (["project"], ["design", "verify"]):
+                code, _, out = run_cli(capsys, *command, "--file", str(path), "--t", "1")
+                assert (code, out) == (2, ""), (text, command)
 
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "project", "--file", "/nonexistent.json",

@@ -59,7 +59,7 @@ class TestWilsonMatrix:
 
     def test_symbolic_matches_numeric(self):
         for variant in ("literal", "corrected"):
-            for (k, t) in [(3, 2), (4, 2), (5, 3)]:
+            for (k, t) in [(k, t) for k in range(2, 8) for t in range(1, k)]:
                 sym = wilson_matrix_symbolic(k, t, variant)
                 for n in range(2 * k, 18):
                     num = wilson_matrix(n, k, t, variant)
