@@ -159,7 +159,6 @@ class PointwiseReport:
     n_to: int
     points_checked: int
     points_equal: int
-    skipped_poles: tuple[int, ...]
     first_failure: tuple[int, int, Fraction, Fraction] | None  # (n, r, lhs, rhs)
     equal: bool
     threshold: int
@@ -178,7 +177,7 @@ class PointwiseReport:
             "n_to": self.n_to,
             "points_checked": self.points_checked,
             "points_equal": self.points_equal,
-            "skipped_poles": list(self.skipped_poles),
+            "skipped_poles": [],  # n >= 2k has no poles; key kept for readers
             "first_failure": failure,
             "equal": self.equal,
             "threshold": self.threshold,
@@ -202,18 +201,11 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
         raise ValueError(f"range must contain at least 2k+1 = {2 * k + 1} integers")
 
     threshold = 2 * k + 1
-    skipped = []
     equal_count = 0
-    checked = 0
     first_failure = None
     for n in range(n_from, n_to + 1):
-        try:
-            left = numeric_side(lhs, n, k, t)
-            right = numeric_side(rhs, n, k, t)
-        except (ValueError, ZeroDivisionError):
-            skipped.append(n)
-            continue
-        checked += 1
+        left = numeric_side(lhs, n, k, t)
+        right = numeric_side(rhs, n, k, t)
         if left.coeffs == right.coeffs:
             equal_count += 1
         elif first_failure is None:
@@ -228,8 +220,8 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
         raise SelfCheckError("pointwise failure contradicts the symbolic comparison")
     return PointwiseReport(
         k=k, t=t, lhs=lhs, rhs=rhs, n_from=n_from, n_to=n_to,
-        points_checked=checked, points_equal=equal_count,
-        skipped_poles=tuple(skipped), first_failure=first_failure,
+        points_checked=n_to - n_from + 1, points_equal=equal_count,
+        first_failure=first_failure,
         equal=equal, threshold=threshold,
     )
 

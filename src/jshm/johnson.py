@@ -7,10 +7,12 @@ the identity and the A_r sum to the all-ones matrix).  An algebra element
 is stored as its coefficient vector on this basis (:class:`BMVector`);
 dense materialization exists only as an oracle path.
 
-The exact eigenvalue table is built from the three-term product recurrence
-of the scheme, with every intersection number counted directly, and the
-construction aborts if any of the classical identities fails, so a passing
-construction is itself a consistency certificate.
+The exact eigenvalue table is the closed form of Delsarte's Eberlein
+polynomials, built without enumerating any subset, and the construction
+aborts if any of the classical identities (dimension sum, row sums, zero
+class traces, the A_1 eigenvalues) fails, so a passing construction is
+itself a consistency check.  Counted intersection numbers live in
+:mod:`jshm.oracles` as the reference the tests hold the table against.
 """
 
 from __future__ import annotations
@@ -19,17 +21,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Polynomial, binom
+from .exact import binom
 from .subsets import KSubset, all_ksubsets
 
 DEFAULT_DENSE_BUDGET = 5000
 
-# colex_masks refuses larger C(n,k); admits C(25,8) = 1 081 575 (~350 MB peak)
+# colex_masks (oracle and dense paths only) refuses larger C(n,k); admits
+# C(25,8) = 1 081 575 (~350 MB peak)
 MAX_ENUMERATED_SUBSETS = 2_000_000
+
+# eigensystem refuses k > MAX_TABLE_K or n >= MAX_TABLE_N: the table costs
+# O(k^3) products of integers of up to k*log2(n) bits, and at n < 2**64 every
+# entry stays far below the int-to-str digit limit of the JSON output
+MAX_TABLE_K = 64
+MAX_TABLE_N = 2**64
 
 
 class SizeBudgetError(RuntimeError):
-    """Work refused: a dense order or an enumeration exceeds its budget."""
+    """Work refused: a dense order, an enumeration or a table exceeds its bound."""
 
 
 class SelfCheckError(RuntimeError):
@@ -219,48 +228,6 @@ def wilson_basis_vector(i: int, params: SchemeParams) -> BMVector:
     )
 
 
-def _distance_pair(params: SchemeParams, r: int) -> tuple[int, int]:
-    """Masks of a representative subset pair at Johnson distance r."""
-    n, k = params.n, params.k
-    if not 0 <= r <= k:
-        raise ValueError(f"distance {r} out of range [0, {k}]")
-    if k + r > n:
-        raise ValueError(f"no pair of k-subsets at distance {r} in J({n},{k})")
-    alpha = (1 << k) - 1
-    beta = ((1 << (k - r)) - 1) | (((1 << r) - 1) << k)
-    return alpha, beta
-
-
-def intersection_number(i: int, j: int, r: int, params: SchemeParams) -> int:
-    """p_{i,j}(r): for a fixed pair at distance r, the number of k-subsets at
-    distance i from the first and j from the second, counted by enumeration.
-    """
-    k = params.k
-    for name, val in (("i", i), ("j", j), ("r", r)):
-        if not 0 <= val <= k:
-            raise ValueError(f"index {name}={val} out of range [0, {k}]")
-    alpha, beta = _distance_pair(params, r)
-    count = 0
-    for g in colex_masks(params.n, k):
-        if k - (g & alpha).bit_count() == i and k - (g & beta).bit_count() == j:
-            count += 1
-    return count
-
-
-def _product_table_with_first_class(params: SchemeParams) -> list[list[int]]:
-    """tri[r][j] = p_{1,j}(r), the expansion of A_1 * A_j on the basis."""
-    k = params.k
-    masks = colex_masks(params.n, k)
-    tri = [[0] * (k + 1) for _ in range(k + 1)]
-    for r in range(k + 1):
-        alpha, beta = _distance_pair(params, r)
-        row = tri[r]
-        for g in masks:
-            if k - (g & alpha).bit_count() == 1:
-                row[k - (g & beta).bit_count()] += 1
-    return tri
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Exact eigenvalue table of J(n,k).
@@ -275,50 +242,36 @@ class EigenSystem:
     m: tuple[int, ...]
 
 
+def check_table_bound(params: SchemeParams) -> None:
+    """Raise SizeBudgetError when J(n,k) is beyond the eigenvalue-table bound."""
+    if params.k > MAX_TABLE_K or params.n >= MAX_TABLE_N:
+        raise SizeBudgetError(f"eigenvalue table of J({params.n},{params.k}) exceeds "
+                              f"the table bound k <= {MAX_TABLE_K}, n < 2**64")
+
+
 @lru_cache(maxsize=None)
 def eigensystem(params: SchemeParams) -> EigenSystem:
     """Build and self-verify the eigenvalue table of J(n,k).
 
     Requires k <= n-k (for larger k some classes are empty and the table
-    below does not apply).  The A_1 eigenvalues (k-j)(n-k-j) - j are checked
-    against the characteristic polynomial of the tridiagonal product table,
-    the other columns come from the three-term recurrence, and the row-sum,
-    trace and dimension identities are all asserted before returning.
+    below does not apply).  Entry P[j][i] is the Eberlein polynomial
+    sum_h (-1)^h C(j,h) C(k-j,i-h) C(n-k-j,i-h), evaluated in integers at
+    O(k^3) cost; nothing is enumerated.  Before returning, the eigenspace
+    dimensions must sum to C(n,k), each row must sum to C(n,k) on the
+    trivial eigenspace and 0 elsewhere, every class but A_0 must have zero
+    trace, and column 1 must equal (k-j)(n-k-j) - j.  Tables with k above
+    MAX_TABLE_K or n of MAX_TABLE_N or more are refused with SizeBudgetError.
     """
     n, k = params.n, params.k
     if k > n - k:
         raise ValueError(f"eigensystem requires k <= n-k, got k={k}, n={n}")
+    check_table_bound(params)
 
-    tri = _product_table_with_first_class(params)
-    for r in range(k + 1):
-        for j in range(k + 1):
-            if abs(r - j) > 1 and tri[r][j] != 0:
-                raise SelfCheckError(f"product table not tridiagonal at ({r},{j})")
-
-    theta1 = tuple(Fraction((k - j) * (n - k - j) - j) for j in range(k + 1))
-    if len(set(theta1)) != k + 1:
-        raise SelfCheckError("A_1 eigenvalues are not distinct")
-
-    # char poly of the tridiagonal table via the principal-minor recurrence
-    x = Polynomial.variable()
-    f_prev, f = Polynomial.const(1), x - tri[0][0]
-    for r in range(1, k + 1):
-        f_prev, f = f, (x - tri[r][r]) * f - tri[r - 1][r] * tri[r][r - 1] * f_prev
-    for th in theta1:
-        if f.evaluate(th) != 0:
-            raise SelfCheckError(f"{th} is not an eigenvalue of the product table")
-
-    # remaining columns by the recurrence theta * P[j][i] = sum_r tri[r][i] P[j][r]
     table = []
     for j in range(k + 1):
-        row = [Fraction(1), theta1[j]]
-        for i in range(1, k):
-            up = tri[i + 1][i]
-            if up == 0:
-                raise SelfCheckError(f"vanishing recurrence coefficient at i={i}")
-            nxt = ((theta1[j] - tri[i][i]) * row[i] - tri[i - 1][i] * row[i - 1]) / up
-            row.append(nxt)
-        table.append(tuple(row))
+        w = [binom(k - j, a) * binom(n - k - j, a) for a in range(k + 1)]
+        table.append([sum((-1) ** h * binom(j, h) * w[i - h] for h in range(min(i, j) + 1))
+                      for i in range(k + 1)])
 
     m = tuple(binom(n, j) - binom(n, j - 1) for j in range(k + 1))
 
@@ -329,11 +282,14 @@ def eigensystem(params: SchemeParams) -> EigenSystem:
         want = order if j == 0 else 0
         if sum(table[j]) != want:
             raise SelfCheckError(f"row {j} of the eigenvalue table sums wrongly")
+        if table[j][1] != (k - j) * (n - k - j) - j:
+            raise SelfCheckError(f"A_1 eigenvalue on eigenspace {j} is wrong")
     for i in range(1, k + 1):
         if sum(m[j] * table[j][i] for j in range(k + 1)) != 0:
             raise SelfCheckError(f"class {i} has nonzero trace")
 
-    return EigenSystem(params, theta1, tuple(table), m)
+    P = tuple(tuple(Fraction(x) for x in row) for row in table)
+    return EigenSystem(params, tuple(row[1] for row in P), P, m)
 
 
 def eigenvalues(v: BMVector) -> tuple[Fraction, ...]:

@@ -1,7 +1,9 @@
 """Independent brute-force ground truth.
 
 Floating point lives here and only here: the float spectrum corroborates
-the exact eigenvalue tables but never feeds a certificate.  The maximum
+the exact eigenvalue tables but never feeds a certificate.  Intersection
+numbers are counted over all k-subsets, the reference the tests hold the
+closed-form eigenvalue table against.  The maximum
 t-intersecting family search is an exact branch-and-bound over the
 compatibility graph, with deterministic vertex order so witnesses are
 reproducible bit for bit.
@@ -11,9 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .johnson import DEFAULT_DENSE_BUDGET, BMVector, SchemeParams
+from .exact import binom
+from .johnson import (
+    DEFAULT_DENSE_BUDGET,
+    BMVector,
+    SchemeParams,
+    SizeBudgetError,
+    colex_masks,
+)
 from .projection import project_dense
 from .subsets import Family, all_ksubsets, make_family
 
@@ -25,6 +32,8 @@ def float_spectrum(mat: list[list]) -> list[float]:
     at the orders in scope that is orders of magnitude above the rounding
     error of the conversion.
     """
+    import numpy as np  # deferred: only the float oracle needs it
+
     order = len(mat)
     for i in range(order):
         if len(mat[i]) != order:
@@ -34,6 +43,34 @@ def float_spectrum(mat: list[list]) -> list[float]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
     arr = np.array([[float(x) for x in row] for row in mat], dtype=float)
     return sorted(np.linalg.eigvalsh(arr).tolist(), reverse=True)
+
+
+def _distance_pair(params: SchemeParams, r: int) -> tuple[int, int]:
+    """Masks of a representative subset pair at Johnson distance r."""
+    n, k = params.n, params.k
+    if not 0 <= r <= k:
+        raise ValueError(f"distance {r} out of range [0, {k}]")
+    if k + r > n:
+        raise ValueError(f"no pair of k-subsets at distance {r} in J({n},{k})")
+    alpha = (1 << k) - 1
+    beta = ((1 << (k - r)) - 1) | (((1 << r) - 1) << k)
+    return alpha, beta
+
+
+def intersection_number(i: int, j: int, r: int, params: SchemeParams) -> int:
+    """p_{i,j}(r): for a fixed pair at distance r, the number of k-subsets at
+    distance i from the first and j from the second, counted by enumeration.
+    """
+    k = params.k
+    for name, val in (("i", i), ("j", j), ("r", r)):
+        if not 0 <= val <= k:
+            raise ValueError(f"index {name}={val} out of range [0, {k}]")
+    alpha, beta = _distance_pair(params, r)
+    count = 0
+    for g in colex_masks(params.n, k):
+        if k - (g & alpha).bit_count() == i and k - (g & beta).bit_count() == j:
+            count += 1
+    return count
 
 
 DEFAULT_CLIQUE_BUDGET = 5_000_000
@@ -69,10 +106,14 @@ def max_family(n: int, k: int, t: int,
 
     Vertices are the k-subsets in colex order; two are compatible when they
     meet in at least t points.  Branch and bound with a greedy-coloring
-    upper bound; the budget counts vertex expansions.
+    upper bound; the budget counts vertex expansions.  The vertex set and its
+    O(V^2) adjacency are refused above DEFAULT_DENSE_BUDGET vertices.
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
+    if binom(n, k) > DEFAULT_DENSE_BUDGET:
+        raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} vertices exceed the "
+                              f"dense budget {DEFAULT_DENSE_BUDGET}")
     subsets = all_ksubsets(n, k)
     masks = [s.mask for s in subsets]
     v_count = len(masks)

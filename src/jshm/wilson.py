@@ -31,6 +31,7 @@ from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
 from .johnson import (
     BMVector,
     SchemeParams,
+    check_table_bound,
     entry_sum,
     plus_identity,
     psd_report,
@@ -211,6 +212,7 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         raise ValueError(f"need 1 <= t < k, got t={t}, k={k}")
     if k > n - k:
         raise ValueError(f"need k <= n-k, got k={k}, n={n}")
+    check_table_bound(SchemeParams(n, k))  # before any big-integer work
     nabla = certificate_matrix(n, k, t, variant)
     rep = psd_report(nabla)
     sup = support_ok(nabla, t)

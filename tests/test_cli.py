@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jshm
 from jshm.cli import main
 from jshm.designs import verify_design
 from jshm.subsets import family_from_dict, family_to_dict
@@ -76,14 +80,31 @@ class TestWilson:
                              "--n", "5", "--k", "3", "--t", "1")
         assert code == 2
 
+    def test_certify_past_the_enumeration_cap(self, capsys):
+        # C(60,10) ~ 7.5e10 subsets, but the closed-form table enumerates none
+        code, payload, _ = run_cli(capsys, "wilson", "certify",
+                                   "--n", "60", "--k", "10", "--t", "2")
+        assert code == 0
+        assert payload["valid"] is True
+        assert payload["bound"] == 1916797311
+        assert payload["min_eigenvalue"] == "0"
+
     def test_certify_refuses_huge_enumeration(self, capsys):
-        # C(60,10) ~ 7.5e10 subsets: refused before enumerating, exit 3
-        code = main(["wilson", "certify", "--n", "60", "--k", "10", "--t", "2"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("error: C(60,10) = ")
-        assert "Traceback" not in captured.err
+        # above the table bound, the dense budget or the enumeration cap:
+        # refused before the work starts, exit 3 with nothing on stdout
+        for argv in (
+            ["wilson", "certify", "--n", "1000", "--k", "65", "--t", "2"],
+            ["wilson", "certify", "--n", str(2**64), "--k", "3", "--t", "2"],
+            ["oracle", "max-family", "--n", "60", "--k", "10", "--t", "2"],
+            ["oracle", "spectrum", "--n", "60", "--k", "10",
+             "--coeffs", ",".join(["1"] * 11), "--max-order", "100000000000"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 3, argv
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
 
 
 class TestProject:
@@ -286,3 +307,12 @@ class TestDeterminismAndEnv:
                                    "--n", "7", "--k", "3", "--t", "2")
         fam = family_from_dict({k: payload[k] for k in ("n", "k", "blocks")})
         assert family_to_dict(fam) == {k: payload[k] for k in ("n", "k", "blocks")}
+
+
+def test_import_does_not_load_numpy():
+    # numpy is deferred to the float oracle, so CLI start-up does not pay for it
+    src = os.path.dirname(os.path.dirname(jshm.__file__))
+    subprocess.run(
+        [sys.executable, "-c", "import jshm.cli, sys; assert 'numpy' not in sys.modules"],
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )

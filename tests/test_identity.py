@@ -80,7 +80,7 @@ class TestComparePointwise:
         assert rep.equal
         assert rep.points_checked == 14 >= rep.threshold == 7
         assert rep.points_equal == 14
-        assert rep.skipped_poles == ()
+        assert rep.to_dict()["skipped_poles"] == []
 
     def test_literal_first_failure(self):
         rep = compare_pointwise(3, 2, "m", "omega_literal", 7, 20)

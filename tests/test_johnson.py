@@ -20,7 +20,6 @@ from jshm.johnson import (
     identity_vector,
     inclusion_matrix,
     inner,
-    intersection_number,
     mat_mul,
     mat_transpose,
     psd_report,
@@ -28,7 +27,7 @@ from jshm.johnson import (
     trace,
     wilson_basis_vector,
 )
-from jshm.oracles import float_spectrum
+from jshm.oracles import float_spectrum, intersection_number
 from jshm.subsets import KSubset, all_ksubsets
 
 from conftest import random_vector
@@ -242,9 +241,31 @@ class TestEigenSystem:
                 if k <= min(5, n - k):
                     eigensystem(SchemeParams(n, k))
 
+    def test_counted_recurrence(self):
+        # theta1[j] * P[j][i] = sum_r p_{1,i}(r) P[j][r], with the
+        # intersection numbers counted over all k-subsets
+        for n in range(4, 13):
+            for k in range(1, min(5, n // 2) + 1):
+                p = SchemeParams(n, k)
+                es = eigensystem(p)
+                p1 = [[intersection_number(1, i, r, p) for r in range(k + 1)]
+                      for i in range(k + 1)]
+                for j in range(k + 1):
+                    for i in range(k + 1):
+                        assert es.theta1[j] * es.P[j][i] == sum(
+                            p1[i][r] * es.P[j][r] for r in range(k + 1))
+
     def test_rejects_large_k(self):
         with pytest.raises(ValueError, match="k <= n-k"):
             eigensystem(SchemeParams(3, 2))
+
+    def test_table_bound(self):
+        with pytest.raises(SizeBudgetError, match="table bound"):
+            eigensystem(SchemeParams(200, 65))
+        with pytest.raises(SizeBudgetError, match="table bound"):
+            eigensystem(SchemeParams(2**64, 2))
+        es = eigensystem(SchemeParams(2**64 - 1, 64))
+        assert sum(es.m) == binom(2**64 - 1, 64)
 
     def test_random_vectors_match_float_oracle(self):
         rng = random.Random(88)
