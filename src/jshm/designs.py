@@ -21,7 +21,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
-from .johnson import BMVector, SchemeParams, entry_sum, plus_identity, trace
+from .johnson import (
+    BMVector,
+    SchemeParams,
+    check_table_bound,
+    entry_sum,
+    plus_identity,
+    trace,
+)
 from .projection import project_family
 from .subsets import Family, KSubset, colex_rank, family_to_dict, make_family
 
@@ -126,6 +133,7 @@ def design_matrix(n: int, k: int, t: int) -> BMVector:
     params = SchemeParams(n, k)
     if k > n - k:
         raise ValueError(f"out of regime: C({n - k},{k}) = 0 (need k <= n-k)")
+    check_table_bound(params)
     return BMVector(params, tuple(_design_coeffs(binom_at_size(n), k, t)))
 
 

@@ -8,11 +8,20 @@ identities are checked symbolically.  Rational functions keep a monic
 denominator and a reduced numerator so that equality is plain structural
 comparison.
 
-Everything here is immutable and pure.
+Reduction skips only work whose result is known: coefficients that are
+already exactly ``Fraction`` are not re-wrapped, a gcd of degree 0 (which
+``poly_gcd`` returns monic, so it is 1) divides nothing out, and a leading
+denominator coefficient of 1 needs no rescaling.  The gcd is still computed
+for every rational function, so the canonical form (gcd(num, den) = 1, den
+monic) holds exactly as if every step ran.
+
+Everything here is immutable and pure; ``binom_rf`` is memoised for that
+reason.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -54,7 +63,7 @@ def rat_from_str(s: str) -> Fraction:
 
 
 def _trim(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -246,11 +255,13 @@ class RationalFunction:
             num, den = Polynomial(), Polynomial.const(1)
         else:
             g = poly_gcd(num, den)
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
+            if g.degree > 0:
+                num, _ = num.divmod(g)
+                den, _ = den.divmod(g)
             lead = den.leading()
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            if lead != 1:
+                num = num.scale(1 / lead)
+                den = den.scale(1 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -371,6 +382,7 @@ def binom_poly(shift: int, b: int) -> Polynomial:
     return p.scale(Fraction(1, math.factorial(b)))
 
 
+@functools.lru_cache(maxsize=4096)
 def binom_rf(shift: int, b: int) -> RationalFunction:
     """:func:`binom_poly` packaged as a rational function."""
     return RationalFunction(binom_poly(shift, b))

@@ -13,10 +13,17 @@ degree of the cleared numerators (2k+1 suffices), polynomial vanishing
 forces symbolic equality.  Both routes share one transcription of M and
 Omega, so this tests the binomial providers; the formulas themselves are
 checked by :func:`design_witness_check`, M = Omega and perfbench/checks.py.
+
+Each symbolic side is built once per (k, t, variant) and kept for the life
+of the process: the six side pairs of one (k, t) and the pointwise
+cross-check share M(nu,k,t) and Omega(nu,k,t).  Every caller still gets a
+fresh list.  Comparisons are refused above k = MAX_SYMBOLIC_K, which also
+bounds that memo.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +36,14 @@ from .designs import (
     DEFAULT_SEARCH_BUDGET,
 )
 from .exact import PoleError, RationalFunction, rat_to_str, rf_to_str
-from .johnson import BMVector, SchemeParams, SelfCheckError, plus_identity
+from .johnson import (
+    MAX_TABLE_N,
+    BMVector,
+    SchemeParams,
+    SelfCheckError,
+    SizeBudgetError,
+    plus_identity,
+)
 from .wilson import wilson_matrix, wilson_matrix_symbolic
 
 # side -> (builder, Wilson variant, adds I on A_0)
@@ -45,19 +59,49 @@ RHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "omega")
 
 _WITNESS_SCAN_LIMIT = 200
 
+# The symbolic sides (and so compare_symbolic and compare_pointwise) refuse
+# k > MAX_SYMBOLIC_K: rational-function cost grows steeply with k, and the
+# worst admitted comparison, k = 24 at t near 17, takes about 1.1 s cold
+# against 2.2-2.7 s at k = 28.  compare_pointwise also refuses more than
+# MAX_POINTWISE_POINTS sizes (each costs up to 4 ms at k = 24) and
+# n_to >= MAX_TABLE_N, the bound of the numeric sides.
+MAX_SYMBOLIC_K = 24
+MAX_POINTWISE_POINTS = 1000
+
 
 def _side_coeffs(name: str, n: int | None, k: int, t: int) -> list:
     """One side at ground-set size n, or in nu when n is None."""
     if name not in _SIDES:
         raise ValueError(f"unknown side {name!r}")
     builder, variant, adds_identity = _SIDES[name]
-    if builder == "m":
-        coeffs = design_matrix_symbolic(k, t) if n is None else design_matrix(n, k, t).coeffs
-    elif n is None:
-        coeffs = wilson_matrix_symbolic(k, t, variant)
+    if n is None:
+        coeffs = _symbolic_coeffs(builder, variant, k, t)
+    elif builder == "m":
+        coeffs = design_matrix(n, k, t).coeffs
     else:
         coeffs = wilson_matrix(n, k, t, variant).coeffs
     return plus_identity(coeffs) if adds_identity else list(coeffs)
+
+
+def _check_symbolic_bound(k: int) -> None:
+    if k > MAX_SYMBOLIC_K:
+        raise SizeBudgetError(f"symbolic comparison at k = {k} exceeds the bound "
+                              f"k <= {MAX_SYMBOLIC_K}")
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_coeffs(builder: str, variant: str | None, k: int,
+                     t: int) -> tuple[RationalFunction, ...]:
+    """M(nu,k,t) or Omega(nu,k,t), built once per (builder, variant, k, t).
+
+    Entries are immutable, and callers get a fresh list from
+    :func:`_side_coeffs`, so sharing the tuple is safe.  The bound on k
+    also bounds the memo.
+    """
+    _check_symbolic_bound(k)
+    if builder == "m":
+        return tuple(design_matrix_symbolic(k, t))
+    return tuple(wilson_matrix_symbolic(k, t, variant))
 
 
 def symbolic_side(name: str, k: int, t: int) -> list[RationalFunction]:
@@ -192,13 +236,21 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
     poles or empty classes) and contain at least 2k+1 integers; agreement at
     2k+1 pole-free points exceeds the cleared-numerator degree bound and so
     certifies the identity.  The verdict is cross-checked against
-    :func:`compare_symbolic` and a disagreement aborts loudly.
+    :func:`compare_symbolic` and a disagreement aborts loudly.  Before any
+    point is evaluated, k above MAX_SYMBOLIC_K, more than
+    MAX_POINTWISE_POINTS sizes and n_to >= 2**64 raise SizeBudgetError.
     """
     _validate_sides(k, t, lhs, rhs)
     if n_from < 2 * k:
         raise ValueError(f"n_from must be at least 2k = {2 * k}, got {n_from}")
     if n_to - n_from + 1 < 2 * k + 1:
         raise ValueError(f"range must contain at least 2k+1 = {2 * k + 1} integers")
+    _check_symbolic_bound(k)
+    if n_to - n_from + 1 > MAX_POINTWISE_POINTS:
+        raise SizeBudgetError(f"range of {n_to - n_from + 1} sizes exceeds the bound "
+                              f"of {MAX_POINTWISE_POINTS} points")
+    if n_to >= MAX_TABLE_N:
+        raise SizeBudgetError(f"n_to = {n_to} exceeds the bound n < 2**64")
 
     threshold = 2 * k + 1
     equal_count = 0

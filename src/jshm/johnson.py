@@ -30,9 +30,10 @@ DEFAULT_DENSE_BUDGET = 5000
 # C(25,8) = 1 081 575 (~350 MB peak)
 MAX_ENUMERATED_SUBSETS = 2_000_000
 
-# eigensystem refuses k > MAX_TABLE_K or n >= MAX_TABLE_N: the table costs
-# O(k^3) products of integers of up to k*log2(n) bits, and at n < 2**64 every
-# entry stays far below the int-to-str digit limit of the JSON output
+# eigensystem, and the numeric M and Omega, refuse k > MAX_TABLE_K or
+# n >= MAX_TABLE_N: the table costs O(k^3) products of integers of up to
+# k*log2(n) bits, and at n < 2**64 every entry stays far below the
+# int-to-str digit limit of the JSON output
 MAX_TABLE_K = 64
 MAX_TABLE_N = 2**64
 
@@ -243,9 +244,10 @@ class EigenSystem:
 
 
 def check_table_bound(params: SchemeParams) -> None:
-    """Raise SizeBudgetError when J(n,k) is beyond the eigenvalue-table bound."""
+    """Raise SizeBudgetError when J(n,k) is beyond the table bound, which also
+    bounds the numeric M(n,k,t) and Omega(n,k,t)."""
     if params.k > MAX_TABLE_K or params.n >= MAX_TABLE_N:
-        raise SizeBudgetError(f"eigenvalue table of J({params.n},{params.k}) exceeds "
+        raise SizeBudgetError(f"J({params.n},{params.k}) exceeds "
                               f"the table bound k <= {MAX_TABLE_K}, n < 2**64")
 
 

@@ -54,7 +54,9 @@ def wilson_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVecto
     _check_variant(variant)
     if not 1 <= t <= k <= n - k:
         raise ValueError(f"need 1 <= t <= k <= n-k, got t={t}, k={k}, n={n}")
-    return BMVector(SchemeParams(n, k), tuple(_omega_coeffs(binom_at_size(n), k, t, variant)))
+    params = SchemeParams(n, k)
+    check_table_bound(params)
+    return BMVector(params, tuple(_omega_coeffs(binom_at_size(n), k, t, variant)))
 
 
 def certificate_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVector:
@@ -212,7 +214,7 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         raise ValueError(f"need 1 <= t < k, got t={t}, k={k}")
     if k > n - k:
         raise ValueError(f"need k <= n-k, got k={k}, n={n}")
-    check_table_bound(SchemeParams(n, k))  # before any big-integer work
+    # wilson_matrix refuses the table bound before any big-integer work
     nabla = certificate_matrix(n, k, t, variant)
     rep = psd_report(nabla)
     sup = support_ok(nabla, t)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -245,6 +246,25 @@ class TestIdentity:
                                    "--budget", "2")
         assert code == 3
         assert payload["points"][0]["status"] == "unverified"
+
+    def test_unbounded_inputs_are_refused(self, capsys):
+        # each of these used to run without bound; now exit 3 at once
+        for argv in (
+            ["identity", "prove", "--k", "60", "--t", "30"],
+            ["identity", "pointwise", "--k", "3", "--t", "2",
+             "--n-from", "7", "--n-to", "100000000"],
+            ["wilson", "omega", "--n", "10000000", "--k", "1000000",
+             "--t", "999999"],
+        ):
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 3, argv
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
+            assert elapsed < 0.5, argv
 
 
 class TestOracle:

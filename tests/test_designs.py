@@ -18,7 +18,13 @@ from jshm.designs import (
     verify_design,
 )
 from jshm.exact import binom
-from jshm.johnson import basis_vector, SchemeParams
+from jshm.johnson import (
+    MAX_TABLE_K,
+    MAX_TABLE_N,
+    SchemeParams,
+    SizeBudgetError,
+    basis_vector,
+)
 from jshm.subsets import all_ksubsets, make_family
 
 
@@ -104,6 +110,14 @@ class TestDesignMatrix:
     def test_out_of_regime(self):
         with pytest.raises(ValueError, match="regime"):
             design_matrix(5, 3, 1)
+
+    def test_table_bound(self):
+        for n, k, t in [(10**7, 10**6, 10**6 - 1), (1000, MAX_TABLE_K + 1, 2),
+                        (MAX_TABLE_N, 3, 2)]:
+            with pytest.raises(SizeBudgetError):
+                design_matrix(n, k, t)
+        top = design_matrix(MAX_TABLE_N - 1, MAX_TABLE_K, MAX_TABLE_K - 1)
+        assert top.params == SchemeParams(MAX_TABLE_N - 1, MAX_TABLE_K)
 
     def test_symbolic_matches_numeric(self):
         for (k, t) in [(k, t) for k in range(2, 8) for t in range(1, k)]:

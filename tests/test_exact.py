@@ -12,6 +12,7 @@ from jshm.exact import (
     binom,
     binom_poly,
     binom_rf,
+    poly_gcd,
     poly_to_str,
     rat_from_str,
     rat_to_str,
@@ -116,6 +117,72 @@ class TestRationalFunctionArithmetic:
     def test_division_roundtrip(self, f, g):
         if not g.is_zero():
             assert (f / g) * g == f
+
+
+mixed_scalars = st.one_of(st.integers(-5, 5), st.booleans(), small_fractions)
+
+
+def mixed_polynomials(max_degree=3):
+    return st.lists(mixed_scalars, max_size=max_degree + 1).map(Polynomial)
+
+
+def _reference_reduction(num, den):
+    """Canonical (num, den) by always dividing by the gcd and scaling."""
+    g = poly_gcd(num, den)
+    num, _ = num.divmod(g)
+    den, _ = den.divmod(g)
+    lead = den.leading()
+    return num.scale(1 / lead), den.scale(1 / lead)
+
+
+def _assert_exact(p):
+    assert all(type(c) is Fraction for c in p.coeffs), p.coeffs
+
+
+class TestCanonicalForm:
+    @given(st.lists(mixed_scalars, max_size=5), mixed_polynomials())
+    def test_coefficients_are_exact_fractions(self, coeffs, q):
+        p = Polynomial(coeffs)
+        _assert_exact(p)
+        assert p.coeffs == Polynomial([Fraction(c) for c in coeffs]).coeffs
+        for r in (p + q, p - q, p * q, -p, p.scale(3), p.monic(),
+                  Polynomial.const(coeffs[0] if coeffs else 0)):
+            _assert_exact(r)
+        if not q.is_zero():
+            for r in p.divmod(q):
+                _assert_exact(r)
+
+    @settings(max_examples=80)
+    @given(mixed_polynomials(), mixed_polynomials(),
+           mixed_polynomials(2).filter(lambda p: not p.is_zero()))
+    def test_rational_function_is_canonical(self, num, den, common):
+        if den.is_zero():
+            den = Polynomial.const(1)
+        # a shared factor forces a gcd of positive degree when common has one
+        for n, d in ((num, den), (num * common, den * common)):
+            f = RationalFunction(n, d)
+            _assert_exact(f.num)
+            _assert_exact(f.den)
+            assert f.den.leading() == 1
+            if f.num.is_zero():
+                assert f.den == Polynomial.const(1)
+            else:
+                assert poly_gcd(f.num, f.den) == Polynomial.const(1)
+            assert (f.num, f.den) == _reference_reduction(n, d)
+
+    @settings(max_examples=40)
+    @given(rational_functions(), rational_functions())
+    def test_arithmetic_results_are_canonical(self, f, g):
+        results = [f + g, f - g, f * g]
+        if not g.is_zero():
+            results.append(f / g)
+        for h in results:
+            assert (h.num, h.den) == _reference_reduction(h.num, h.den)
+
+    def test_binom_rf_is_shared_and_immutable(self):
+        assert binom_rf(-3, 2) is binom_rf(-3, 2)
+        with pytest.raises(AttributeError):
+            binom_rf(-3, 2).num = Polynomial()
 
 
 class TestEvaluation:

@@ -1,16 +1,30 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from jshm.designs import design_matrix
+from jshm import identity
+from jshm.designs import design_matrix, design_matrix_symbolic
+from jshm.exact import NU
 from jshm.identity import (
+    LHS_CHOICES,
+    MAX_POINTWISE_POINTS,
+    MAX_SYMBOLIC_K,
+    RHS_CHOICES,
     compare_pointwise,
     compare_symbolic,
     design_witness_check,
     numeric_side,
     symbolic_side,
 )
-from jshm.wilson import wilson_matrix
+from jshm.johnson import MAX_TABLE_N, SizeBudgetError
+from jshm.wilson import wilson_matrix, wilson_matrix_symbolic
+
+# sha256 of json.dumps([compare_symbolic(k, t, lhs, rhs).to_dict() ...],
+# sort_keys=True) over 2 <= k <= 7, 1 <= t < k, LHS_CHOICES x RHS_CHOICES,
+# recorded before the rational-function fast paths and the side memo
+SYMBOLIC_REPORTS_SHA256 = "22d47eb39ce93e18c7b08a8194fb49856ccc20ec2286790e1c90654a53670729"
 
 VERIFIED_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
 
@@ -74,6 +88,59 @@ class TestCompareSymbolic:
         assert doc["h"][0] == "0"
 
 
+class TestSymbolicSides:
+    def test_reports_are_pinned(self):
+        docs = [compare_symbolic(k, t, lhs, rhs).to_dict()
+                for k in range(2, 8) for t in range(1, k)
+                for lhs in LHS_CHOICES for rhs in RHS_CHOICES]
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == SYMBOLIC_REPORTS_SHA256
+
+    @pytest.mark.parametrize("get", [
+        lambda: symbolic_side("m", 4, 2),
+        lambda: symbolic_side("m_plus_i", 4, 2),
+        lambda: symbolic_side("omega_literal", 4, 2),
+        lambda: symbolic_side("nabla_corrected", 4, 2),
+        lambda: design_matrix_symbolic(4, 2),
+        lambda: wilson_matrix_symbolic(4, 2, "corrected"),
+    ])
+    def test_returned_list_is_fresh(self, get):
+        first = get()
+        expected = list(first)
+        first[0] = NU
+        first.append(NU)
+        assert get() == expected
+
+    def test_each_side_is_built_once(self, monkeypatch):
+        builds = []
+
+        def counting(build):
+            def wrapper(*args):
+                builds.append((build.__name__,) + args)
+                return build(*args)
+            return wrapper
+
+        monkeypatch.setattr(identity, "design_matrix_symbolic",
+                            counting(design_matrix_symbolic))
+        monkeypatch.setattr(identity, "wilson_matrix_symbolic",
+                            counting(wilson_matrix_symbolic))
+        identity._symbolic_coeffs.cache_clear()
+        for lhs in LHS_CHOICES:
+            for rhs in RHS_CHOICES:
+                compare_symbolic(5, 2, lhs, rhs)
+        compare_pointwise(5, 2, "m", "omega_literal", 10, 22)
+        assert sorted(builds) == [("design_matrix_symbolic", 5, 2),
+                                  ("wilson_matrix_symbolic", 5, 2, "corrected"),
+                                  ("wilson_matrix_symbolic", 5, 2, "literal")]
+
+    def test_k_bound(self):
+        assert compare_symbolic(MAX_SYMBOLIC_K, 1, "m", "omega_corrected").equal
+        with pytest.raises(SizeBudgetError):
+            compare_symbolic(MAX_SYMBOLIC_K + 1, 2, "m", "omega_corrected")
+        with pytest.raises(SizeBudgetError):
+            symbolic_side("m", 60, 30)
+
+
 class TestComparePointwise:
     def test_corrected_over_range(self):
         rep = compare_pointwise(3, 2, "m", "omega_corrected", 7, 20)
@@ -103,6 +170,20 @@ class TestComparePointwise:
             compare_pointwise(3, 2, "m", "omega_corrected", 5, 20)
         with pytest.raises(ValueError, match="2k"):
             compare_pointwise(3, 2, "m", "omega_corrected", 6, 8)
+
+    def test_size_bounds(self):
+        k = MAX_SYMBOLIC_K + 1
+        with pytest.raises(SizeBudgetError):
+            compare_pointwise(k, 2, "m", "omega_corrected", 2 * k, 4 * k + 2)
+        with pytest.raises(SizeBudgetError):
+            compare_pointwise(3, 2, "m", "omega_corrected", 7, 7 + MAX_POINTWISE_POINTS)
+        assert compare_pointwise(3, 2, "m", "omega_corrected",
+                                 7, 6 + MAX_POINTWISE_POINTS).equal
+        with pytest.raises(SizeBudgetError):
+            compare_pointwise(3, 2, "m", "omega_corrected", MAX_TABLE_N - 10, MAX_TABLE_N)
+        top = compare_pointwise(3, 2, "m", "omega_corrected",
+                                MAX_TABLE_N - 10, MAX_TABLE_N - 1)
+        assert top.equal and top.points_equal == 10
 
 
 class TestNumericSides:

@@ -5,7 +5,10 @@ import pytest
 from jshm.designs import as_design
 from jshm.exact import binom
 from jshm.johnson import (
+    MAX_TABLE_K,
+    MAX_TABLE_N,
     SchemeParams,
+    SizeBudgetError,
     all_ones_vector,
     basis_vector,
     identity_vector,
@@ -56,6 +59,14 @@ class TestWilsonMatrix:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             wilson_matrix(7, 3, 2, "original")
+
+    def test_table_bound(self):
+        for n, k, t in [(10**7, 10**6, 10**6 - 1), (1000, MAX_TABLE_K + 1, 2),
+                        (MAX_TABLE_N, 3, 2)]:
+            with pytest.raises(SizeBudgetError):
+                wilson_matrix(n, k, t)
+        top = wilson_matrix(MAX_TABLE_N - 1, MAX_TABLE_K, MAX_TABLE_K - 1)
+        assert top.params == SchemeParams(MAX_TABLE_N - 1, MAX_TABLE_K)
 
     def test_symbolic_matches_numeric(self):
         for variant in ("literal", "corrected"):
