@@ -12,6 +12,13 @@ is (|D| / C(n,k)) * (I + M(n,k,t)), where the matrix M is assembled from the
 alternating excess sums below.  M is well defined whether or not a design
 exists.  Each formula is written once over a binomial provider, numeric
 (``exact.binom_at_size(n)``) or symbolic in nu (``exact.binom_rf``).
+
+The search is Knuth's Algorithm X (*Dancing Links*, 2000) over plain lists:
+live-row flags and per-column live counts stand in for the linked nodes,
+with the same column choice and row order, so found designs and node
+counts are those of the classical linked version.  Every enumeration here
+(search rows, verified t-subsets, admissible sizes) is refused with
+``SizeBudgetError`` above a fixed bound before it starts.
 """
 
 from __future__ import annotations
@@ -22,15 +29,19 @@ from itertools import combinations
 
 from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
 from .johnson import (
+    MAX_ENUMERATED_SUBSETS,
+    MAX_TABLE_K,
+    MAX_TABLE_N,
     BMVector,
     SchemeParams,
+    SizeBudgetError,
     check_table_bound,
     entry_sum,
     plus_identity,
     trace,
 )
 from .projection import project_family
-from .subsets import Family, KSubset, colex_rank, family_to_dict, make_family
+from .subsets import Family, colex_tuples, family_to_dict, make_family, subset_mask
 
 
 class NotADesignError(ValueError):
@@ -74,15 +85,20 @@ class Design:
 
 
 def verify_design(fam: Family, t: int) -> int:
-    """Return the common cover count lambda, or raise with a witness subset."""
+    """Return the common cover count lambda, or raise with a witness subset.
+
+    The walk over the C(n,t) t-subsets is refused with SizeBudgetError above
+    ``johnson.MAX_ENUMERATED_SUBSETS``.
+    """
     if not 0 <= t <= fam.k:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
+    if binom(fam.n, t) > MAX_ENUMERATED_SUBSETS:
+        raise SizeBudgetError(f"C({fam.n},{t}) = {binom(fam.n, t)} t-subsets exceed "
+                              f"the enumeration cap {MAX_ENUMERATED_SUBSETS}")
     masks = [m.mask for m in fam.members]
     lam = None
     for sub in combinations(range(1, fam.n + 1), t):
-        sm = 0
-        for e in sub:
-            sm |= 1 << (e - 1)
+        sm = subset_mask(sub)
         count = sum(1 for bm in masks if bm & sm == sm)
         if lam is None:
             lam = count
@@ -220,148 +236,108 @@ def design_projection_report(design: Design) -> DesignProjectionReport:
     )
 
 
+# admissible refuses t > MAX_TABLE_K or n >= MAX_TABLE_N, which keeps its
+# 2t binomials below 2**4096 (at most about 1 ms a size);
+# admissible_range refuses more than MAX_ADMISSIBLE_SIZES sizes
+MAX_ADMISSIBLE_SIZES = 1000
+
+
 def admissible(n: int, k: int, t: int) -> bool:
-    """Divisibility conditions: C(k-i, t-i) | C(n-i, t-i) for i = 0..t-1."""
+    """Divisibility conditions: C(k-i, t-i) | C(n-i, t-i) for i = 0..t-1.
+
+    t > MAX_TABLE_K or n >= MAX_TABLE_N raise SizeBudgetError.
+    """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
+    if t > MAX_TABLE_K or n >= MAX_TABLE_N:
+        raise SizeBudgetError(f"admissibility at t = {t}, n = {n} exceeds the "
+                              f"bound t <= {MAX_TABLE_K}, n < 2**64")
     return all(
         binom(n - i, t - i) % binom(k - i, t - i) == 0 for i in range(t)
     )
 
 
 def admissible_range(k: int, t: int, n_max: int) -> list[int]:
-    """Admissible ground-set sizes in (k, n_max]; n = k is degenerate."""
+    """Admissible ground-set sizes in (k, n_max]; n = k is degenerate.
+
+    A range of more than MAX_ADMISSIBLE_SIZES sizes raises SizeBudgetError.
+    """
+    if n_max - k > MAX_ADMISSIBLE_SIZES:
+        raise SizeBudgetError(f"range of {n_max - k} sizes exceeds the bound "
+                              f"{MAX_ADMISSIBLE_SIZES}")
     return [n for n in range(k + 1, n_max + 1) if admissible(n, k, t)]
 
 
 # ---------------------------------------------------------------------------
-# Exact-cover search (dancing links)
+# Exact-cover search (Algorithm X)
 
 
-class _Column:
-    __slots__ = ("index", "size", "left", "right", "up", "down")
+def _exact_cover(num_columns: int, rows: list[list[int]], budget: int):
+    """Knuth's Algorithm X over plain lists: (status, chosen rows, nodes).
 
-    def __init__(self, index: int):
-        self.index = index
-        self.size = 0
-        self.left = self.right = self
-        self.up = self.down = self
-
-
-class _Node:
-    __slots__ = ("row", "column", "left", "right", "up", "down")
-
-    def __init__(self, row: int, column: _Column):
-        self.row = row
-        self.column = column
-        self.left = self.right = self
-        self.up = self.down = self
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _DancingLinks:
-    """Knuth's Algorithm X on doubly linked sparse columns.
-
-    Column choice is fewest-candidates with ties broken by the leftmost
-    (lowest-index) column, and rows are tried in insertion order, so the
-    first solution found is a deterministic function of the input.
+    The column with the fewest live rows is chosen, ties to the lowest
+    index, and its rows are tried in ascending order, so the first solution
+    is a deterministic function of the input.  ``nodes`` counts row
+    expansions, including the first one past the budget.  A covered column
+    carries ``covered`` on top of its size, so it never wins the minimum,
+    and a minimum of at least ``covered`` means every column is covered.
     """
+    col_rows = [[] for _ in range(num_columns)]
+    for r, cols in enumerate(rows):
+        for c in cols:
+            col_rows[c].append(r)
+    sizes = [len(rs) for rs in col_rows]
+    live = [True] * len(rows)
+    covered = len(rows) + 1
 
-    def __init__(self, num_columns: int, rows: list[list[int]]):
-        self.root = _Column(-1)
-        self.columns = []
-        prev = self.root
-        for idx in range(num_columns):
-            col = _Column(idx)
-            col.left, col.right = prev, self.root
-            prev.right = col
-            self.root.left = col
-            self.columns.append(col)
-            prev = col
-        for row_id, row_cols in enumerate(rows):
-            first = None
-            for c in row_cols:
-                col = self.columns[c]
-                node = _Node(row_id, col)
-                node.up, node.down = col.up, col
-                col.up.down = node
-                col.up = node
-                col.size += 1
-                if first is None:
-                    first = node
-                else:
-                    node.left, node.right = first.left, first
-                    first.left.right = node
-                    first.left = node
-        self.nodes = 0
-        self.budget = 0
-        self.solution: list[int] = []
+    def cover(cols):
+        """Cover the columns and return the live rows through them, now dead."""
+        killed = []
+        for c in cols:
+            sizes[c] += covered
+            for r in col_rows[c]:
+                if live[r]:
+                    live[r] = False
+                    killed.append(r)
+                    for j in rows[r]:
+                        sizes[j] -= 1
+        return killed
 
-    def _cover(self, col: _Column):
-        col.right.left = col.left
-        col.left.right = col.right
-        i = col.down
-        while i is not col:
-            j = i.right
-            while j is not i:
-                j.down.up = j.up
-                j.up.down = j.down
-                j.column.size -= 1
-                j = j.right
-            i = i.down
+    def uncover(cols, killed):
+        for c in cols:
+            sizes[c] -= covered
+        for r in killed:
+            live[r] = True
+            for j in rows[r]:
+                sizes[j] += 1
 
-    def _uncover(self, col: _Column):
-        i = col.up
-        while i is not col:
-            j = i.left
-            while j is not i:
-                j.column.size += 1
-                j.down.up = j
-                j.up.down = j
-                j = j.left
-            i = i.up
-        col.right.left = col
-        col.left.right = col
-
-    def _search(self) -> bool:
-        if self.root.right is self.root:
-            return True
-        col = self.root.right
-        best = col
-        while col is not self.root:
-            if col.size < best.size:
-                best = col
-            col = col.right
-        if best.size == 0:
-            return False
-        self._cover(best)
-        row_node = best.down
-        while row_node is not best:
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _BudgetExhausted
-            self.solution.append(row_node.row)
-            j = row_node.right
-            while j is not row_node:
-                self._cover(j.column)
-                j = j.right
-            if self._search():
-                return True
-            j = row_node.left
-            while j is not row_node:
-                self._uncover(j.column)
-                j = j.left
-            self.solution.pop()
-            row_node = row_node.down
-        self._uncover(best)
-        return False
-
-    def solve(self, budget: int) -> bool:
-        self.budget = budget
-        return self._search()
+    nodes = 0
+    # one level per chosen column: [[column], its candidate rows, index of the
+    # next candidate, the other columns of the current one, the rows they killed]
+    stack = []
+    while True:
+        fewest = min(sizes)
+        if fewest >= covered:
+            return "found", [level[1][level[2] - 1] for level in stack], nodes
+        if fewest:
+            chosen = [sizes.index(fewest)]
+            stack.append([chosen, cover(chosen), 0, [], []])
+        while stack:  # advance to the next untried candidate, backtracking
+            level = stack[-1]
+            chosen, candidates, i, others, killed = level
+            uncover(others, killed)
+            if i == len(candidates):
+                uncover(chosen, candidates)
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > budget:
+                return "budget-exhausted", None, nodes
+            others = [j for j in rows[candidates[i]] if j != chosen[0]]
+            level[2:] = i + 1, others, cover(others)
+            break
+        else:
+            return "not-found", None, nodes
 
 
 @dataclass(frozen=True)
@@ -375,6 +351,12 @@ class SearchOutcome:
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
+# search_design refuses more than MAX_SEARCH_ENTRIES row entries
+# C(n,k) * C(k,t) before it enumerates a subset.  Measured peak RSS near
+# the bound: 57 MB at (28,5,2), 128 MB at (1000,2,1), and 480 MB at
+# (71,4,4), since for k = t every row is a column of its own.
+MAX_SEARCH_ENTRIES = 1_000_000
+
 
 def search_design(n: int, k: int, t: int,
                   budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
@@ -384,28 +366,22 @@ def search_design(n: int, k: int, t: int,
     covering its C(k,t) t-subsets.  The traversal is deterministic, so the
     returned design is reproducible; the budget counts row expansions and
     distinguishes an exhausted search space ("not-found") from an exhausted
-    budget.
+    budget.  More than MAX_SEARCH_ENTRIES row entries raise SizeBudgetError.
     """
     if not 0 < t <= k <= n:
         raise ValueError(f"need 0 < t <= k <= n, got t={t}, k={k}, n={n}")
-    t_index = {
-        sub: colex_rank(KSubset(n, sub))
-        for sub in combinations(range(1, n + 1), t)
-    }
-    k_subsets = sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
-    rows = [
-        sorted(t_index[sub] for sub in combinations(block, t))
-        for block in k_subsets
-    ]
-    dlx = _DancingLinks(len(t_index), rows)
-    try:
-        found = dlx.solve(budget)
-    except _BudgetExhausted:
-        return SearchOutcome("budget-exhausted", None, dlx.nodes)
-    if not found:
-        return SearchOutcome("not-found", None, dlx.nodes)
-    blocks = sorted((k_subsets[r] for r in dlx.solution), key=lambda s: s[::-1])
+    entries = binom(n, k) * binom(k, t)
+    if entries > MAX_SEARCH_ENTRIES:
+        raise SizeBudgetError(f"C({n},{k}) * C({k},{t}) = {entries} row entries "
+                              f"exceed the search bound {MAX_SEARCH_ENTRIES}")
+    t_index = {sub: i for i, sub in enumerate(colex_tuples(n, t))}
+    k_subsets = colex_tuples(n, k)
+    rows = [[t_index[sub] for sub in combinations(block, t)] for block in k_subsets]
+    status, chosen, nodes = _exact_cover(len(t_index), rows, budget)
+    if status != "found":
+        return SearchOutcome(status, None, nodes)
+    blocks = [k_subsets[r] for r in sorted(chosen)]
     design = as_design(make_family(n, k, blocks), t)
     if design.lam != 1:
         raise RuntimeError("search produced a family that is not a Steiner system")
-    return SearchOutcome("found", design, dlx.nodes)
+    return SearchOutcome("found", design, nodes)

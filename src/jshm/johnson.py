@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import binom
-from .subsets import KSubset, all_ksubsets
+from .subsets import KSubset, colex_tuples, subset_mask
 
 DEFAULT_DENSE_BUDGET = 5000
 
@@ -149,7 +149,7 @@ def colex_masks(n: int, k: int) -> tuple[int, ...]:
     if binom(n, k) > MAX_ENUMERATED_SUBSETS:
         raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} subsets exceed the "
                               f"enumeration cap {MAX_ENUMERATED_SUBSETS}")
-    return tuple(s.mask for s in all_ksubsets(n, k))
+    return tuple(subset_mask(c) for c in colex_tuples(n, k))
 
 
 def dense(v: BMVector, max_order: int = DEFAULT_DENSE_BUDGET) -> list[list]:

@@ -42,10 +42,12 @@ class KSubset:
     @cached_property
     def mask(self) -> int:
         """Bitmask with bit e-1 set for each element e."""
-        m = 0
-        for e in self.elements:
-            m |= 1 << (e - 1)
-        return m
+        return subset_mask(self.elements)
+
+
+def subset_mask(elements) -> int:
+    """Bitmask with bit e-1 set for each (distinct) element e."""
+    return sum(1 << (e - 1) for e in elements)
 
 
 def make_subset(n: int, elements) -> KSubset:
@@ -75,10 +77,19 @@ def colex_unrank(r: int, k: int, n: int) -> KSubset:
     return KSubset(n, tuple(reversed(elems)))
 
 
+def colex_tuples(n: int, k: int) -> list[tuple[int, ...]]:
+    """All k-subsets of {1..n} as increasing tuples, in colex order.
+
+    Colex compares the largest elements first, so it is the lexicographic
+    order of the decreasing tuples, which ``combinations`` yields in reverse
+    from the decreasing ground set.
+    """
+    return [c[::-1] for c in reversed(list(combinations(range(n, 0, -1), k)))]
+
+
 def all_ksubsets(n: int, k: int) -> list[KSubset]:
     """All k-subsets of {1..n} in colex order."""
-    combos = sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
-    return [KSubset(n, c) for c in combos]
+    return [KSubset(n, c) for c in colex_tuples(n, k)]
 
 
 def inter_size(s: KSubset, t: KSubset) -> int:

@@ -200,6 +200,28 @@ class TestDesign:
                              "--k", "3", "--t", "2")
         assert code == 2
 
+    def test_unbounded_inputs_are_refused(self, capsys, tmp_path):
+        # the search ran out of memory enumerating rows, and the other three
+        # ran without bound; now each exits 3 at once
+        path = write_family(tmp_path, 3000, 3, [])
+        for argv in (
+            ["design", "search", "--n", "60", "--k", "10", "--t", "2"],
+            ["design", "admissible", "--k", "3", "--t", "2",
+             "--n-max", "10000000000"],
+            ["design", "admissible", "--k", "1000000", "--t", "999999",
+             "--n", "10000000"],
+            ["design", "verify", "--file", path, "--t", "3"],
+        ):
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 3, argv
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
+            assert elapsed < 0.5, argv
+
 
 class TestIdentity:
     def test_prove_corrected(self, capsys):

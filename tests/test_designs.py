@@ -1,9 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from jshm.designs import (
+    MAX_ADMISSIBLE_SIZES,
+    MAX_SEARCH_ENTRIES,
     NotADesignError,
     admissible,
     admissible_range,
@@ -19,6 +23,7 @@ from jshm.designs import (
 )
 from jshm.exact import binom
 from jshm.johnson import (
+    MAX_ENUMERATED_SUBSETS,
     MAX_TABLE_K,
     MAX_TABLE_N,
     SchemeParams,
@@ -31,6 +36,14 @@ from jshm.subsets import all_ksubsets, make_family
 class TestVerifyDesign:
     def test_fano_is_steiner(self, fano):
         assert verify_design(fano, 2) == 1
+
+    def test_subset_walk_bound(self):
+        assert binom(3000, 3) > MAX_ENUMERATED_SUBSETS
+        with pytest.raises(SizeBudgetError):
+            verify_design(make_family(3000, 3, []), 3)
+        # a search admits C(n,t) <= C(n,k) C(k,t) row entries, so the check of
+        # any design it finds is admitted too
+        assert MAX_SEARCH_ENTRIES <= MAX_ENUMERATED_SUBSETS
 
     def test_fano_minus_block_fails_with_witness(self, fano):
         broken = make_family(7, 3, [list(m.elements) for m in fano.members[1:]])
@@ -157,7 +170,75 @@ class TestDesignProjectionIdentity:
             design_projection_report(as_design(fam, 2))
 
 
+# (n, k, t, budget) -> (status, nodes, first 16 hex digits of the sha256 of
+# the JSON block list), as the linked-node dancing-links search gave them;
+# budget None is the default
+PINNED_SEARCHES = {
+    (7, 3, 2, None): ("found", 7, "43c4f6b755c76210"),
+    (9, 3, 2, None): ("found", 12, "907a581331ee466e"),
+    (8, 4, 3, None): ("found", 14, "f8784093e7d5482b"),
+    (10, 4, 3, None): ("found", 30, "7f4f1b8c4e23633e"),
+    (13, 4, 2, None): ("found", 13, "5c67ef28f77813ac"),
+    (15, 3, 2, None): ("found", 35, "436f0bd2298ff244"),
+    (19, 3, 2, None): ("found", 57, "6b6c575fa5bbf3f2"),
+    (16, 4, 2, None): ("found", 28, "3875ec18445f7231"),
+    (12, 6, 5, None): ("found", 132, "6480f77b3209906b"),
+    (21, 5, 2, None): ("found", 21, "4b51faed948a01ad"),
+    (25, 5, 2, None): ("found", 205, "9389c161bce9cc36"),
+    (5, 5, 5, None): ("found", 1, "05b245f79a23de6a"),
+    (6, 2, 1, None): ("found", 3, "dfcd6ae0bc2228de"),
+    (4, 1, 1, None): ("found", 4, "1af3813c7227d698"),
+    (6, 3, 2, None): ("not-found", 12, None),
+    (8, 3, 2, None): ("not-found", 78, None),
+    (10, 3, 2, None): ("not-found", 632, None),
+    (12, 4, 2, None): ("not-found", 6660, None),
+    (9, 3, 2, 0): ("budget-exhausted", 1, None),
+    (9, 3, 2, 1): ("budget-exhausted", 2, None),
+    (9, 3, 2, 2): ("budget-exhausted", 3, None),
+    (12, 6, 5, 0): ("budget-exhausted", 1, None),
+    (12, 6, 5, 1): ("budget-exhausted", 2, None),
+    (12, 6, 5, 2): ("budget-exhausted", 3, None),
+    (6, 3, 2, 2): ("budget-exhausted", 3, None),
+    (5, 5, 5, 0): ("budget-exhausted", 1, None),
+    (5, 5, 5, 1): ("found", 1, "05b245f79a23de6a"),
+    (4, 1, 1, 3): ("budget-exhausted", 4, None),
+    (4, 1, 1, 4): ("found", 4, "1af3813c7227d698"),
+    (7, 3, 2, 6): ("budget-exhausted", 7, None),
+    (7, 3, 2, 7): ("found", 7, "43c4f6b755c76210"),
+    (8, 3, 2, 77): ("budget-exhausted", 78, None),
+    (8, 3, 2, 78): ("not-found", 78, None),
+    (10, 3, 2, 100): ("budget-exhausted", 101, None),
+    (14, 4, 3, 1000): ("budget-exhausted", 1001, None),
+    (16, 4, 3, 2000): ("budget-exhausted", 2001, None),
+}
+
+
 class TestSearchDesign:
+    def test_pinned_outcomes(self):
+        for (n, k, t, budget), expected in PINNED_SEARCHES.items():
+            if budget is None:
+                out = search_design(n, k, t)
+            else:
+                out = search_design(n, k, t, budget)
+            digest = None
+            if out.design is not None:
+                blocks = json.dumps(out.design.family.blocks()).encode()
+                digest = hashlib.sha256(blocks).hexdigest()[:16]
+            assert (out.status, out.nodes, digest) == expected, (n, k, t, budget)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # the complete 2-(50,2,1) design chooses all 1225 pairs, one level each
+        out = search_design(50, 2, 2)
+        assert out.status == "found" and out.nodes == 1225
+
+    def test_row_entry_bound(self):
+        # C(25,5) * C(5,2) = 531 300 entries is admitted (pinned above)
+        with pytest.raises(SizeBudgetError):
+            search_design(60, 10, 2)
+        assert binom(30, 5) * binom(5, 2) > MAX_SEARCH_ENTRIES
+        with pytest.raises(SizeBudgetError):
+            search_design(30, 5, 2)
+
     def test_fano_parameters(self):
         out = search_design(7, 3, 2)
         assert out.status == "found"
@@ -204,6 +285,18 @@ class TestAdmissible:
 
     def test_triple_system_range(self):
         assert admissible_range(3, 2, 20) == [7, 9, 13, 15, 19]
+
+    def test_size_bounds(self):
+        assert len(admissible_range(3, 2, 3 + MAX_ADMISSIBLE_SIZES)) == 333
+        with pytest.raises(SizeBudgetError):
+            admissible_range(3, 2, 4 + MAX_ADMISSIBLE_SIZES)
+        with pytest.raises(SizeBudgetError):
+            admissible_range(3, 2, 10**10)
+        assert admissible(MAX_TABLE_N - 1, MAX_TABLE_K, MAX_TABLE_K)
+        with pytest.raises(SizeBudgetError):
+            admissible(MAX_TABLE_N, 3, 2)
+        with pytest.raises(SizeBudgetError):
+            admissible(10**7, 10**6, MAX_TABLE_K + 1)
 
     def test_necessary_for_found_designs(self):
         for (n, k, t) in [(7, 3, 2), (9, 3, 2), (8, 4, 3)]:

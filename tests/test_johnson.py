@@ -11,6 +11,7 @@ from jshm.johnson import (
     all_ones_vector,
     basis_vector,
     class_size,
+    colex_masks,
     dense,
     disjointness_matrix,
     eigensystem,
@@ -28,7 +29,7 @@ from jshm.johnson import (
     wilson_basis_vector,
 )
 from jshm.oracles import float_spectrum, intersection_number
-from jshm.subsets import KSubset, all_ksubsets
+from jshm.subsets import KSubset, all_ksubsets, colex_rank
 
 from conftest import random_vector
 
@@ -86,6 +87,14 @@ class TestDense:
                 ident = dense(identity_vector(p))
                 assert all(ident[i][j] == (1 if i == j else 0)
                            for i in range(p.order) for j in range(p.order))
+
+    def test_colex_masks_in_colex_rank_order(self):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                subsets = [KSubset(n, tuple(e for e in range(1, n + 1) if m >> (e - 1) & 1))
+                           for m in colex_masks(n, k)]
+                assert all(s.k == k for s in subsets)
+                assert [colex_rank(s) for s in subsets] == list(range(binom(n, k)))
 
     def test_budget(self):
         p = SchemeParams(20, 10)

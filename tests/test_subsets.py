@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from jshm.subsets import (
     KSubset,
     all_ksubsets,
     colex_rank,
+    colex_tuples,
     colex_unrank,
     family_from_dict,
     family_to_dict,
@@ -35,6 +37,13 @@ class TestColexRank:
         ordered = all_ksubsets(7, 3)
         assert ordered[8].elements == (2, 4, 5)
         assert [colex_rank(s) for s in ordered] == list(range(binom(7, 3)))
+
+    def test_tuples_sorted_by_reversal(self):
+        # colex compares the largest elements first
+        for n in range(1, 10):
+            for k in range(0, n + 2):
+                expected = sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
+                assert colex_tuples(n, k) == expected
 
     def test_rank_independent_of_n(self):
         assert colex_rank(KSubset(7, (2, 4, 5))) == colex_rank(KSubset(12, (2, 4, 5)))
