@@ -5,7 +5,7 @@ Machine-readable JSON goes to standard output (keys sorted, rationals as
 summaries go to standard error.  Exit codes: 0 success or verified, 1
 verification failed on valid input, 2 invalid input, 3 budget exhausted.
 The JSHM_BUDGET environment variable sets the default search budget in
-node expansions.
+node expansions; a negative budget, from it or from --budget, is invalid.
 """
 
 from __future__ import annotations
@@ -33,15 +33,18 @@ def _emit(payload: dict, summary: str) -> None:
 
 
 def _default_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("JSHM_BUDGET")
-    if env is not None:
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("JSHM_BUDGET")
+        if env is None:
+            return designs.DEFAULT_SEARCH_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError as exc:
             raise ValueError(f"JSHM_BUDGET must be an integer, got {env!r}") from exc
-    return designs.DEFAULT_SEARCH_BUDGET
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    return budget
 
 
 def _cmd_scheme(args) -> int:

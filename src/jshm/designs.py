@@ -23,9 +23,10 @@ counts are those of the classical linked version.  Every enumeration here
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
 from .johnson import (
@@ -41,7 +42,7 @@ from .johnson import (
     trace,
 )
 from .projection import project_family
-from .subsets import Family, colex_tuples, family_to_dict, make_family, subset_mask
+from .subsets import Family, colex_tuples, family_to_dict, make_family
 
 
 class NotADesignError(ValueError):
@@ -87,24 +88,25 @@ class Design:
 def verify_design(fam: Family, t: int) -> int:
     """Return the common cover count lambda, or raise with a witness subset.
 
-    The walk over the C(n,t) t-subsets is refused with SizeBudgetError above
-    ``johnson.MAX_ENUMERATED_SUBSETS``.
+    Each block's C(k,t) t-subsets are counted once, then the C(n,t)
+    t-subsets are looked up in ``combinations`` order: O(|F| C(k,t) + C(n,t)).
+    lambda is the count of {1..t}, and the witness is the first t-subset
+    whose count differs from it.  The walk over the C(n,t) t-subsets is
+    refused with SizeBudgetError above ``johnson.MAX_ENUMERATED_SUBSETS``.
     """
     if not 0 <= t <= fam.k:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
     if binom(fam.n, t) > MAX_ENUMERATED_SUBSETS:
         raise SizeBudgetError(f"C({fam.n},{t}) = {binom(fam.n, t)} t-subsets exceed "
                               f"the enumeration cap {MAX_ENUMERATED_SUBSETS}")
-    masks = [m.mask for m in fam.members]
-    lam = None
-    for sub in combinations(range(1, fam.n + 1), t):
-        sm = subset_mask(sub)
-        count = sum(1 for bm in masks if bm & sm == sm)
-        if lam is None:
-            lam = count
-        elif count != lam:
-            raise NotADesignError(sub, count, lam)
-    return lam if lam is not None else 0
+    counts = Counter(chain.from_iterable(combinations(m.elements, t)
+                                         for m in fam.members))
+    subs = combinations(range(1, fam.n + 1), t)
+    lam = counts[next(subs)]  # t <= n, so {1..t} exists
+    for sub in subs:
+        if counts[sub] != lam:
+            raise NotADesignError(sub, counts[sub], lam)
+    return lam
 
 
 def as_design(fam: Family, t: int) -> Design:

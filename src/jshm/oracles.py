@@ -3,26 +3,32 @@
 Floating point lives here and only here: the float spectrum corroborates
 the exact eigenvalue tables but never feeds a certificate.  Intersection
 numbers are counted over all k-subsets, the reference the tests hold the
-closed-form eigenvalue table against.  The maximum
-t-intersecting family search is an exact branch-and-bound over the
-compatibility graph, with deterministic vertex order so witnesses are
-reproducible bit for bit.
+closed-form eigenvalue table against.  Design verification by testing every
+t-subset against every block, O(C(n,t) |F|), is the reference for the
+counted ``designs.verify_design``.  The maximum t-intersecting family search
+is an exact branch-and-bound over the compatibility graph, with
+deterministic vertex order so witnesses are reproducible bit for bit.  Its
+greedy colouring records only the classes a branch can still use, those
+numbered at least kmin = |best| - |current| + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
+from .designs import NotADesignError
 from .exact import binom
 from .johnson import (
     DEFAULT_DENSE_BUDGET,
+    MAX_ENUMERATED_SUBSETS,
     BMVector,
     SchemeParams,
     SizeBudgetError,
     colex_masks,
 )
 from .projection import project_dense
-from .subsets import Family, all_ksubsets, make_family
+from .subsets import Family, all_ksubsets, make_family, subset_mask
 
 
 def float_spectrum(mat: list[list]) -> list[float]:
@@ -105,9 +111,11 @@ def max_family(n: int, k: int, t: int,
     """Exact maximum clique on the t-compatibility graph of k-subsets.
 
     Vertices are the k-subsets in colex order; two are compatible when they
-    meet in at least t points.  Branch and bound with a greedy-coloring
-    upper bound; the budget counts vertex expansions.  The vertex set and its
-    O(V^2) adjacency are refused above DEFAULT_DENSE_BUDGET vertices.
+    meet in at least t points.  The adjacency takes V C(k,t) unions of vertex
+    masks, one per vertex and shared t-subset.  Branch and bound with a
+    greedy-coloring upper bound; the budget counts vertex expansions.  The
+    vertex set and its O(V^2)-bit adjacency are refused above
+    DEFAULT_DENSE_BUDGET vertices.
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
@@ -115,24 +123,33 @@ def max_family(n: int, k: int, t: int,
         raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} vertices exceed the "
                               f"dense budget {DEFAULT_DENSE_BUDGET}")
     subsets = all_ksubsets(n, k)
-    masks = [s.mask for s in subsets]
-    v_count = len(masks)
-    adj = [0] * v_count
-    for a in range(v_count):
-        ma = masks[a]
-        for b in range(a + 1, v_count):
-            if (ma & masks[b]).bit_count() >= t:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+    # two vertices are compatible when they share a t-subset: OR together
+    # the vertex masks through each of a vertex's t-subsets.  ``shared``
+    # holds the vertex itself, so ``nonadj`` drops it from a candidate set.
+    through: dict[tuple[int, ...], int] = {}
+    for v, s in enumerate(subsets):
+        for sub in combinations(s.elements, t):
+            through[sub] = through.get(sub, 0) | 1 << v
+    adj: list[int] = []
+    nonadj: list[int] = []
+    for v, s in enumerate(subsets):
+        shared = 0
+        for sub in combinations(s.elements, t):
+            shared |= through[sub]
+        adj.append(shared ^ 1 << v)
+        nonadj.append(~shared)
 
     best: list[int] = []
     nodes = 0
     aborted = False
 
-    def coloring(p_mask: int) -> tuple[list[int], list[int]]:
+    def coloring(p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
         # Greedy color classes over the candidate set, lowest index first;
         # the color number of a vertex bounds any clique inside it and the
-        # vertices before it in the order.
+        # vertices before it in the order.  Only classes >= kmin are
+        # recorded: expand would prune a vertex of a lower class before
+        # expanding it.  The lower classes are still built, so the later
+        # ones keep their vertices.
         order: list[int] = []
         colors: list[int] = []
         color = 0
@@ -140,18 +157,20 @@ def max_family(n: int, k: int, t: int,
         while remaining:
             color += 1
             cand = remaining
+            record = color >= kmin
             while cand:
                 low = cand & -cand
                 v = low.bit_length() - 1
-                order.append(v)
-                colors.append(color)
+                if record:
+                    order.append(v)
+                    colors.append(color)
                 remaining ^= low
-                cand = (cand ^ low) & ~adj[v]
+                cand &= nonadj[v]
         return order, colors
 
     def expand(current: list[int], p_mask: int):
         nonlocal best, nodes, aborted
-        order, colors = coloring(p_mask)
+        order, colors = coloring(p_mask, len(best) - len(current) + 1)
         for idx in range(len(order) - 1, -1, -1):
             if aborted:
                 return
@@ -171,7 +190,7 @@ def max_family(n: int, k: int, t: int,
             current.pop()
             p_mask &= ~(1 << v)
 
-    expand([], (1 << v_count) - 1)
+    expand([], (1 << len(subsets)) - 1)
 
     chosen = sorted(best)
     witness = make_family(n, k, [subsets[v].elements for v in chosen])
@@ -196,3 +215,25 @@ def brute_projection(fam: Family,
                  for s in all_ksubsets(fam.n, fam.k)]
     dense = [[a * b for b in indicator] for a in indicator]
     return project_dense(dense, params)
+
+
+def brute_verify_design(fam: Family, t: int) -> int:
+    """``designs.verify_design`` by testing every t-subset against every block.
+
+    O(C(n,t) |F|); the same lambda, witness and bound as the counted path.
+    """
+    if not 0 <= t <= fam.k:
+        raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
+    if binom(fam.n, t) > MAX_ENUMERATED_SUBSETS:
+        raise SizeBudgetError(f"C({fam.n},{t}) = {binom(fam.n, t)} t-subsets exceed "
+                              f"the enumeration cap {MAX_ENUMERATED_SUBSETS}")
+    masks = [m.mask for m in fam.members]
+    lam = None
+    for sub in combinations(range(1, fam.n + 1), t):
+        sm = subset_mask(sub)
+        count = sum(1 for bm in masks if bm & sm == sm)
+        if lam is None:
+            lam = count
+        elif count != lam:
+            raise NotADesignError(sub, count, lam)
+    return lam

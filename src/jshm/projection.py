@@ -1,10 +1,19 @@
 """Orthogonal projection onto the Bose-Mesner algebra.
 
 For a family F with characteristic vector x, the projection of the rank-one
-matrix x x^T is determined by the pair distribution of F: the coefficient
-on A_r is the number of ordered member pairs meeting in k - r points,
-divided by the number of ones of A_r.  The same projection computed from a
-dense matrix is retained as an independent oracle path.
+matrix x x^T is determined by the pair distribution of F (Delsarte's inner
+distribution): the coefficient on A_r is the number d_r of ordered member
+pairs meeting in k - r points, divided by the number of ones of A_r.  The
+same projection computed from a dense matrix is retained as an independent
+oracle path.
+
+The pair distribution is counted through shared subsets.  With c(U) the
+number of members containing U, N_i = sum over i-sets U of c(U)^2 counts the
+ordered pairs (S, T) with an i-subset of S and T, so N_i = sum_j C(j,i) e_j,
+where e_j is the number of ordered pairs meeting in j points.  Binomial
+inversion gives e_j = sum_{i >= j} (-1)^(i-j) C(i,j) N_i exactly, and
+d_r = e_{k-r}.  This costs O(|F| 2^k) against O(|F|^2) for the walk over
+member pairs, so the counts are used when 2^k <= |F| and the walk otherwise.
 
 The projection preserves both the trace and the sum of entries (take the
 defining orthogonality against I and against the all-ones matrix), so a
@@ -13,10 +22,12 @@ family projects to trace |F| and entry sum |F|^2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 
-from .exact import rat_to_str
+from .exact import binom, rat_to_str
 from .johnson import (
     BMVector,
     SchemeParams,
@@ -36,14 +47,27 @@ class PairDistribution:
 
 
 def pair_distribution(fam: Family) -> PairDistribution:
-    """Exact ordered-pair counts, diagonal included (d_0 >= |F|)."""
+    """Exact ordered-pair counts, diagonal included (d_0 >= |F|).
+
+    Walks the member pairs when 2^k > |F|, and otherwise inverts the
+    shared-subset counts N_i (module docstring).
+    """
     k = fam.k
-    counts = [0] * (k + 1)
-    masks = [m.mask for m in fam.members]
-    for a in masks:
-        for b in masks:
-            counts[k - (a & b).bit_count()] += 1
-    return PairDistribution(tuple(counts))
+    if 2 ** k > fam.size:
+        counts = [0] * (k + 1)
+        masks = [m.mask for m in fam.members]
+        for a in masks:
+            for b in masks:
+                counts[k - (a & b).bit_count()] += 1
+        return PairDistribution(tuple(counts))
+    blocks = [m.elements for m in fam.members]
+    shared = []  # N_i = sum of c(U)^2 over the i-sets U
+    for i in range(k + 1):
+        through = Counter(chain.from_iterable(combinations(b, i) for b in blocks))
+        shared.append(sum(c * c for c in through.values()))
+    meets = [sum((-1) ** (i - j) * binom(i, j) * shared[i] for i in range(j, k + 1))
+             for j in range(k + 1)]
+    return PairDistribution(tuple(reversed(meets)))
 
 
 def project_family(fam: Family) -> BMVector:
@@ -114,24 +138,16 @@ class FamilyLemmaReport:
 def family_lemma_report(fam: Family, t: int) -> FamilyLemmaReport:
     if not 0 <= t <= fam.k:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
-    violating = None
-    members = fam.members
-    for idx, a in enumerate(members):
-        for b in members[idx + 1:]:
-            if (a.mask & b.mask).bit_count() < t:
-                violating = (a.elements, b.elements)
-                break
-        if violating:
-            break
-    is_t = violating is None
-
     proj = project_family(fam)
+    # distinct members meet in fewer than t points exactly when some d_r
+    # with r > k - t is nonzero, so only a failed support check needs a walk
     support_ok = all(proj.coeffs[r] == 0 for r in range(fam.k - t + 1, fam.k + 1))
+    violating = None if support_ok else _first_violating_pair(fam.members, t)
     tr = trace(proj)
     es = entry_sum(proj)
     return FamilyLemmaReport(
         t=t,
-        t_intersecting=is_t,
+        t_intersecting=violating is None,
         violating_pair=violating,
         support_ok=support_ok,
         trace=tr,
@@ -140,3 +156,11 @@ def family_lemma_report(fam: Family, t: int) -> FamilyLemmaReport:
         entry_sum_ok=es == fam.size * fam.size,
         coeffs=proj.coeffs,
     )
+
+
+def _first_violating_pair(members, t):
+    """The first member pair, in member order, meeting in fewer than t points."""
+    for idx, a in enumerate(members):
+        for b in members[idx + 1:]:
+            if (a.mask & b.mask).bit_count() < t:
+                return a.elements, b.elements

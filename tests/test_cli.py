@@ -344,6 +344,29 @@ class TestDeterminismAndEnv:
                              "--n", "9", "--k", "3", "--t", "2")
         assert code == 2
 
+    def test_negative_budget_is_invalid(self, capsys, monkeypatch):
+        # a negative budget used to run one node and exit 3, "budget exhausted"
+        search = ["design", "search", "--n", "9", "--k", "3", "--t", "2"]
+        for argv in (search,
+                     ["identity", "witness", "--k", "3", "--t", "2", "--n", "7"],
+                     ["oracle", "max-family", "--n", "7", "--k", "3", "--t", "2"]):
+            for budget in ("-1", "-5"):
+                monkeypatch.delenv("JSHM_BUDGET", raising=False)
+                flagged = main(argv + ["--budget", budget])
+                from_flag = capsys.readouterr()
+                monkeypatch.setenv("JSHM_BUDGET", budget)
+                from_env = main(argv)
+                for code, captured in ((flagged, from_flag),
+                                       (from_env, capsys.readouterr())):
+                    assert code == 2, (argv, budget)
+                    assert captured.out == ""
+                    assert captured.err.startswith("error: ")
+                    assert "Traceback" not in captured.err
+        # budget 0 stays valid: the search stops at its first node
+        monkeypatch.delenv("JSHM_BUDGET")
+        code, payload, _ = run_cli(capsys, *search, "--budget", "0")
+        assert code == 3 and payload["nodes"] == 1
+
     def test_family_roundtrip_through_documented_format(self, capsys, tmp_path):
         code, payload, _ = run_cli(capsys, "design", "search",
                                    "--n", "7", "--k", "3", "--t", "2")

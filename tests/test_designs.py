@@ -1,9 +1,12 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jshm.designs import (
     MAX_ADMISSIBLE_SIZES,
@@ -30,7 +33,43 @@ from jshm.johnson import (
     SizeBudgetError,
     basis_vector,
 )
-from jshm.subsets import all_ksubsets, make_family
+from jshm.oracles import brute_verify_design
+from jshm.subsets import all_ksubsets, make_family, star_family
+
+from conftest import FANO_BLOCKS, STS9_BLOCKS
+
+SQS8_BLOCKS = [
+    [1, 2, 3, 4], [1, 2, 5, 6], [3, 4, 5, 6], [1, 3, 5, 7], [2, 4, 5, 7],
+    [2, 3, 6, 7], [1, 4, 6, 7], [2, 3, 5, 8], [1, 4, 5, 8], [1, 3, 6, 8],
+    [2, 4, 6, 8], [1, 2, 7, 8], [3, 4, 7, 8], [5, 6, 7, 8],
+]
+
+
+def _star_blocks(n, k, core):
+    return [m.elements for m in star_family(n, k, core).members]
+
+
+# non-designs (n, k, blocks, t) -> NotADesignError (witness, count, expected),
+# as the walk over every t-subset against every block gave them
+PINNED_NOT_DESIGNS = [
+    ((6, 3, [[1, 2, 3]], 1), ((4,), 0, 1)),
+    ((8, 4, _star_blocks(8, 4, (1, 2)), 1), ((3,), 5, 15)),
+    ((7, 3, FANO_BLOCKS[1:], 2), ((1, 4), 1, 0)),
+    ((7, 3, FANO_BLOCKS[:-1], 2), ((3, 5), 0, 1)),
+    ((9, 3, STS9_BLOCKS[:-1] + [[3, 5, 8]], 2), ((3, 7), 0, 1)),
+    ((7, 3, _star_blocks(7, 3, (1,)), 2), ((2, 3), 1, 5)),
+    ((8, 4, SQS8_BLOCKS[:-1], 3), ((5, 6, 7), 0, 1)),
+    ((8, 4, _star_blocks(8, 4, (1, 2)), 3), ((1, 3, 4), 1, 5)),
+]
+
+
+@st.composite
+def block_families(draw):
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(n, 4)))
+    pool = list(combinations(range(1, n + 1), k))
+    size = draw(st.integers(0, min(len(pool), 30)))
+    return make_family(n, k, draw(st.permutations(pool))[:size])
 
 
 class TestVerifyDesign:
@@ -62,6 +101,36 @@ class TestVerifyDesign:
 
     def test_sts9(self, sts9):
         assert verify_design(sts9, 2) == 1
+
+    def test_pinned_witnesses(self):
+        assert verify_design(make_family(8, 4, SQS8_BLOCKS), 3) == 1
+        for (n, k, blocks, t), expected in PINNED_NOT_DESIGNS:
+            with pytest.raises(NotADesignError) as exc:
+                verify_design(make_family(n, k, blocks), t)
+            got = (exc.value.witness, exc.value.count, exc.value.expected)
+            assert got == expected, (n, k, t)
+
+    @settings(max_examples=200)
+    @given(block_families(), st.data())
+    def test_matches_subset_walk(self, fam, data):
+        t = data.draw(st.integers(0, fam.k))
+        try:
+            expected = brute_verify_design(fam, t)
+        except NotADesignError as exc:
+            with pytest.raises(NotADesignError) as got:
+                verify_design(fam, t)
+            assert ((got.value.witness, got.value.count, got.value.expected)
+                    == (exc.witness, exc.count, exc.expected))
+        else:
+            assert verify_design(fam, t) == expected
+
+    def test_counted_not_walked(self):
+        # all pairs of 150 points, a 2-(150,2,1) design: 11 175 t-subsets
+        # against 11 175 blocks took 8.7 s as a walk
+        fam = make_family(150, 2, combinations(range(1, 151), 2))
+        start = time.perf_counter()
+        assert verify_design(fam, 2) == 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBlockCountFormula:

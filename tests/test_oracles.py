@@ -1,5 +1,11 @@
+import ast
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+import jshm
 from jshm.exact import binom
 from jshm.johnson import SchemeParams, all_ones_vector, basis_vector, dense, identity_vector
 from jshm.oracles import brute_projection, float_spectrum, max_family
@@ -32,7 +38,52 @@ class TestFloatSpectrum:
             float_spectrum([[0, 1]])
 
 
+# (n, k, t, budget) -> (size, nodes, optimal, first 16 hex digits of the
+# sha256 of the JSON witness blocks), as the colouring that recorded every
+# class gave them; budget None is the default
+PINNED_MAX_FAMILIES = {
+    (7, 3, 2, None): (5, 16, True, "4ed56c6d693afce1"),
+    (7, 3, 2, 0): (0, 1, False, "4f53cda18c2baa0c"),
+    (7, 3, 2, 1): (0, 2, False, "4f53cda18c2baa0c"),
+    (7, 3, 2, 15): (5, 16, False, "4ed56c6d693afce1"),
+    (8, 4, 2, None): (17, 1045, True, "e559b6e80aafab45"),
+    (8, 4, 2, 0): (0, 1, False, "4f53cda18c2baa0c"),
+    (8, 4, 2, 1): (0, 2, False, "4f53cda18c2baa0c"),
+    (8, 4, 2, 1044): (17, 1045, False, "e559b6e80aafab45"),
+    (9, 4, 2, None): (21, 3571, True, "65db4b806554cb36"),
+    (9, 4, 2, 0): (0, 1, False, "4f53cda18c2baa0c"),
+    (9, 4, 2, 1): (0, 2, False, "4f53cda18c2baa0c"),
+    (9, 4, 2, 3570): (21, 3571, False, "65db4b806554cb36"),
+    (10, 4, 2, None): (28, 4511, True, "196b69f8cd0b64ab"),
+    (10, 4, 2, 0): (0, 1, False, "4f53cda18c2baa0c"),
+    (10, 4, 2, 1): (0, 2, False, "4f53cda18c2baa0c"),
+    (10, 4, 2, 35): (28, 36, False, "196b69f8cd0b64ab"),
+    (10, 4, 2, 4510): (28, 4511, False, "196b69f8cd0b64ab"),
+    (11, 5, 3, None): (31, 20120, True, "feb5fbd707be3c76"),
+    (11, 5, 3, 0): (0, 1, False, "4f53cda18c2baa0c"),
+    (11, 5, 3, 1): (0, 2, False, "4f53cda18c2baa0c"),
+    (11, 5, 3, 20): (0, 21, False, "4f53cda18c2baa0c"),
+    (11, 5, 3, 35): (31, 36, False, "feb5fbd707be3c76"),
+    (11, 5, 3, 20119): (31, 20120, False, "feb5fbd707be3c76"),
+    (12, 4, 2, None): (45, 14615, True, "115ed8fb5755d9f5"),
+    (12, 4, 2, 0): (0, 1, False, "4f53cda18c2baa0c"),
+    (12, 4, 2, 1): (0, 2, False, "4f53cda18c2baa0c"),
+    (12, 4, 2, 50): (45, 51, False, "115ed8fb5755d9f5"),
+    (12, 4, 2, 14614): (45, 14615, False, "115ed8fb5755d9f5"),
+}
+
+
 class TestMaxFamily:
+    def test_pinned_outcomes(self):
+        for (n, k, t, budget), expected in PINNED_MAX_FAMILIES.items():
+            if budget is None:
+                res = max_family(n, k, t)
+            else:
+                res = max_family(n, k, t, budget)
+            blocks = json.dumps(res.witness.blocks()).encode()
+            digest = hashlib.sha256(blocks).hexdigest()[:16]
+            assert (res.size, res.nodes, res.optimal, digest) == expected, (n, k, t, budget)
+
     @pytest.mark.parametrize("n,k,t,expected", [
         (6, 3, 2, 4),
         (7, 3, 2, 5),
@@ -95,3 +146,26 @@ class TestBruteProjection:
     def test_corpus_equivalence(self, fano, sqs8_design):
         for fam in projection_corpus(fano, sqs8_design):
             assert brute_projection(fam).coeffs == project_family(fam).coeffs
+
+
+MAIN_ROUTE = ["exact", "subsets", "johnson", "projection", "designs", "wilson",
+              "identity"]
+
+
+def _imported_modules(tree):
+    """Absolute and relative module names a module's import statements name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            yield from (f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", MAIN_ROUTE)
+def test_main_route_does_not_import_oracles(module):
+    # oracle paths are the tests' reference; the main route never reaches them
+    source = Path(jshm.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    names = set(_imported_modules(ast.parse(source)))
+    assert not {name for name in names if name.split(".")[-1] == "oracles"}, module

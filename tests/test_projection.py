@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jshm.johnson import (
     SchemeParams,
@@ -18,7 +21,7 @@ from jshm.projection import (
     project_family,
 )
 from jshm.johnson import entry_sum, trace
-from jshm.subsets import make_family, star_family
+from jshm.subsets import inter_size, make_family, star_family
 
 from conftest import projection_corpus, random_vector
 
@@ -39,6 +42,40 @@ class TestPairDistribution:
         d = pair_distribution(fano).counts
         assert d[0] == fano.size
         assert sum(d) == fano.size ** 2
+
+    @pytest.mark.parametrize("counted", [False, True])
+    @settings(max_examples=75)
+    @given(data=st.data())
+    def test_matches_pair_walk(self, counted, data):
+        # the walk runs when 2^k > |F|, the shared-subset counts otherwise
+        fam = data.draw(families(counted))
+        assert pair_distribution(fam).counts == walked_distribution(fam)
+
+
+def walked_distribution(fam):
+    """Reference pair distribution: every ordered member pair."""
+    counts = [0] * (fam.k + 1)
+    for a in fam.members:
+        for b in fam.members:
+            counts[fam.k - inter_size(a, b)] += 1
+    return tuple(counts)
+
+
+@st.composite
+def families(draw, counted):
+    """Families with |F| >= 2^k when ``counted``, and |F| < 2^k otherwise.
+
+    2k <= n, where every class of J(n,k) is nonempty and C(n,k) >= 2^k.
+    """
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, min(n // 2, 5)))
+    pool = list(combinations(range(1, n + 1), k))
+    if counted:
+        low, high = 2 ** k, min(len(pool), 2 ** k + 24)
+    else:
+        low, high = 0, min(len(pool), 2 ** k - 1)
+    blocks = draw(st.permutations(pool))[:draw(st.integers(low, high))]
+    return make_family(n, k, blocks)
 
 
 class TestProjectFamily:
@@ -103,6 +140,35 @@ class TestFamilyLemma:
         assert not rep.t_intersecting
         assert rep.violating_pair == ((1, 2, 3), (4, 5, 6))
         assert not rep.verified
+
+    def test_violating_pair_with_counted_distribution(self):
+        # |F| >= 2^k, so the support check reads the shared-subset counts; the
+        # first violating pair in member order is as the pair walk found it
+        star = [list(m.elements) for m in star_family(9, 4, (1,)).members]
+        for n, k, blocks, t, pair in [
+            (10, 3, [list(m.elements) for m in star_family(10, 3, (1, 2)).members]
+             + [[1, 3, 4]], 2, ((1, 2, 5), (1, 3, 4))),
+            (9, 4, star + [[2, 3, 4, 5]], 1, ((1, 6, 7, 8), (2, 3, 4, 5))),
+            (9, 4, star[::-1] + [[2, 3, 4, 5]], 1, ((1, 7, 8, 9), (2, 3, 4, 5))),
+        ]:
+            fam = make_family(n, k, blocks)
+            assert fam.size >= 2 ** k
+            rep = family_lemma_report(fam, t)
+            assert not rep.t_intersecting and not rep.support_ok
+            assert rep.violating_pair == pair
+
+    @pytest.mark.parametrize("counted", [False, True])
+    @settings(max_examples=75)
+    @given(data=st.data())
+    def test_intersection_matches_pair_walk(self, counted, data):
+        fam = data.draw(families(counted))
+        t = data.draw(st.integers(0, fam.k))
+        walked = next(((a.elements, b.elements)
+                       for i, a in enumerate(fam.members)
+                       for b in fam.members[i + 1:] if inter_size(a, b) < t), None)
+        rep = family_lemma_report(fam, t)
+        assert rep.violating_pair == walked
+        assert rep.t_intersecting == rep.support_ok == (walked is None)
 
     def test_report_dict_shape(self, fano):
         doc = family_lemma_report(fano, 1).to_dict()
