@@ -111,11 +111,9 @@ def max_family(n: int, k: int, t: int,
     """Exact maximum clique on the t-compatibility graph of k-subsets.
 
     Vertices are the k-subsets in colex order; two are compatible when they
-    meet in at least t points.  The adjacency takes V C(k,t) unions of vertex
-    masks, one per vertex and shared t-subset.  Branch and bound with a
-    greedy-coloring upper bound; the budget counts vertex expansions.  The
-    vertex set and its O(V^2)-bit adjacency are refused above
-    DEFAULT_DENSE_BUDGET vertices.
+    meet in at least t points.  Branch and bound with a greedy-coloring
+    upper bound; the budget counts vertex expansions.  The vertex set and its
+    O(V^2) adjacency are refused above DEFAULT_DENSE_BUDGET vertices.
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
@@ -123,21 +121,17 @@ def max_family(n: int, k: int, t: int,
         raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} vertices exceed the "
                               f"dense budget {DEFAULT_DENSE_BUDGET}")
     subsets = all_ksubsets(n, k)
-    # two vertices are compatible when they share a t-subset: OR together
-    # the vertex masks through each of a vertex's t-subsets.  ``shared``
-    # holds the vertex itself, so ``nonadj`` drops it from a candidate set.
-    through: dict[tuple[int, ...], int] = {}
-    for v, s in enumerate(subsets):
-        for sub in combinations(s.elements, t):
-            through[sub] = through.get(sub, 0) | 1 << v
-    adj: list[int] = []
-    nonadj: list[int] = []
-    for v, s in enumerate(subsets):
-        shared = 0
-        for sub in combinations(s.elements, t):
-            shared |= through[sub]
-        adj.append(shared ^ 1 << v)
-        nonadj.append(~shared)
+    masks = [s.mask for s in subsets]
+    v_count = len(masks)
+    adj = [0] * v_count
+    for a in range(v_count):
+        ma = masks[a]
+        for b in range(a + 1, v_count):
+            if (ma & masks[b]).bit_count() >= t:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    # candidates that survive picking v into a colour class
+    nonadj = [~(adj[v] | 1 << v) for v in range(v_count)]
 
     best: list[int] = []
     nodes = 0
@@ -190,7 +184,7 @@ def max_family(n: int, k: int, t: int,
             current.pop()
             p_mask &= ~(1 << v)
 
-    expand([], (1 << len(subsets)) - 1)
+    expand([], (1 << v_count) - 1)
 
     chosen = sorted(best)
     witness = make_family(n, k, [subsets[v].elements for v in chosen])

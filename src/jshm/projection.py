@@ -75,8 +75,7 @@ def project_family(fam: Family) -> BMVector:
     params = SchemeParams(fam.n, fam.k)
     d = pair_distribution(fam).counts
     return BMVector(
-        params,
-        tuple(Fraction(d[r], class_size(params, r)) for r in range(fam.k + 1)),
+        params, tuple(_per_one(Fraction(d[r]), params, r) for r in range(fam.k + 1))
     )
 
 
@@ -98,8 +97,18 @@ def project_dense(mat: list[list], params: SchemeParams) -> BMVector:
             if x:
                 sums[k - (a & b).bit_count()] += x
     return BMVector(
-        params, tuple(sums[r] / class_size(params, r) for r in range(k + 1))
+        params, tuple(_per_one(sums[r], params, r) for r in range(k + 1))
     )
+
+
+def _per_one(total: Fraction, params: SchemeParams, r: int) -> Fraction:
+    """Coefficient on A_r of a matrix whose entries on A_r sum to ``total``.
+
+    When 2k > n, the classes r > n - k are empty: no pair lies on them, so
+    ``total`` is 0, and the coefficient is taken to be 0 as well.
+    """
+    size = class_size(params, r)
+    return total / size if size else Fraction(0)
 
 
 @dataclass(frozen=True)

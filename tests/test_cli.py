@@ -125,6 +125,16 @@ class TestProject:
         assert code == 1
         assert payload["t_intersecting"] is False
 
+    def test_more_than_half_the_points(self, capsys, tmp_path):
+        # 2k > n: the classes beyond n - k are empty, not a division by zero
+        path = write_family(tmp_path, 7, 4, [[1, 2, 3, 4], [1, 2, 3, 5]])
+        code, payload, _ = run_cli(capsys, "project", "--file", path, "--t", "3")
+        assert code == 0
+        assert payload["coeffs"] == ["2/35", "1/210", "0", "0", "0"]
+        assert payload["trace"] == "2" and payload["elsm"] == "4"
+        code, payload, _ = run_cli(capsys, "project", "--file", path, "--t", "4")
+        assert code == 1 and payload["support_ok"] is False
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         # JSON booleans must not pass as the integers 0 and 1

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,11 @@ PINNED_MAX_FAMILIES = {
     (12, 4, 2, 1): (0, 2, False, "4f53cda18c2baa0c"),
     (12, 4, 2, 50): (45, 51, False, "115ed8fb5755d9f5"),
     (12, 4, 2, 14614): (45, 14615, False, "115ed8fb5755d9f5"),
+    # C(k,t) = 252 above V/2 = 33
+    (12, 10, 5, None): (66, 66, True, "22dc7a2c20f3a50f"),
+    (12, 10, 5, 0): (0, 1, False, "4f53cda18c2baa0c"),
+    (12, 10, 5, 1): (0, 2, False, "4f53cda18c2baa0c"),
+    (12, 10, 5, 65): (0, 66, False, "4f53cda18c2baa0c"),
 }
 
 
@@ -83,6 +89,14 @@ class TestMaxFamily:
             blocks = json.dumps(res.witness.blocks()).encode()
             digest = hashlib.sha256(blocks).hexdigest()[:16]
             assert (res.size, res.nodes, res.optimal, digest) == expected, (n, k, t, budget)
+
+    def test_adjacency_cost_does_not_grow_with_shared_subsets(self):
+        # 190 vertices, each with C(18,9) = 48 620 9-subsets: the pair walk
+        # makes V^2/2 popcounts whatever C(k,t) is
+        start = time.perf_counter()
+        result = max_family(20, 18, 9)
+        assert time.perf_counter() - start < 1.0
+        assert result.size == 190 and result.optimal
 
     @pytest.mark.parametrize("n,k,t,expected", [
         (6, 3, 2, 4),

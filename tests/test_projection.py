@@ -20,6 +20,7 @@ from jshm.projection import (
     project_dense,
     project_family,
 )
+from jshm.exact import binom
 from jshm.johnson import entry_sum, trace
 from jshm.subsets import inter_size, make_family, star_family
 
@@ -65,10 +66,12 @@ def walked_distribution(fam):
 def families(draw, counted):
     """Families with |F| >= 2^k when ``counted``, and |F| < 2^k otherwise.
 
-    2k <= n, where every class of J(n,k) is nonempty and C(n,k) >= 2^k.
+    Both 2k <= n and 2k > n are drawn; in the latter the classes r > n - k of
+    J(n,k) are empty.
     """
-    n = draw(st.integers(2, 10))
-    k = draw(st.integers(1, min(n // 2, 5)))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 10).filter(
+        lambda n: not counted or binom(n, k) >= 2 ** k))
     pool = list(combinations(range(1, n + 1), k))
     if counted:
         low, high = 2 ** k, min(len(pool), 2 ** k + 24)
@@ -90,6 +93,17 @@ class TestProjectFamily:
     def test_sts9(self, sts9):
         assert project_family(sts9).coeffs == (
             Fraction(1, 7), 0, Fraction(1, 35), Fraction(1, 70))
+
+    def test_empty_classes(self):
+        # 2k > n: no pair of 4-subsets of 5 points meets in fewer than 3, so
+        # A_2..A_4 are empty and their coefficients are 0
+        fam = make_family(5, 4, [[1, 2, 3, 4], [1, 2, 3, 5], [2, 3, 4, 5]])
+        proj = project_family(fam)
+        assert proj.coeffs == (Fraction(3, 5), Fraction(3, 10), 0, 0, 0)
+        assert trace(proj) == 3 and entry_sum(proj) == 9
+        x = [1, 1, 0, 0, 1]  # colex order: 1234, 1235, 1245, 1345, 2345
+        mat = [[a * b for b in x] for a in x]
+        assert project_dense(mat, proj.params).coeffs == proj.coeffs
 
 
 class TestProjectDense:
