@@ -15,10 +15,16 @@ import json
 import os
 import sys
 
-from . import designs, identity, johnson, oracles, projection, wilson
+from . import johnson
 from .exact import rat_from_str, rat_to_str
 from .johnson import SchemeParams, SizeBudgetError
 from .subsets import family_to_dict, load_family
+
+# Each command imports the modules it runs when it is called, so start-up
+# compiles only those; the package itself loads exact, johnson and subsets.
+# The --variant choices, equal to wilson.VARIANTS (a test pins them), are
+# spelled out so that building the parser does not import wilson.
+VARIANTS = ("literal", "corrected")
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -33,6 +39,8 @@ def _emit(payload: dict, summary: str) -> None:
 
 
 def _default_budget(args) -> int:
+    from . import designs
+
     budget = args.budget
     if budget is None:
         env = os.environ.get("JSHM_BUDGET")
@@ -62,6 +70,8 @@ def _cmd_scheme(args) -> int:
 
 
 def _cmd_wilson_omega(args) -> int:
+    from . import wilson
+
     v = wilson.wilson_matrix(args.n, args.k, args.t, args.variant)
     payload = {"n": args.n, "k": args.k,
                "coeffs": [rat_to_str(c) for c in v.coeffs]}
@@ -71,6 +81,8 @@ def _cmd_wilson_omega(args) -> int:
 
 
 def _cmd_wilson_certify(args) -> int:
+    from . import wilson
+
     cert = wilson.ekr_certificate(args.n, args.k, args.t, args.variant)
     _emit(cert.to_dict(),
           f"certificate {'valid' if cert.valid else 'INVALID'}: "
@@ -79,6 +91,8 @@ def _cmd_wilson_certify(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from . import projection
+
     fam = load_family(args.file)
     report = projection.family_lemma_report(fam, args.t)
     _emit(report.to_dict(),
@@ -88,6 +102,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_design_verify(args) -> int:
+    from . import designs
+
     fam = load_family(args.file)
     try:
         lam = designs.verify_design(fam, args.t)
@@ -110,6 +126,8 @@ def _cmd_design_verify(args) -> int:
 
 
 def _cmd_design_search(args) -> int:
+    from . import designs
+
     outcome = designs.search_design(args.n, args.k, args.t, _default_budget(args))
     if outcome.status == "found":
         payload = outcome.design.to_dict()
@@ -128,6 +146,8 @@ def _cmd_design_search(args) -> int:
 
 
 def _cmd_design_admissible(args) -> int:
+    from . import designs
+
     if (args.n is None) == (args.n_max is None):
         raise ValueError("provide exactly one of --n and --n-max")
     if args.n is not None:
@@ -149,6 +169,8 @@ _RHS_FLAGS = {"literal": "omega_literal", "corrected": "omega_corrected",
 
 
 def _cmd_identity_prove(args) -> int:
+    from . import identity
+
     report = identity.compare_symbolic(
         args.k, args.t, _LHS_FLAGS[args.lhs], _RHS_FLAGS[args.rhs]
     )
@@ -159,6 +181,8 @@ def _cmd_identity_prove(args) -> int:
 
 
 def _cmd_identity_pointwise(args) -> int:
+    from . import identity
+
     report = identity.compare_pointwise(
         args.k, args.t, _LHS_FLAGS[args.lhs], _RHS_FLAGS[args.rhs],
         args.n_from, args.n_to,
@@ -171,6 +195,8 @@ def _cmd_identity_pointwise(args) -> int:
 
 
 def _cmd_identity_witness(args) -> int:
+    from . import identity
+
     report = identity.design_witness_check(args.k, args.t, args.n,
                                            _default_budget(args))
     statuses = [p.status for p in report.points]
@@ -184,6 +210,8 @@ def _cmd_identity_witness(args) -> int:
 
 
 def _cmd_oracle_max_family(args) -> int:
+    from . import oracles
+
     result = oracles.max_family(args.n, args.k, args.t, _default_budget(args))
     _emit(result.to_dict(),
           f"max {args.t}-intersecting family in J({args.n},{args.k}): "
@@ -192,6 +220,8 @@ def _cmd_oracle_max_family(args) -> int:
 
 
 def _cmd_oracle_spectrum(args) -> int:
+    from . import oracles
+
     params = SchemeParams(args.n, args.k)
     coeffs = tuple(rat_from_str(c) for c in args.coeffs.split(","))
     v = johnson.BMVector(params, coeffs)
@@ -222,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--variant", choices=wilson.VARIANTS, default="corrected")
+    p.add_argument("--variant", choices=VARIANTS, default="corrected")
     p.set_defaults(func=_cmd_wilson_omega)
     p = wsub.add_parser("certify", help="build and verify an EKR certificate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--variant", choices=wilson.VARIANTS, default="corrected")
+    p.add_argument("--variant", choices=VARIANTS, default="corrected")
     p.set_defaults(func=_cmd_wilson_certify)
 
     p = sub.add_parser("project", help="project a family file onto the algebra")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import binom
-from .subsets import KSubset, colex_tuples, subset_mask
+from .subsets import colex_tuples, subset_mask
 
 DEFAULT_DENSE_BUDGET = 5000
 
@@ -134,15 +134,6 @@ def all_ones_vector(params: SchemeParams) -> BMVector:
     return BMVector(params, tuple(Fraction(1) for _ in range(params.num_classes)))
 
 
-def entry(v: BMVector, s: KSubset, t: KSubset) -> object:
-    """Matrix entry (S, T) of v, namely c_{k - |S intersect T|}."""
-    p = v.params
-    if s.n != p.n or s.k != p.k or t.n != p.n or t.k != p.k:
-        raise ValueError("subset does not match scheme parameters")
-    r = p.k - (s.mask & t.mask).bit_count()
-    return v.coeffs[r]
-
-
 @lru_cache(maxsize=None)
 def colex_masks(n: int, k: int) -> tuple[int, ...]:
     """Bitmasks of all k-subsets in colex order (cached; sweeps reuse it)."""
@@ -169,14 +160,6 @@ def schur(u: BMVector, v: BMVector) -> BMVector:
     return BMVector(u.params, tuple(a * b for a, b in zip(u.coeffs, v.coeffs)))
 
 
-def inner(u: BMVector, v: BMVector):
-    """Standard matrix inner product: sum of u_r * v_r * |A_r|."""
-    _check_params(u, v)
-    return sum(
-        a * b * class_size(u.params, r) for r, (a, b) in enumerate(zip(u.coeffs, v.coeffs))
-    )
-
-
 def trace(v: BMVector):
     return v.coeffs[0] * v.params.order
 
@@ -184,35 +167,6 @@ def trace(v: BMVector):
 def entry_sum(v: BMVector):
     """Sum of all matrix entries (inner product with the all-ones matrix)."""
     return sum(c * class_size(v.params, r) for r, c in enumerate(v.coeffs))
-
-
-def inclusion_matrix(i: int, params: SchemeParams,
-                     max_order: int = DEFAULT_DENSE_BUDGET) -> list[list[int]]:
-    """01 matrix, rows = i-subsets, cols = k-subsets, 1 when row is contained.
-
-    Rows and columns are in colex order; each row sums to C(n-i, k-i).
-    """
-    return _subset_pair_matrix(i, params, max_order, contained=True)
-
-
-def disjointness_matrix(i: int, params: SchemeParams,
-                        max_order: int = DEFAULT_DENSE_BUDGET) -> list[list[int]]:
-    """01 matrix, rows = i-subsets, cols = k-subsets, 1 when disjoint."""
-    return _subset_pair_matrix(i, params, max_order, contained=False)
-
-
-def _subset_pair_matrix(i, params, max_order, contained):
-    if not 0 <= i <= params.k:
-        raise ValueError(f"row subset size {i} out of range [0, {params.k}]")
-    if params.order > max_order or binom(params.n, i) > max_order:
-        raise SizeBudgetError("matrix dimensions exceed dense budget")
-    if i == 0:
-        return [[1] * params.order]
-    rows = colex_masks(params.n, i)
-    cols = colex_masks(params.n, params.k)
-    if contained:
-        return [[1 if a & b == a else 0 for b in cols] for a in rows]
-    return [[1 if a & b == 0 else 0 for b in cols] for a in rows]
 
 
 def wilson_basis_vector(i: int, params: SchemeParams) -> BMVector:
@@ -318,14 +272,3 @@ def psd_report(v: BMVector) -> PSDReport:
     argmin = min(range(len(spectrum)), key=lambda j: (spectrum[j], j))
     mn = spectrum[argmin]
     return PSDReport(psd=mn >= 0, min_eigenvalue=mn, argmin=argmin, spectrum=spectrum)
-
-
-def mat_transpose(mat: list[list]) -> list[list]:
-    return [list(row) for row in zip(*mat)]
-
-
-def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    if not a or not b or len(a[0]) != len(b):
-        raise ValueError("incompatible matrix shapes")
-    bt = mat_transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

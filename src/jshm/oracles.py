@@ -1,7 +1,9 @@
 """Independent brute-force ground truth.
 
 Floating point lives here and only here: the float spectrum corroborates
-the exact eigenvalue tables but never feeds a certificate.  Intersection
+the exact eigenvalue tables but never feeds a certificate.  Matrix entries,
+inner products, the inclusion and disjointness matrices and their dense
+products check the algebra's coefficient form entry by entry.  Intersection
 numbers are counted over all k-subsets, the reference the tests hold the
 closed-form eigenvalue table against.  Design verification by testing every
 t-subset against every block, O(C(n,t) |F|), is the reference for the
@@ -26,9 +28,11 @@ from .johnson import (
     SchemeParams,
     SizeBudgetError,
     colex_masks,
+    entry_sum,
+    schur,
 )
 from .projection import project_dense
-from .subsets import Family, all_ksubsets, make_family, subset_mask
+from .subsets import Family, KSubset, all_ksubsets, make_family, subset_mask
 
 
 def float_spectrum(mat: list[list]) -> list[float]:
@@ -49,6 +53,60 @@ def float_spectrum(mat: list[list]) -> list[float]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
     arr = np.array([[float(x) for x in row] for row in mat], dtype=float)
     return sorted(np.linalg.eigvalsh(arr).tolist(), reverse=True)
+
+
+def entry(v: BMVector, s: KSubset, t: KSubset) -> object:
+    """Matrix entry (S, T) of v, namely c_{k - |S intersect T|}."""
+    p = v.params
+    if s.n != p.n or s.k != p.k or t.n != p.n or t.k != p.k:
+        raise ValueError("subset does not match scheme parameters")
+    r = p.k - (s.mask & t.mask).bit_count()
+    return v.coeffs[r]
+
+
+def inner(u: BMVector, v: BMVector):
+    """Standard matrix inner product: sum of u_r * v_r * |A_r|."""
+    return entry_sum(schur(u, v))
+
+
+def inclusion_matrix(i: int, params: SchemeParams,
+                     max_order: int = DEFAULT_DENSE_BUDGET) -> list[list[int]]:
+    """01 matrix, rows = i-subsets, cols = k-subsets, 1 when row is contained.
+
+    Rows and columns are in colex order; each row sums to C(n-i, k-i).
+    """
+    return _subset_pair_matrix(i, params, max_order, contained=True)
+
+
+def disjointness_matrix(i: int, params: SchemeParams,
+                        max_order: int = DEFAULT_DENSE_BUDGET) -> list[list[int]]:
+    """01 matrix, rows = i-subsets, cols = k-subsets, 1 when disjoint."""
+    return _subset_pair_matrix(i, params, max_order, contained=False)
+
+
+def _subset_pair_matrix(i, params, max_order, contained):
+    if not 0 <= i <= params.k:
+        raise ValueError(f"row subset size {i} out of range [0, {params.k}]")
+    if params.order > max_order or binom(params.n, i) > max_order:
+        raise SizeBudgetError("matrix dimensions exceed dense budget")
+    if i == 0:
+        return [[1] * params.order]
+    rows = colex_masks(params.n, i)
+    cols = colex_masks(params.n, params.k)
+    if contained:
+        return [[1 if a & b == a else 0 for b in cols] for a in rows]
+    return [[1 if a & b == 0 else 0 for b in cols] for a in rows]
+
+
+def mat_transpose(mat: list[list]) -> list[list]:
+    return [list(row) for row in zip(*mat)]
+
+
+def mat_mul(a: list[list], b: list[list]) -> list[list]:
+    if not a or not b or len(a[0]) != len(b):
+        raise ValueError("incompatible matrix shapes")
+    bt = mat_transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def _distance_pair(params: SchemeParams, r: int) -> tuple[int, int]:
@@ -141,7 +199,7 @@ def max_family(n: int, k: int, t: int,
         # Greedy color classes over the candidate set, lowest index first;
         # the color number of a vertex bounds any clique inside it and the
         # vertices before it in the order.  Only classes >= kmin are
-        # recorded: expand would prune a vertex of a lower class before
+        # recorded: the search would prune a vertex of a lower class before
         # expanding it.  The lower classes are still built, so the later
         # ones keep their vertices.
         order: list[int] = []
@@ -162,29 +220,43 @@ def max_family(n: int, k: int, t: int,
                 cand &= nonadj[v]
         return order, colors
 
-    def expand(current: list[int], p_mask: int):
-        nonlocal best, nodes, aborted
+    # Branch and bound with an explicit stack, so no clique is too large for
+    # the recursion limit.  One frame per vertex of ``current`` plus the root:
+    # [candidate mask, colouring order, colours, index of the last vertex
+    # tried].  Vertices are tried from the highest colour down; a frame ends
+    # when its next colour cannot beat |best|, and the vertex that opened it
+    # then leaves the parent's candidates.
+    def push(p_mask: int):
         order, colors = coloring(p_mask, len(best) - len(current) + 1)
-        for idx in range(len(order) - 1, -1, -1):
-            if aborted:
-                return
-            if len(current) + colors[idx] <= len(best):
-                return
-            v = order[idx]
-            nodes += 1
-            if nodes > budget:
-                aborted = True
-                return
-            current.append(v)
-            sub = p_mask & adj[v]
-            if sub:
-                expand(current, sub)
-            elif len(current) > len(best):
-                best = current.copy()
-            current.pop()
-            p_mask &= ~(1 << v)
+        frames.append([p_mask, order, colors, len(order)])
 
-    expand([], (1 << v_count) - 1)
+    current: list[int] = []
+    frames: list[list] = []
+    push((1 << v_count) - 1)
+    while frames:
+        frame = frames[-1]
+        p_mask, order, colors, idx = frame
+        idx -= 1
+        if idx < 0 or len(current) + colors[idx] <= len(best):
+            frames.pop()
+            if frames:
+                frames[-1][0] &= ~(1 << current.pop())
+            continue
+        frame[3] = idx
+        v = order[idx]
+        nodes += 1
+        if nodes > budget:
+            aborted = True
+            break
+        current.append(v)
+        sub = p_mask & adj[v]
+        if sub:
+            push(sub)
+            continue
+        if len(current) > len(best):
+            best = current.copy()
+        current.pop()
+        frame[0] = p_mask & ~(1 << v)
 
     chosen = sorted(best)
     witness = make_family(n, k, [subsets[v].elements for v in chosen])

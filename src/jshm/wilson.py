@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .designs import Design
 from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
 from .johnson import (
     BMVector,
@@ -38,8 +38,10 @@ from .johnson import (
     schur,
     trace,
 )
-from .projection import family_lemma_report, project_family
 from .subsets import Family
+
+if TYPE_CHECKING:
+    from .designs import Design
 
 VARIANTS = ("literal", "corrected")
 
@@ -298,6 +300,9 @@ def bound_from_design(design: Design, fam: Family) -> DesignBoundReport:
     matrix's role; the family projection supplies the other side of the
     clique-coclique inequality.
     """
+    # imported here so that the certificate commands load no design code
+    from .projection import family_lemma_report, project_family
+
     n, k, t = design.n, design.k, design.t
     bound = binom(n - t, k - t)
     if fam.n != n or fam.k != k:

@@ -313,6 +313,15 @@ class TestOracle:
         assert code == 3
         assert payload["optimal"] is False
 
+    def test_max_family_deeper_than_the_recursion_limit(self, capsys):
+        # every pair of 11-subsets of 15 points meets in at least 7, so the
+        # whole vertex set is one clique of 1365 > sys.getrecursionlimit()
+        code, payload, _ = run_cli(capsys, "oracle", "max-family",
+                                   "--n", "15", "--k", "11", "--t", "7")
+        assert code == 0
+        assert payload["size"] == len(payload["blocks"]) == 1365
+        assert payload["nodes"] == 1365 and payload["optimal"] is True
+
     def test_spectrum(self, capsys):
         code, payload, _ = run_cli(capsys, "oracle", "spectrum",
                                    "--n", "5", "--k", "2",

@@ -13,22 +13,25 @@ from jshm.johnson import (
     class_size,
     colex_masks,
     dense,
-    disjointness_matrix,
     eigensystem,
     eigenvalues,
-    entry,
     entry_sum,
     identity_vector,
-    inclusion_matrix,
-    inner,
-    mat_mul,
-    mat_transpose,
     psd_report,
     schur,
     trace,
     wilson_basis_vector,
 )
-from jshm.oracles import float_spectrum, intersection_number
+from jshm.oracles import (
+    disjointness_matrix,
+    entry,
+    float_spectrum,
+    inclusion_matrix,
+    inner,
+    intersection_number,
+    mat_mul,
+    mat_transpose,
+)
 from jshm.subsets import KSubset, all_ksubsets, colex_rank
 
 from conftest import random_vector

@@ -10,8 +10,6 @@ from jshm.johnson import (
     SchemeParams,
     dense,
     identity_vector,
-    mat_mul,
-    mat_transpose,
     psd_report,
 )
 from jshm.projection import (
@@ -22,6 +20,7 @@ from jshm.projection import (
 )
 from jshm.exact import binom
 from jshm.johnson import entry_sum, trace
+from jshm.oracles import mat_mul, mat_transpose
 from jshm.subsets import inter_size, make_family, star_family
 
 from conftest import projection_corpus, random_vector
