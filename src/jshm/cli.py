@@ -38,14 +38,13 @@ def _emit(payload: dict, summary: str) -> None:
         sys.stderr.write(summary + "\n")
 
 
-def _default_budget(args) -> int:
-    from . import designs
-
+def _default_budget(args, default: int) -> int:
+    """--budget, else JSHM_BUDGET, else the command's own default."""
     budget = args.budget
     if budget is None:
         env = os.environ.get("JSHM_BUDGET")
         if env is None:
-            return designs.DEFAULT_SEARCH_BUDGET
+            return default
         try:
             budget = int(env)
         except ValueError as exc:
@@ -71,7 +70,6 @@ def _cmd_scheme(args) -> int:
 
 def _cmd_wilson_omega(args) -> int:
     from . import wilson
-
     v = wilson.wilson_matrix(args.n, args.k, args.t, args.variant)
     payload = {"n": args.n, "k": args.k,
                "coeffs": [rat_to_str(c) for c in v.coeffs]}
@@ -82,7 +80,6 @@ def _cmd_wilson_omega(args) -> int:
 
 def _cmd_wilson_certify(args) -> int:
     from . import wilson
-
     cert = wilson.ekr_certificate(args.n, args.k, args.t, args.variant)
     _emit(cert.to_dict(),
           f"certificate {'valid' if cert.valid else 'INVALID'}: "
@@ -92,7 +89,6 @@ def _cmd_wilson_certify(args) -> int:
 
 def _cmd_project(args) -> int:
     from . import projection
-
     fam = load_family(args.file)
     report = projection.family_lemma_report(fam, args.t)
     _emit(report.to_dict(),
@@ -103,7 +99,6 @@ def _cmd_project(args) -> int:
 
 def _cmd_design_verify(args) -> int:
     from . import designs
-
     fam = load_family(args.file)
     try:
         lam = designs.verify_design(fam, args.t)
@@ -127,8 +122,8 @@ def _cmd_design_verify(args) -> int:
 
 def _cmd_design_search(args) -> int:
     from . import designs
-
-    outcome = designs.search_design(args.n, args.k, args.t, _default_budget(args))
+    outcome = designs.search_design(args.n, args.k, args.t,
+                                    _default_budget(args, designs.DEFAULT_SEARCH_BUDGET))
     if outcome.status == "found":
         payload = outcome.design.to_dict()
         payload["nodes"] = outcome.nodes
@@ -147,7 +142,6 @@ def _cmd_design_search(args) -> int:
 
 def _cmd_design_admissible(args) -> int:
     from . import designs
-
     if (args.n is None) == (args.n_max is None):
         raise ValueError("provide exactly one of --n and --n-max")
     if args.n is not None:
@@ -170,7 +164,6 @@ _RHS_FLAGS = {"literal": "omega_literal", "corrected": "omega_corrected",
 
 def _cmd_identity_prove(args) -> int:
     from . import identity
-
     report = identity.compare_symbolic(
         args.k, args.t, _LHS_FLAGS[args.lhs], _RHS_FLAGS[args.rhs]
     )
@@ -182,7 +175,6 @@ def _cmd_identity_prove(args) -> int:
 
 def _cmd_identity_pointwise(args) -> int:
     from . import identity
-
     report = identity.compare_pointwise(
         args.k, args.t, _LHS_FLAGS[args.lhs], _RHS_FLAGS[args.rhs],
         args.n_from, args.n_to,
@@ -195,10 +187,9 @@ def _cmd_identity_pointwise(args) -> int:
 
 
 def _cmd_identity_witness(args) -> int:
-    from . import identity
-
-    report = identity.design_witness_check(args.k, args.t, args.n,
-                                           _default_budget(args))
+    from . import designs, identity
+    report = identity.design_witness_check(
+        args.k, args.t, args.n, _default_budget(args, designs.DEFAULT_SEARCH_BUDGET))
     statuses = [p.status for p in report.points]
     _emit(report.to_dict(), "witness statuses: " + ", ".join(
         f"n={p.n}:{p.status}" for p in report.points))
@@ -211,8 +202,8 @@ def _cmd_identity_witness(args) -> int:
 
 def _cmd_oracle_max_family(args) -> int:
     from . import oracles
-
-    result = oracles.max_family(args.n, args.k, args.t, _default_budget(args))
+    result = oracles.max_family(args.n, args.k, args.t,
+                                _default_budget(args, oracles.DEFAULT_CLIQUE_BUDGET))
     _emit(result.to_dict(),
           f"max {args.t}-intersecting family in J({args.n},{args.k}): "
           f"size {result.size} ({'optimal' if result.optimal else 'budget hit'})")
@@ -221,7 +212,6 @@ def _cmd_oracle_max_family(args) -> int:
 
 def _cmd_oracle_spectrum(args) -> int:
     from . import oracles
-
     params = SchemeParams(args.n, args.k)
     coeffs = tuple(rat_from_str(c) for c in args.coeffs.split(","))
     v = johnson.BMVector(params, coeffs)

@@ -221,28 +221,25 @@ def max_family(n: int, k: int, t: int,
         return order, colors
 
     # Branch and bound with an explicit stack, so no clique is too large for
-    # the recursion limit.  One frame per vertex of ``current`` plus the root:
-    # [candidate mask, colouring order, colours, index of the last vertex
-    # tried].  Vertices are tried from the highest colour down; a frame ends
-    # when its next colour cannot beat |best|, and the vertex that opened it
-    # then leaves the parent's candidates.
-    def push(p_mask: int):
-        order, colors = coloring(p_mask, len(best) - len(current) + 1)
-        frames.append([p_mask, order, colors, len(order)])
-
+    # the recursion limit.  The node being expanded holds its candidate mask,
+    # its colouring and the index of the vertex tried last; ``stack`` keeps
+    # those of its ancestors, one per vertex of ``current``.  Vertices are
+    # tried from the highest colour down; a node ends when its next colour
+    # cannot beat |best|, and the vertex that opened it then leaves the
+    # parent's candidates.
     current: list[int] = []
-    frames: list[list] = []
-    push((1 << v_count) - 1)
-    while frames:
-        frame = frames[-1]
-        p_mask, order, colors, idx = frame
+    stack: list[tuple] = []
+    p_mask = (1 << v_count) - 1
+    order, colors = coloring(p_mask, 1)
+    idx = len(order)
+    while True:
         idx -= 1
         if idx < 0 or len(current) + colors[idx] <= len(best):
-            frames.pop()
-            if frames:
-                frames[-1][0] &= ~(1 << current.pop())
+            if not stack:
+                break
+            p_mask, order, colors, idx = stack.pop()
+            p_mask &= ~(1 << current.pop())
             continue
-        frame[3] = idx
         v = order[idx]
         nodes += 1
         if nodes > budget:
@@ -251,12 +248,16 @@ def max_family(n: int, k: int, t: int,
         current.append(v)
         sub = p_mask & adj[v]
         if sub:
-            push(sub)
-            continue
-        if len(current) > len(best):
-            best = current.copy()
-        current.pop()
-        frame[0] = p_mask & ~(1 << v)
+            stack.append((p_mask, order, colors, idx))
+            p_mask = sub
+            order, colors = coloring(p_mask, len(best) - len(current) + 1)
+            idx = len(order)
+        else:
+            # a leaf: v has no neighbour among the candidates, so leaving
+            # them changes no later branch
+            if len(current) > len(best):
+                best = current.copy()
+            current.pop()
 
     chosen = sorted(best)
     witness = make_family(n, k, [subsets[v].elements for v in chosen])

@@ -329,6 +329,12 @@ class TestOracle:
         assert code == 0
         assert payload["spectrum"][0] == pytest.approx(3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("coeffs", ["0,1/0,1", "0,x,1", "0,1", ""])
+    def test_spectrum_malformed_coefficients(self, capsys, coeffs):
+        code, payload, _ = run_cli(capsys, "oracle", "spectrum", "--n", "5", "--k", "2",
+                                   "--coeffs", coeffs)
+        assert code == 2 and payload is None
+
 
 class TestDeterminismAndEnv:
     @pytest.mark.parametrize("argv", [
