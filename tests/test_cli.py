@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -406,3 +409,398 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", "import jshm.cli, sys; assert 'numpy' not in sys.modules"],
         check=True, env={**os.environ, "PYTHONPATH": src},
     )
+
+
+# Outputs pinned as they were before a block became a plain sorted tuple:
+# each argv maps to its exit code, the first 16 hex digits of the sha256 of
+# its stdout, and the first line of its stderr.  "@name" stands for a file
+# holding PINNED_DOCS[name].  The README commands read @family and @design.
+PINNED_DOCS = {
+    "family": {"n": 7, "k": 3, "blocks": [[1, 2, x] for x in range(3, 8)]},
+    "design": {"n": 7, "k": 3, "blocks": FANO_BLOCKS},
+    "apart": {"n": 7, "k": 3, "blocks": [[1, 2, 3], [4, 5, 6]]},
+    "wide": {"n": 7, "k": 4, "blocks": [[1, 2, 3, 4], [1, 2, 3, 5]]},
+    "unsorted": {"n": 7, "k": 3, "blocks": [[3, 2, 1], [7, 1, 5], [6, 4, 1]]},
+    "empty": {"n": 6, "k": 2, "blocks": []},
+    "out_of_range": {"n": 5, "k": 2, "blocks": [[1, 2], [1, 6]]},
+    "zero_element": {"n": 5, "k": 2, "blocks": [[0, 1]]},
+    "repeated_element": {"n": 5, "k": 3, "blocks": [[1, 1, 2]]},
+    "repeated_block": {"n": 5, "k": 2, "blocks": [[1, 2], [2, 3], [2, 1]]},
+    "wrong_size": {"n": 5, "k": 2, "blocks": [[1, 2], [1, 2, 3]]},
+    "zero_n": {"n": 0, "k": 2, "blocks": [[1, 2]]},
+    "zero_k": {"n": 3, "k": 0, "blocks": [[]]},
+    "zero_k_no_blocks": {"n": 3, "k": 0, "blocks": []},
+    "k_above_n": {"n": 3, "k": 4, "blocks": [[1, 2, 3, 4]]},
+    "k_above_n_no_blocks": {"n": 3, "k": 4, "blocks": []},
+    "bool_element": {"n": 5, "k": 2, "blocks": [[1, True]]},
+    "not_object": [[1, 2]],
+    "missing_key": {"n": 5, "blocks": [[1, 2]]},
+}
+README_ARGV = [
+    "scheme --n 5 --k 2",
+    "wilson omega --n 7 --k 3 --t 2 --variant literal",
+    "wilson certify --n 7 --k 3 --t 2",
+    "project --file @family --t 2",
+    "design verify --file @design --t 2",
+    "design search --n 9 --k 3 --t 2",
+    "design admissible --k 3 --t 2 --n-max 20",
+    "identity prove --k 3 --t 2 --rhs literal",
+    "identity pointwise --k 3 --t 2 --n-from 7 --n-to 20",
+    "identity witness --k 3 --t 2 --n 7 --n 9",
+    "oracle max-family --n 7 --k 3 --t 2",
+    "oracle spectrum --n 5 --k 2 --coeffs 0,0,1",
+]
+FILE_ARGV = [f"{command} --file @{name} --t {t}"
+             for name in PINNED_DOCS for command in ("project", "design verify")
+             for t in range(4)]
+PINNED = {
+    "design admissible --k 3 --t 2 --n-max 20":
+        (0, "fc8b66cf47a924fc", "5 admissible sizes up to 20"),
+    "design search --n 9 --k 3 --t 2":
+        (0, "39203613928c9754", "found 12-block 2-(9,3,1) design (12 nodes)"),
+    "design verify --file @apart --t 0":
+        (0, "32fa360dd81e5832", "verified 0-(7,3,2) design"),
+    "design verify --file @apart --t 1":
+        (1, "da6ac2dac3f52d5a", "not a 1-design: subset [7] covered 0 times, expected 1"),
+    "design verify --file @apart --t 2":
+        (1, "f7b6b6306ef6d0b8", "not a 2-design: subset [1, 4] covered 0 times, expected 1"),
+    "design verify --file @apart --t 3":
+        (1, "f0c7a274cbf974e5", "not a 3-design: subset [1, 2, 4] covered 0 times, expected 1"),
+    "design verify --file @bool_element --t 0":
+        (2, "e3b0c44298fc1c14", "error: block must be a list of integers: [1, True]"),
+    "design verify --file @bool_element --t 1":
+        (2, "e3b0c44298fc1c14", "error: block must be a list of integers: [1, True]"),
+    "design verify --file @bool_element --t 2":
+        (2, "e3b0c44298fc1c14", "error: block must be a list of integers: [1, True]"),
+    "design verify --file @bool_element --t 3":
+        (2, "e3b0c44298fc1c14", "error: block must be a list of integers: [1, True]"),
+    "design verify --file @design --t 0":
+        (0, "9a03084c7cfa70a2", "verified 0-(7,3,7) design"),
+    "design verify --file @design --t 1":
+        (0, "5f43a5ae1af20dae", "verified 1-(7,3,3) design"),
+    "design verify --file @design --t 2":
+        (0, "ba972523ae161d42", "verified 2-(7,3,1) design"),
+    "design verify --file @design --t 3":
+        (1, "05fec7fa9fcdcd0e", "not a 3-design: subset [1, 2, 4] covered 0 times, expected 1"),
+    "design verify --file @empty --t 0":
+        (0, "74148e406cb26acb", "verified 0-(6,2,0) design"),
+    "design verify --file @empty --t 1":
+        (0, "808598a89e99f15d", "verified 1-(6,2,0) design"),
+    "design verify --file @empty --t 2":
+        (0, "799b4827ce99b7ef", "verified 2-(6,2,0) design"),
+    "design verify --file @empty --t 3":
+        (2, "e3b0c44298fc1c14", "error: strength t=3 out of range [0, 2]"),
+    "design verify --file @family --t 0":
+        (0, "d45556d1ebe89c76", "verified 0-(7,3,5) design"),
+    "design verify --file @family --t 1":
+        (1, "eba3352b00c34c11", "not a 1-design: subset [3] covered 1 times, expected 5"),
+    "design verify --file @family --t 2":
+        (1, "d26563f568f5d2c6", "not a 2-design: subset [1, 3] covered 1 times, expected 5"),
+    "design verify --file @family --t 3":
+        (1, "92a59ef6c9f9d3d5", "not a 3-design: subset [1, 3, 4] covered 0 times, expected 1"),
+    "design verify --file @k_above_n --t 0":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 3]: (1, 2, 3, 4)"),
+    "design verify --file @k_above_n --t 1":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 3]: (1, 2, 3, 4)"),
+    "design verify --file @k_above_n --t 2":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 3]: (1, 2, 3, 4)"),
+    "design verify --file @k_above_n --t 3":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 3]: (1, 2, 3, 4)"),
+    "design verify --file @k_above_n_no_blocks --t 0":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=4, n=3"),
+    "design verify --file @k_above_n_no_blocks --t 1":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=4, n=3"),
+    "design verify --file @k_above_n_no_blocks --t 2":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=4, n=3"),
+    "design verify --file @k_above_n_no_blocks --t 3":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=4, n=3"),
+    "design verify --file @missing_key --t 0":
+        (2, "e3b0c44298fc1c14", "error: family document missing key 'k'"),
+    "design verify --file @missing_key --t 1":
+        (2, "e3b0c44298fc1c14", "error: family document missing key 'k'"),
+    "design verify --file @missing_key --t 2":
+        (2, "e3b0c44298fc1c14", "error: family document missing key 'k'"),
+    "design verify --file @missing_key --t 3":
+        (2, "e3b0c44298fc1c14", "error: family document missing key 'k'"),
+    "design verify --file @not_object --t 0":
+        (2, "e3b0c44298fc1c14", "error: family document must be a JSON object"),
+    "design verify --file @not_object --t 1":
+        (2, "e3b0c44298fc1c14", "error: family document must be a JSON object"),
+    "design verify --file @not_object --t 2":
+        (2, "e3b0c44298fc1c14", "error: family document must be a JSON object"),
+    "design verify --file @not_object --t 3":
+        (2, "e3b0c44298fc1c14", "error: family document must be a JSON object"),
+    "design verify --file @out_of_range --t 0":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (1, 6)"),
+    "design verify --file @out_of_range --t 1":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (1, 6)"),
+    "design verify --file @out_of_range --t 2":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (1, 6)"),
+    "design verify --file @out_of_range --t 3":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (1, 6)"),
+    "design verify --file @repeated_block --t 0":
+        (2, "e3b0c44298fc1c14", "error: duplicate block [1, 2]"),
+    "design verify --file @repeated_block --t 1":
+        (2, "e3b0c44298fc1c14", "error: duplicate block [1, 2]"),
+    "design verify --file @repeated_block --t 2":
+        (2, "e3b0c44298fc1c14", "error: duplicate block [1, 2]"),
+    "design verify --file @repeated_block --t 3":
+        (2, "e3b0c44298fc1c14", "error: duplicate block [1, 2]"),
+    "design verify --file @repeated_element --t 0":
+        (2, "e3b0c44298fc1c14", "error: duplicate element in block [1, 1, 2]"),
+    "design verify --file @repeated_element --t 1":
+        (2, "e3b0c44298fc1c14", "error: duplicate element in block [1, 1, 2]"),
+    "design verify --file @repeated_element --t 2":
+        (2, "e3b0c44298fc1c14", "error: duplicate element in block [1, 1, 2]"),
+    "design verify --file @repeated_element --t 3":
+        (2, "e3b0c44298fc1c14", "error: duplicate element in block [1, 1, 2]"),
+    "design verify --file @unsorted --t 0":
+        (0, "325e42f38a293a3e", "verified 0-(7,3,3) design"),
+    "design verify --file @unsorted --t 1":
+        (1, "16ba9d04e113c97f", "not a 1-design: subset [2] covered 1 times, expected 3"),
+    "design verify --file @unsorted --t 2":
+        (1, "a868ccaa400c8a8e", "not a 2-design: subset [2, 4] covered 0 times, expected 1"),
+    "design verify --file @unsorted --t 3":
+        (1, "1c5813fcc97981a0", "not a 3-design: subset [1, 2, 4] covered 0 times, expected 1"),
+    "design verify --file @wide --t 0":
+        (0, "955f750a5dda7d3f", "verified 0-(7,4,2) design"),
+    "design verify --file @wide --t 1":
+        (1, "cde9b723a6ecbf5f", "not a 1-design: subset [4] covered 1 times, expected 2"),
+    "design verify --file @wide --t 2":
+        (1, "6028eab2824d4851", "not a 2-design: subset [1, 4] covered 1 times, expected 2"),
+    "design verify --file @wide --t 3":
+        (1, "181ab287258ccb81", "not a 3-design: subset [1, 2, 4] covered 1 times, expected 2"),
+    "design verify --file @wrong_size --t 0":
+        (2, "e3b0c44298fc1c14", "error: block [1, 2, 3] has size 3, expected 2"),
+    "design verify --file @wrong_size --t 1":
+        (2, "e3b0c44298fc1c14", "error: block [1, 2, 3] has size 3, expected 2"),
+    "design verify --file @wrong_size --t 2":
+        (2, "e3b0c44298fc1c14", "error: block [1, 2, 3] has size 3, expected 2"),
+    "design verify --file @wrong_size --t 3":
+        (2, "e3b0c44298fc1c14", "error: block [1, 2, 3] has size 3, expected 2"),
+    "design verify --file @zero_element --t 0":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (0, 1)"),
+    "design verify --file @zero_element --t 1":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (0, 1)"),
+    "design verify --file @zero_element --t 2":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (0, 1)"),
+    "design verify --file @zero_element --t 3":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (0, 1)"),
+    "design verify --file @zero_k --t 0":
+        (2, "e3b0c44298fc1c14", "error: empty subset"),
+    "design verify --file @zero_k --t 1":
+        (2, "e3b0c44298fc1c14", "error: empty subset"),
+    "design verify --file @zero_k --t 2":
+        (2, "e3b0c44298fc1c14", "error: empty subset"),
+    "design verify --file @zero_k --t 3":
+        (2, "e3b0c44298fc1c14", "error: empty subset"),
+    "design verify --file @zero_k_no_blocks --t 0":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=0, n=3"),
+    "design verify --file @zero_k_no_blocks --t 1":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=0, n=3"),
+    "design verify --file @zero_k_no_blocks --t 2":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=0, n=3"),
+    "design verify --file @zero_k_no_blocks --t 3":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=0, n=3"),
+    "design verify --file @zero_n --t 0":
+        (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
+    "design verify --file @zero_n --t 1":
+        (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
+    "design verify --file @zero_n --t 2":
+        (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
+    "design verify --file @zero_n --t 3":
+        (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
+    "identity pointwise --k 3 --t 2 --n-from 7 --n-to 20":
+        (0, "ac3b632087c41566", "pointwise comparison on [7,20]: 14/14 equal, verdict equal"),
+    "identity prove --k 3 --t 2 --rhs literal":
+        (1, "a2be536d9a7c4831", "symbolic comparison m vs omega_literal: NOT equal"),
+    "identity witness --k 3 --t 2 --n 7 --n 9":
+        (0, "a4ac70f694c802e5", "witness statuses: n=7:verified, n=9:verified"),
+    "oracle max-family --n 7 --k 3 --t 2":
+        (0, "5689e03fd3ea53ad", "max 2-intersecting family in J(7,3): size 5 (optimal)"),
+    "oracle spectrum --n 5 --k 2 --coeffs 0,0,1":
+        (0, "8413e572b97d5876", "float spectrum of a 10x10 matrix"),
+    "project --file @apart --t 0":
+        (0, "f58a854b0ecd94d4", "family of 2 blocks: verified at t=0"),
+    "project --file @apart --t 1":
+        (1, "4c2bdb780590175b", "family of 2 blocks: not verified at t=1"),
+    "project --file @apart --t 2":
+        (1, "4c2bdb780590175b", "family of 2 blocks: not verified at t=2"),
+    "project --file @apart --t 3":
+        (1, "4c2bdb780590175b", "family of 2 blocks: not verified at t=3"),
+    "project --file @bool_element --t 0":
+        (2, "e3b0c44298fc1c14", "error: block must be a list of integers: [1, True]"),
+    "project --file @bool_element --t 1":
+        (2, "e3b0c44298fc1c14", "error: block must be a list of integers: [1, True]"),
+    "project --file @bool_element --t 2":
+        (2, "e3b0c44298fc1c14", "error: block must be a list of integers: [1, True]"),
+    "project --file @bool_element --t 3":
+        (2, "e3b0c44298fc1c14", "error: block must be a list of integers: [1, True]"),
+    "project --file @design --t 0":
+        (0, "9ece2f8caf0f4569", "family of 7 blocks: verified at t=0"),
+    "project --file @design --t 1":
+        (0, "9ece2f8caf0f4569", "family of 7 blocks: verified at t=1"),
+    "project --file @design --t 2":
+        (1, "f79624a5d3f31b05", "family of 7 blocks: not verified at t=2"),
+    "project --file @design --t 3":
+        (1, "f79624a5d3f31b05", "family of 7 blocks: not verified at t=3"),
+    "project --file @empty --t 0":
+        (0, "55247be1ddd15bd5", "family of 0 blocks: verified at t=0"),
+    "project --file @empty --t 1":
+        (0, "55247be1ddd15bd5", "family of 0 blocks: verified at t=1"),
+    "project --file @empty --t 2":
+        (0, "55247be1ddd15bd5", "family of 0 blocks: verified at t=2"),
+    "project --file @empty --t 3":
+        (2, "e3b0c44298fc1c14", "error: strength t=3 out of range [0, 2]"),
+    "project --file @family --t 0":
+        (0, "e3a5cbc828da1eb7", "family of 5 blocks: verified at t=0"),
+    "project --file @family --t 1":
+        (0, "e3a5cbc828da1eb7", "family of 5 blocks: verified at t=1"),
+    "project --file @family --t 2":
+        (0, "e3a5cbc828da1eb7", "family of 5 blocks: verified at t=2"),
+    "project --file @family --t 3":
+        (1, "3958e4f92c940064", "family of 5 blocks: not verified at t=3"),
+    "project --file @k_above_n --t 0":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 3]: (1, 2, 3, 4)"),
+    "project --file @k_above_n --t 1":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 3]: (1, 2, 3, 4)"),
+    "project --file @k_above_n --t 2":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 3]: (1, 2, 3, 4)"),
+    "project --file @k_above_n --t 3":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 3]: (1, 2, 3, 4)"),
+    "project --file @k_above_n_no_blocks --t 0":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=4, n=3"),
+    "project --file @k_above_n_no_blocks --t 1":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=4, n=3"),
+    "project --file @k_above_n_no_blocks --t 2":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=4, n=3"),
+    "project --file @k_above_n_no_blocks --t 3":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=4, n=3"),
+    "project --file @missing_key --t 0":
+        (2, "e3b0c44298fc1c14", "error: family document missing key 'k'"),
+    "project --file @missing_key --t 1":
+        (2, "e3b0c44298fc1c14", "error: family document missing key 'k'"),
+    "project --file @missing_key --t 2":
+        (2, "e3b0c44298fc1c14", "error: family document missing key 'k'"),
+    "project --file @missing_key --t 3":
+        (2, "e3b0c44298fc1c14", "error: family document missing key 'k'"),
+    "project --file @not_object --t 0":
+        (2, "e3b0c44298fc1c14", "error: family document must be a JSON object"),
+    "project --file @not_object --t 1":
+        (2, "e3b0c44298fc1c14", "error: family document must be a JSON object"),
+    "project --file @not_object --t 2":
+        (2, "e3b0c44298fc1c14", "error: family document must be a JSON object"),
+    "project --file @not_object --t 3":
+        (2, "e3b0c44298fc1c14", "error: family document must be a JSON object"),
+    "project --file @out_of_range --t 0":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (1, 6)"),
+    "project --file @out_of_range --t 1":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (1, 6)"),
+    "project --file @out_of_range --t 2":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (1, 6)"),
+    "project --file @out_of_range --t 3":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (1, 6)"),
+    "project --file @repeated_block --t 0":
+        (2, "e3b0c44298fc1c14", "error: duplicate block [1, 2]"),
+    "project --file @repeated_block --t 1":
+        (2, "e3b0c44298fc1c14", "error: duplicate block [1, 2]"),
+    "project --file @repeated_block --t 2":
+        (2, "e3b0c44298fc1c14", "error: duplicate block [1, 2]"),
+    "project --file @repeated_block --t 3":
+        (2, "e3b0c44298fc1c14", "error: duplicate block [1, 2]"),
+    "project --file @repeated_element --t 0":
+        (2, "e3b0c44298fc1c14", "error: duplicate element in block [1, 1, 2]"),
+    "project --file @repeated_element --t 1":
+        (2, "e3b0c44298fc1c14", "error: duplicate element in block [1, 1, 2]"),
+    "project --file @repeated_element --t 2":
+        (2, "e3b0c44298fc1c14", "error: duplicate element in block [1, 1, 2]"),
+    "project --file @repeated_element --t 3":
+        (2, "e3b0c44298fc1c14", "error: duplicate element in block [1, 1, 2]"),
+    "project --file @unsorted --t 0":
+        (0, "1b527fb0a09cce61", "family of 3 blocks: verified at t=0"),
+    "project --file @unsorted --t 1":
+        (0, "1b527fb0a09cce61", "family of 3 blocks: verified at t=1"),
+    "project --file @unsorted --t 2":
+        (1, "05e1133160b80811", "family of 3 blocks: not verified at t=2"),
+    "project --file @unsorted --t 3":
+        (1, "05e1133160b80811", "family of 3 blocks: not verified at t=3"),
+    "project --file @wide --t 0":
+        (0, "c4ea474cec95a10b", "family of 2 blocks: verified at t=0"),
+    "project --file @wide --t 1":
+        (0, "c4ea474cec95a10b", "family of 2 blocks: verified at t=1"),
+    "project --file @wide --t 2":
+        (0, "c4ea474cec95a10b", "family of 2 blocks: verified at t=2"),
+    "project --file @wide --t 3":
+        (0, "c4ea474cec95a10b", "family of 2 blocks: verified at t=3"),
+    "project --file @wrong_size --t 0":
+        (2, "e3b0c44298fc1c14", "error: block [1, 2, 3] has size 3, expected 2"),
+    "project --file @wrong_size --t 1":
+        (2, "e3b0c44298fc1c14", "error: block [1, 2, 3] has size 3, expected 2"),
+    "project --file @wrong_size --t 2":
+        (2, "e3b0c44298fc1c14", "error: block [1, 2, 3] has size 3, expected 2"),
+    "project --file @wrong_size --t 3":
+        (2, "e3b0c44298fc1c14", "error: block [1, 2, 3] has size 3, expected 2"),
+    "project --file @zero_element --t 0":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (0, 1)"),
+    "project --file @zero_element --t 1":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (0, 1)"),
+    "project --file @zero_element --t 2":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (0, 1)"),
+    "project --file @zero_element --t 3":
+        (2, "e3b0c44298fc1c14", "error: element out of range [1, 5]: (0, 1)"),
+    "project --file @zero_k --t 0":
+        (2, "e3b0c44298fc1c14", "error: empty subset"),
+    "project --file @zero_k --t 1":
+        (2, "e3b0c44298fc1c14", "error: empty subset"),
+    "project --file @zero_k --t 2":
+        (2, "e3b0c44298fc1c14", "error: empty subset"),
+    "project --file @zero_k --t 3":
+        (2, "e3b0c44298fc1c14", "error: empty subset"),
+    "project --file @zero_k_no_blocks --t 0":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=0, n=3"),
+    "project --file @zero_k_no_blocks --t 1":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=0, n=3"),
+    "project --file @zero_k_no_blocks --t 2":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=0, n=3"),
+    "project --file @zero_k_no_blocks --t 3":
+        (2, "e3b0c44298fc1c14", "error: need 1 <= k <= n, got k=0, n=3"),
+    "project --file @zero_n --t 0":
+        (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
+    "project --file @zero_n --t 1":
+        (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
+    "project --file @zero_n --t 2":
+        (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
+    "project --file @zero_n --t 3":
+        (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
+    "scheme --n 5 --k 2":
+        (0, "61ced2eb74653290", "eigenvalue table of J(5,2): 3 eigenspaces, order 10"),
+    "wilson certify --n 7 --k 3 --t 2":
+        (0, "5aaeb99ddffcc18f", "certificate valid: bound 5, min eigenvalue 0"),
+    "wilson omega --n 7 --k 3 --t 2 --variant literal":
+        (0, "9270b8b79fcf69e7", "Wilson matrix (literal) for (n,k,t)=(7,3,2)"),
+}
+
+
+def pinned_output(argv: str, tmp_path) -> tuple[int, str, str]:
+    """Run argv through main; return (exit code, stdout digest, stderr line)."""
+    args = []
+    for token in argv.split():
+        if token.startswith("@"):
+            path = tmp_path / f"{token[1:]}.json"
+            path.write_text(json.dumps(PINNED_DOCS[token[1:]]), encoding="utf-8")
+            token = str(path)
+        args.append(token)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
+    return code, digest, (err.getvalue().splitlines() or [""])[0]
+
+
+def test_pinned_table_covers_the_readme_and_the_documents():
+    assert set(PINNED) == set(README_ARGV + FILE_ARGV)
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_pinned_output(argv, tmp_path):
+    assert pinned_output(argv, tmp_path) == PINNED[argv]
