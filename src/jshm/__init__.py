@@ -23,7 +23,7 @@ from .johnson import (
     eigenvalues,
     psd_report,
 )
-from .subsets import Family, KSubset, load_family, make_family, star_family
+from .subsets import Family, load_family, make_family, star_family
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "BMVector",
     "EigenSystem",
     "Family",
-    "KSubset",
     "PoleError",
     "Polynomial",
     "Rational",

@@ -215,7 +215,7 @@ def _cmd_oracle_spectrum(args) -> int:
     params = SchemeParams(args.n, args.k)
     coeffs = tuple(rat_from_str(c) for c in args.coeffs.split(","))
     v = johnson.BMVector(params, coeffs)
-    spectrum = oracles.float_spectrum(johnson.dense(v, args.max_order))
+    spectrum = oracles.float_spectrum(johnson.dense(v))
     payload = {"n": args.n, "k": args.k,
                "coeffs": [rat_to_str(c) for c in coeffs],
                "spectrum": spectrum}
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--coeffs", required=True,
                    help="comma-separated rationals c_0..c_k")
-    p.add_argument("--max-order", type=int, default=johnson.DEFAULT_DENSE_BUDGET)
     p.set_defaults(func=_cmd_oracle_spectrum)
 
     return parser

@@ -93,14 +93,17 @@ def verify_design(fam: Family, t: int) -> int:
     lambda is the count of {1..t}, and the witness is the first t-subset
     whose count differs from it.  The walk over the C(n,t) t-subsets is
     refused with SizeBudgetError above ``johnson.MAX_ENUMERATED_SUBSETS``.
+    At t = 0 the only t-subset is the empty set, in every block, so
+    lambda = |F| and the ground set, of any size, is not walked.
     """
     if not 0 <= t <= fam.k:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
+    if t == 0:
+        return fam.size
     if binom(fam.n, t) > MAX_ENUMERATED_SUBSETS:
         raise SizeBudgetError(f"C({fam.n},{t}) = {binom(fam.n, t)} t-subsets exceed "
                               f"the enumeration cap {MAX_ENUMERATED_SUBSETS}")
-    counts = Counter(chain.from_iterable(combinations(m.elements, t)
-                                         for m in fam.members))
+    counts = Counter(chain.from_iterable(combinations(m, t) for m in fam.members))
     subs = combinations(range(1, fam.n + 1), t)
     lam = counts[next(subs)]  # t <= n, so {1..t} exists
     for sub in subs:

@@ -24,6 +24,8 @@ from functools import lru_cache
 from .exact import binom
 from .subsets import colex_tuples, subset_mask
 
+# dense and the dense oracles (inclusion and disjointness matrices,
+# brute_projection, max_family) refuse orders above this fixed budget
 DEFAULT_DENSE_BUDGET = 5000
 
 # colex_masks (oracle and dense paths only) refuses larger C(n,k); admits
@@ -143,11 +145,12 @@ def colex_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(subset_mask(c) for c in colex_tuples(n, k))
 
 
-def dense(v: BMVector, max_order: int = DEFAULT_DENSE_BUDGET) -> list[list]:
+def dense(v: BMVector) -> list[list]:
     """Materialize v as a square array in colex order (oracle path only)."""
     p = v.params
-    if p.order > max_order:
-        raise SizeBudgetError(f"order {p.order} exceeds dense budget {max_order}")
+    if p.order > DEFAULT_DENSE_BUDGET:
+        raise SizeBudgetError(f"order {p.order} exceeds dense budget "
+                              f"{DEFAULT_DENSE_BUDGET}")
     masks = colex_masks(p.n, p.k)
     c = v.coeffs
     k = p.k

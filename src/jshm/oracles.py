@@ -5,7 +5,8 @@ the exact eigenvalue tables but never feeds a certificate.  Matrix entries,
 inner products, the inclusion and disjointness matrices and their dense
 products check the algebra's coefficient form entry by entry.  Intersection
 numbers are counted over all k-subsets, the reference the tests hold the
-closed-form eigenvalue table against.  Design verification by testing every
+closed-form eigenvalue table against, and the colex rank is the reference
+for the colex order of the enumerations.  Design verification by testing every
 t-subset against every block, O(C(n,t) |F|), is the reference for the
 counted ``designs.verify_design``.  The maximum t-intersecting family search
 is an exact branch-and-bound over the compatibility graph, with
@@ -32,7 +33,7 @@ from .johnson import (
     schur,
 )
 from .projection import project_dense
-from .subsets import Family, KSubset, all_ksubsets, make_family, subset_mask
+from .subsets import Family, colex_tuples, make_family, subset_mask
 
 
 def float_spectrum(mat: list[list]) -> list[float]:
@@ -51,16 +52,29 @@ def float_spectrum(mat: list[list]) -> list[float]:
         for j in range(i):
             if mat[i][j] != mat[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    arr = np.array([[float(x) for x in row] for row in mat], dtype=float)
-    return sorted(np.linalg.eigvalsh(arr).tolist(), reverse=True)
+    try:
+        arr = np.array([[float(x) for x in row] for row in mat], dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"matrix entry is not a finite float: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entry is not a finite float")
+    values = np.linalg.eigvalsh(arr)
+    if not np.isfinite(values).all():
+        raise ValueError("eigenvalue is not a finite float")
+    return sorted(values.tolist(), reverse=True)
 
 
-def entry(v: BMVector, s: KSubset, t: KSubset) -> object:
+def colex_rank(s: tuple[int, ...]) -> int:
+    """Colex rank: sum of C(s_i - 1, i) over the sorted elements (i from 1)."""
+    return sum(binom(e - 1, i) for i, e in enumerate(s, start=1))
+
+
+def entry(v: BMVector, s: tuple[int, ...], t: tuple[int, ...]) -> object:
     """Matrix entry (S, T) of v, namely c_{k - |S intersect T|}."""
     p = v.params
-    if s.n != p.n or s.k != p.k or t.n != p.n or t.k != p.k:
+    if any(len(x) != p.k or not all(1 <= e <= p.n for e in x) for x in (s, t)):
         raise ValueError("subset does not match scheme parameters")
-    r = p.k - (s.mask & t.mask).bit_count()
+    r = p.k - (subset_mask(s) & subset_mask(t)).bit_count()
     return v.coeffs[r]
 
 
@@ -69,25 +83,23 @@ def inner(u: BMVector, v: BMVector):
     return entry_sum(schur(u, v))
 
 
-def inclusion_matrix(i: int, params: SchemeParams,
-                     max_order: int = DEFAULT_DENSE_BUDGET) -> list[list[int]]:
+def inclusion_matrix(i: int, params: SchemeParams) -> list[list[int]]:
     """01 matrix, rows = i-subsets, cols = k-subsets, 1 when row is contained.
 
     Rows and columns are in colex order; each row sums to C(n-i, k-i).
     """
-    return _subset_pair_matrix(i, params, max_order, contained=True)
+    return _subset_pair_matrix(i, params, contained=True)
 
 
-def disjointness_matrix(i: int, params: SchemeParams,
-                        max_order: int = DEFAULT_DENSE_BUDGET) -> list[list[int]]:
+def disjointness_matrix(i: int, params: SchemeParams) -> list[list[int]]:
     """01 matrix, rows = i-subsets, cols = k-subsets, 1 when disjoint."""
-    return _subset_pair_matrix(i, params, max_order, contained=False)
+    return _subset_pair_matrix(i, params, contained=False)
 
 
-def _subset_pair_matrix(i, params, max_order, contained):
+def _subset_pair_matrix(i, params, contained):
     if not 0 <= i <= params.k:
         raise ValueError(f"row subset size {i} out of range [0, {params.k}]")
-    if params.order > max_order or binom(params.n, i) > max_order:
+    if max(params.order, binom(params.n, i)) > DEFAULT_DENSE_BUDGET:
         raise SizeBudgetError("matrix dimensions exceed dense budget")
     if i == 0:
         return [[1] * params.order]
@@ -178,8 +190,8 @@ def max_family(n: int, k: int, t: int,
     if binom(n, k) > DEFAULT_DENSE_BUDGET:
         raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} vertices exceed the "
                               f"dense budget {DEFAULT_DENSE_BUDGET}")
-    subsets = all_ksubsets(n, k)
-    masks = [s.mask for s in subsets]
+    subsets = colex_tuples(n, k)
+    masks = [subset_mask(s) for s in subsets]
     v_count = len(masks)
     adj = [0] * v_count
     for a in range(v_count):
@@ -260,26 +272,25 @@ def max_family(n: int, k: int, t: int,
             current.pop()
 
     chosen = sorted(best)
-    witness = make_family(n, k, [subsets[v].elements for v in chosen])
+    witness = make_family(n, k, [subsets[v] for v in chosen])
     return MaxFamilyResult(
         n=n, k=k, t=t, size=len(chosen), witness=witness,
         optimal=not aborted, nodes=nodes,
     )
 
 
-def brute_projection(fam: Family,
-                     max_order: int = DEFAULT_DENSE_BUDGET) -> BMVector:
+def brute_projection(fam: Family) -> BMVector:
     """Projection of the family's pair matrix computed on the dense path.
 
     Builds the rank-one indicator matrix explicitly and projects it entry
     by entry; must agree with the pair-distribution shortcut.
     """
     params = SchemeParams(fam.n, fam.k)
-    if params.order > max_order:
-        raise ValueError(f"order {params.order} exceeds dense budget {max_order}")
-    member_set = {m.elements for m in fam.members}
-    indicator = [1 if s.elements in member_set else 0
-                 for s in all_ksubsets(fam.n, fam.k)]
+    if params.order > DEFAULT_DENSE_BUDGET:
+        raise SizeBudgetError(f"order {params.order} exceeds dense budget "
+                              f"{DEFAULT_DENSE_BUDGET}")
+    members = set(fam.members)
+    indicator = [1 if s in members else 0 for s in colex_tuples(fam.n, fam.k)]
     dense = [[a * b for b in indicator] for a in indicator]
     return project_dense(dense, params)
 
@@ -294,7 +305,7 @@ def brute_verify_design(fam: Family, t: int) -> int:
     if binom(fam.n, t) > MAX_ENUMERATED_SUBSETS:
         raise SizeBudgetError(f"C({fam.n},{t}) = {binom(fam.n, t)} t-subsets exceed "
                               f"the enumeration cap {MAX_ENUMERATED_SUBSETS}")
-    masks = [m.mask for m in fam.members]
+    masks = [subset_mask(m) for m in fam.members]
     lam = None
     for sub in combinations(range(1, fam.n + 1), t):
         sm = subset_mask(sub)

@@ -36,7 +36,7 @@ from .johnson import (
     entry_sum,
     trace,
 )
-from .subsets import Family
+from .subsets import Family, subset_mask
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,14 @@ def pair_distribution(fam: Family) -> PairDistribution:
     k = fam.k
     if 2 ** k > fam.size:
         counts = [0] * (k + 1)
-        masks = [m.mask for m in fam.members]
+        masks = [subset_mask(m) for m in fam.members]
         for a in masks:
             for b in masks:
                 counts[k - (a & b).bit_count()] += 1
         return PairDistribution(tuple(counts))
-    blocks = [m.elements for m in fam.members]
     shared = []  # N_i = sum of c(U)^2 over the i-sets U
     for i in range(k + 1):
-        through = Counter(chain.from_iterable(combinations(b, i) for b in blocks))
+        through = Counter(chain.from_iterable(combinations(b, i) for b in fam.members))
         shared.append(sum(c * c for c in through.values()))
     meets = [sum((-1) ** (i - j) * binom(i, j) * shared[i] for i in range(j, k + 1))
              for j in range(k + 1)]
@@ -169,7 +168,8 @@ def family_lemma_report(fam: Family, t: int) -> FamilyLemmaReport:
 
 def _first_violating_pair(members, t):
     """The first member pair, in member order, meeting in fewer than t points."""
-    for idx, a in enumerate(members):
-        for b in members[idx + 1:]:
-            if (a.mask & b.mask).bit_count() < t:
-                return a.elements, b.elements
+    masks = [subset_mask(m) for m in members]
+    for idx, a in enumerate(masks):
+        for j in range(idx + 1, len(masks)):
+            if (a & masks[j]).bit_count() < t:
+                return members[idx], members[j]

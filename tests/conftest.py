@@ -5,7 +5,7 @@ import pytest
 
 from jshm.designs import as_design, search_design
 from jshm.johnson import BMVector, SchemeParams
-from jshm.subsets import Family, all_ksubsets, make_family, star_family
+from jshm.subsets import Family, colex_tuples, make_family, star_family
 
 FANO_BLOCKS = [
     [1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 5, 6],
@@ -59,7 +59,7 @@ def random_vector(params: SchemeParams, rng: random.Random) -> BMVector:
 def random_families(n: int, k: int, count: int, seed: int) -> list[Family]:
     """Deterministic random families for oracle-equivalence corpora."""
     rng = random.Random(seed)
-    pool = [s.elements for s in all_ksubsets(n, k)]
+    pool = colex_tuples(n, k)
     fams = []
     for i in range(count):
         size = rng.randint(2, min(8, len(pool)))

@@ -111,7 +111,7 @@ def test_c03_design_pipeline():
             for sub in combinations(range(1, n + 1), i):
                 w = set(sub)
                 cnt = sum(1 for m in design.family.members
-                          if w <= set(m.elements))
+                          if w <= set(m))
                 assert cnt == lam_i
     assert [block_count(7, 3, 2, i) for i in range(3)] == [7, 3, 1]
     print("\nACCEPTANCE 3: PASS design pipeline (7/12/14 blocks found, "

@@ -101,7 +101,7 @@ class TestWilson:
             ["wilson", "certify", "--n", str(2**64), "--k", "3", "--t", "2"],
             ["oracle", "max-family", "--n", "60", "--k", "10", "--t", "2"],
             ["oracle", "spectrum", "--n", "60", "--k", "10",
-             "--coeffs", ",".join(["1"] * 11), "--max-order", "100000000000"],
+             "--coeffs", ",".join(["1"] * 11)],
         ):
             code = main(argv)
             captured = capsys.readouterr()
@@ -235,6 +235,15 @@ class TestDesign:
             assert "Traceback" not in captured.err
             assert elapsed < 0.5, argv
 
+    def test_verify_huge_ground_set(self, capsys, tmp_path):
+        # at t = 0 the ground set of 10**30 points was built as a tuple and
+        # raised OverflowError; at t = 1 its C(n,1) points are refused
+        path = write_family(tmp_path, 10**30, 2, [[1, 2], [1, 3]])
+        code, payload, _ = run_cli(capsys, "design", "verify", "--file", path, "--t", "0")
+        assert code == 0 and payload["lambda"] == 2
+        code, payload, _ = run_cli(capsys, "design", "verify", "--file", path, "--t", "1")
+        assert code == 3 and payload is None
+
 
 class TestIdentity:
     def test_prove_corrected(self, capsys):
@@ -337,6 +346,14 @@ class TestOracle:
         code, payload, _ = run_cli(capsys, "oracle", "spectrum", "--n", "5", "--k", "2",
                                    "--coeffs", coeffs)
         assert code == 2 and payload is None
+
+    @pytest.mark.parametrize("coeffs", ["1e400,0,0", "1e308,1e308,1e308"])
+    def test_spectrum_beyond_the_float_range(self, capsys, coeffs):
+        # the first died with an OverflowError, the second printed Infinity
+        code = main(["oracle", "spectrum", "--n", "5", "--k", "2", "--coeffs", coeffs])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "finite float" in captured.err
 
 
 class TestDeterminismAndEnv:

@@ -1,11 +1,12 @@
-"""Fuzz the CLI in-process: every argument vector ends in a documented exit
-code, never in another exception.
+"""Fuzz the CLI in-process: every argument vector and every family document
+ends in a documented exit code, never in another exception.
 
 Commands run through ``cli.main`` with generated argument vectors: known
 and unknown subcommands, small integers, malformed tokens, and flags that
 are missing, repeated or left without a value.  Integers stay at most 10
 and budgets at most 1000, with ``JSHM_BUDGET`` at 1000 for commands whose
-``--budget`` is missing, so every case is small.
+``--budget`` is missing, so every case is small.  ``project`` and ``design
+verify`` also read generated family documents, valid or with one fault.
 """
 
 import contextlib
@@ -35,6 +36,8 @@ WILD = {
         st.lists(st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "", " 2"]),
                  max_size=12).map(",".join)),
 }
+# coefficients beyond the float range, or whose matrix has eigenvalues there
+HUGE_COEFFS = ["1e400", "-1e400", "1e308", "-1e308", "1e-400", "0", "1"]
 FILE_DOCS = {
     "family.json": {"n": 9, "k": 3, "blocks": [[1, 2, 3], [1, 2, 4], [1, 2, 5]]},
     "fano.json": {"n": 7, "k": 3, "blocks": FANO_BLOCKS},
@@ -75,8 +78,15 @@ COMMANDS = [
     (("identity", "pointwise"), ["--k", "--t", "--lhs", "--rhs", "--n-from", "--n-to"]),
     (("identity", "witness"), ["--k", "--t", "--n", "--budget"]),
     (("oracle", "max-family"), ["--n", "--k", "--t", "--budget"]),
-    (("oracle", "spectrum"), ["--n", "--k", "--coeffs", "--max-order"]),
+    (("oracle", "spectrum"), ["--n", "--k", "--coeffs"]),
 ]
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity that json.dumps can write."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _rarely(odds):
@@ -99,11 +109,12 @@ def argvs(draw, paths, command, flags):
         "--lhs": st.sampled_from(["m", "m-plus-i"]),
         "--rhs": st.sampled_from(["literal", "corrected", "nabla"]),
         "--budget": st.integers(0, 1000),
-        # the program parses these, not argparse: half of them are wild
-        "--coeffs": st.one_of(st.lists(st.sampled_from(["0", "1", "-2", "1/3"]),
-                                       min_size=k + 1, max_size=k + 1).map(",".join),
+        # the program parses these, not argparse: a third are of the wrong
+        # form and a third are beyond the float range
+        "--coeffs": st.one_of(*[st.lists(st.sampled_from(entries), min_size=k + 1,
+                                         max_size=k + 1).map(",".join)
+                                for entries in (["0", "1", "-2", "1/3"], HUGE_COEFFS)],
                               WILD["--coeffs"]),
-        "--max-order": st.integers(0, 300),
         "--file": st.sampled_from(paths),
     }
     head = list(command)
@@ -142,4 +153,77 @@ def test_every_argument_vector_ends_in_a_documented_exit(files, command, flags, 
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
     if code in (0, 1) and out.getvalue() and "-h" not in argv:
-        json.loads(out.getvalue())
+        strict_json(out.getvalue())
+
+
+NOT_INT = st.sampled_from([1.0, "1", True, False, None, [1]])
+DOCUMENT_FAULTS = ["not-object", "missing-key", "not-int", "blocks-not-list",
+                   "n-not-positive", "k-above-n", "huge-n"]
+BLOCK_FAULTS = ["nested", "ragged", "out-of-range", "bad-element", "repeated-element",
+                "repeated-block"]
+
+
+@st.composite
+def family_docs(draw, fault):
+    """A family document (n <= 12, at most 30 blocks in any order) given the
+    named fault, and a strength t from -1 to k + 1."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    block = st.permutations(range(1, n + 1)).map(lambda p: p[:k])
+    blocks = draw(st.lists(block, min_size=fault in BLOCK_FAULTS, max_size=30,
+                           unique_by=lambda b: tuple(sorted(b))))
+    doc = {"n": n, "k": k, "blocks": blocks}
+    t = draw(st.integers(-1, k + 1))
+    if fault == "not-object":
+        return draw(st.sampled_from([[], [doc], 7, "x", None])), t
+    if fault == "missing-key":
+        del doc[draw(st.sampled_from(["n", "k", "blocks"]))]
+    elif fault == "not-int":
+        doc[draw(st.sampled_from(["n", "k"]))] = draw(NOT_INT)
+    elif fault == "blocks-not-list":
+        doc["blocks"] = draw(st.sampled_from([{"a": 1}, "x", 3, None]))
+    elif fault == "n-not-positive":
+        doc["n"] = draw(st.integers(-3, 0))
+    elif fault == "k-above-n":
+        doc["k"] = n + draw(st.integers(1, 3))
+    elif fault == "huge-n":
+        doc["n"] = 10**30
+    elif fault in BLOCK_FAULTS:
+        b = blocks[draw(st.integers(0, len(blocks) - 1))]
+        i = draw(st.integers(0, k - 1))
+        if fault == "nested":
+            b[i] = [b[i]]
+        elif fault == "ragged" and draw(st.booleans()):
+            b.append(b[0])
+        elif fault == "ragged":
+            b.pop()
+        elif fault == "out-of-range":
+            b[i] = draw(st.sampled_from([0, -1, n + 1, 10**30]))
+        elif fault == "bad-element":
+            b[i] = draw(NOT_INT)
+        elif fault == "repeated-element":
+            b[i] = b[i - 1] if k > 1 else 0
+        else:
+            blocks.append(b[::-1])
+    return doc, t
+
+
+@pytest.mark.parametrize("fault", ["none", *DOCUMENT_FAULTS, *BLOCK_FAULTS])
+@pytest.mark.parametrize("command", [["project"], ["design", "verify"]], ids="-".join)
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_family_document_ends_in_a_documented_exit(tmp_path_factory, command,
+                                                         fault, data):
+    doc, t = data.draw(family_docs(fault), label="document, t")
+    path = tmp_path_factory.getbasetemp() / "fuzz_family.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*command, "--file", str(path), "--t", str(t)])
+    assert code in (0, 1, 2, 3), (doc, t, code)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        strict_json(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

@@ -34,7 +34,7 @@ from jshm.johnson import (
     basis_vector,
 )
 from jshm.oracles import brute_verify_design
-from jshm.subsets import all_ksubsets, make_family, star_family
+from jshm.subsets import colex_tuples, make_family, star_family
 
 from conftest import FANO_BLOCKS, STS9_BLOCKS
 
@@ -46,7 +46,7 @@ SQS8_BLOCKS = [
 
 
 def _star_blocks(n, k, core):
-    return [m.elements for m in star_family(n, k, core).members]
+    return list(star_family(n, k, core).members)
 
 
 # non-designs (n, k, blocks, t) -> NotADesignError (witness, count, expected),
@@ -85,18 +85,18 @@ class TestVerifyDesign:
         assert MAX_SEARCH_ENTRIES <= MAX_ENUMERATED_SUBSETS
 
     def test_fano_minus_block_fails_with_witness(self, fano):
-        broken = make_family(7, 3, [list(m.elements) for m in fano.members[1:]])
+        broken = make_family(7, 3, fano.members[1:])
         with pytest.raises(NotADesignError) as exc:
             verify_design(broken, 2)
         assert exc.value.count in (0, 1)
         # the witness pair really is covered the reported number of times
         w = set(exc.value.witness)
-        covered = sum(1 for m in broken.members if w <= set(m.elements))
+        covered = sum(1 for m in broken.members if w <= set(m))
         assert covered == exc.value.count
 
     def test_complete_design(self):
         n, k, t = 6, 3, 2
-        fam = make_family(n, k, [s.elements for s in all_ksubsets(n, k)])
+        fam = make_family(n, k, colex_tuples(n, k))
         assert verify_design(fam, t) == binom(n - t, k - t)
 
     def test_sts9(self, sts9):
@@ -151,7 +151,7 @@ class TestBlockCountFormula:
                 expected = block_count(fam.n, fam.k, design.t, i)
                 for sub in combinations(range(1, fam.n + 1), i):
                     w = set(sub)
-                    cnt = sum(1 for m in fam.members if w <= set(m.elements))
+                    cnt = sum(1 for m in fam.members if w <= set(m))
                     assert cnt == expected
 
 
@@ -234,7 +234,7 @@ class TestDesignProjectionIdentity:
 
     def test_rejects_non_steiner(self):
         n, k = 6, 3
-        fam = make_family(n, k, [s.elements for s in all_ksubsets(n, k)])
+        fam = make_family(n, k, colex_tuples(n, k))
         with pytest.raises(ValueError, match="Steiner"):
             design_projection_report(as_design(fam, 2))
 

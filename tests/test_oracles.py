@@ -11,7 +11,7 @@ from jshm.exact import binom
 from jshm.johnson import SchemeParams, all_ones_vector, basis_vector, dense, identity_vector
 from jshm.oracles import brute_projection, float_spectrum, max_family
 from jshm.projection import project_family
-from jshm.subsets import inter_size
+from jshm.subsets import subset_mask
 
 from conftest import projection_corpus
 
@@ -115,7 +115,7 @@ class TestMaxFamily:
         assert len(members) == result.size
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                assert inter_size(a, b) >= 2
+                assert (subset_mask(a) & subset_mask(b)).bit_count() >= 2
 
     def test_deterministic(self):
         a = max_family(9, 3, 2)

@@ -21,7 +21,7 @@ from jshm.projection import (
 from jshm.exact import binom
 from jshm.johnson import entry_sum, trace
 from jshm.oracles import mat_mul, mat_transpose
-from jshm.subsets import inter_size, make_family, star_family
+from jshm.subsets import colex_tuples, make_family, star_family, subset_mask
 
 from conftest import projection_corpus, random_vector
 
@@ -57,7 +57,7 @@ def walked_distribution(fam):
     counts = [0] * (fam.k + 1)
     for a in fam.members:
         for b in fam.members:
-            counts[fam.k - inter_size(a, b)] += 1
+            counts[fam.k - (subset_mask(a) & subset_mask(b)).bit_count()] += 1
     return tuple(counts)
 
 
@@ -122,10 +122,8 @@ class TestProjectDense:
 
     def test_matches_family_path_on_fano(self, fano):
         p = SchemeParams(7, 3)
-        member_set = {m.elements for m in fano.members}
-        from jshm.subsets import all_ksubsets
-
-        x = [1 if s.elements in member_set else 0 for s in all_ksubsets(7, 3)]
+        member_set = set(fano.members)
+        x = [1 if s in member_set else 0 for s in colex_tuples(7, 3)]
         mat = [[a * b for b in x] for a in x]
         assert project_dense(mat, p).coeffs == project_family(fano).coeffs
 
@@ -157,9 +155,9 @@ class TestFamilyLemma:
     def test_violating_pair_with_counted_distribution(self):
         # |F| >= 2^k, so the support check reads the shared-subset counts; the
         # first violating pair in member order is as the pair walk found it
-        star = [list(m.elements) for m in star_family(9, 4, (1,)).members]
+        star = [list(m) for m in star_family(9, 4, (1,)).members]
         for n, k, blocks, t, pair in [
-            (10, 3, [list(m.elements) for m in star_family(10, 3, (1, 2)).members]
+            (10, 3, [list(m) for m in star_family(10, 3, (1, 2)).members]
              + [[1, 3, 4]], 2, ((1, 2, 5), (1, 3, 4))),
             (9, 4, star + [[2, 3, 4, 5]], 1, ((1, 6, 7, 8), (2, 3, 4, 5))),
             (9, 4, star[::-1] + [[2, 3, 4, 5]], 1, ((1, 7, 8, 9), (2, 3, 4, 5))),
@@ -176,9 +174,9 @@ class TestFamilyLemma:
     def test_intersection_matches_pair_walk(self, counted, data):
         fam = data.draw(families(counted))
         t = data.draw(st.integers(0, fam.k))
-        walked = next(((a.elements, b.elements)
-                       for i, a in enumerate(fam.members)
-                       for b in fam.members[i + 1:] if inter_size(a, b) < t), None)
+        walked = next(((a, b) for i, a in enumerate(fam.members)
+                       for b in fam.members[i + 1:]
+                       if len(set(a) & set(b)) < t), None)
         rep = family_lemma_report(fam, t)
         assert rep.violating_pair == walked
         assert rep.t_intersecting == rep.support_ok == (walked is None)

@@ -252,9 +252,7 @@ class TestBoundFromDesign:
         assert "intersecting" in rep.detail
 
     def test_non_steiner_design_diagnosed(self, sts9):
-        doubled = as_design(
-            make_family(9, 3, [list(m.elements) for m in sts9.members]
-                        ), 1)
+        doubled = as_design(sts9, 1)
         # a 2-(9,3,1) is 1-(9,3,4): lambda != 1 is rejected as premise
         assert doubled.lam == 4
         rep = bound_from_design(doubled, star_family(9, 3, (1,)))
