@@ -23,10 +23,10 @@ from jshm.johnson import (
     wilson_basis_vector,
 )
 from jshm.oracles import (
+    colex_rank,
     disjointness_matrix,
     entry,
     float_spectrum,
-    colex_rank,
     inclusion_matrix,
     inner,
     intersection_number,

@@ -8,10 +8,16 @@ import pytest
 
 import jshm
 from jshm.exact import binom
-from jshm.johnson import SchemeParams, all_ones_vector, basis_vector, dense, identity_vector
+from jshm.johnson import (
+    SchemeParams,
+    SizeBudgetError,
+    all_ones_vector,
+    basis_vector,
+    dense,
+    identity_vector,
+)
 from jshm.oracles import brute_projection, float_spectrum, max_family
 from jshm.projection import project_family
-from jshm.subsets import subset_mask
 
 from conftest import projection_corpus
 
@@ -115,7 +121,7 @@ class TestMaxFamily:
         assert len(members) == result.size
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                assert (subset_mask(a) & subset_mask(b)).bit_count() >= 2
+                assert len(set(a) & set(b)) >= 2
 
     def test_deterministic(self):
         a = max_family(9, 3, 2)
@@ -160,6 +166,13 @@ class TestBruteProjection:
     def test_corpus_equivalence(self, fano, sqs8_design):
         for fam in projection_corpus(fano, sqs8_design):
             assert brute_projection(fam).coeffs == project_family(fam).coeffs
+
+    def test_budget(self):
+        # refused like the other dense paths, with exit 3 rather than 2
+        from jshm.subsets import make_family
+
+        with pytest.raises(SizeBudgetError):
+            brute_projection(make_family(20, 10, [range(1, 11)]))
 
 
 MAIN_ROUTE = ["exact", "subsets", "johnson", "projection", "designs", "wilson",
