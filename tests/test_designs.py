@@ -238,6 +238,27 @@ class TestDesignProjectionIdentity:
         with pytest.raises(ValueError, match="Steiner"):
             design_projection_report(as_design(fam, 2))
 
+    # design -> its report document, keys sorted, as the parent gave it
+    PINNED_DOCS = {
+        "fano": '{"elsm_ok": true, "k": 3, "n": 7, "projection": ["1/5", "0", "1/15", "0"], "relation_ok": true, "scaled_identity_plus_m": ["1/5", "0", "1/15", "0"], "size": 7, "t": 2, "trace_ok": true, "verified": true}',
+        "sts9": '{"elsm_ok": true, "k": 3, "n": 9, "projection": ["1/7", "0", "1/35", "1/70"], "relation_ok": true, "scaled_identity_plus_m": ["1/7", "0", "1/35", "1/70"], "size": 12, "t": 2, "trace_ok": true, "verified": true}',
+        "sqs8": '{"elsm_ok": true, "k": 4, "n": 8, "projection": ["1/5", "0", "1/15", "0", "1/5"], "relation_ok": true, "scaled_identity_plus_m": ["1/5", "0", "1/15", "0", "1/5"], "size": 14, "t": 3, "trace_ok": true, "verified": true}',
+        "partition 6,3": '{"elsm_ok": true, "k": 3, "n": 6, "projection": ["1/10", "0", "0", "1/10"], "relation_ok": true, "scaled_identity_plus_m": ["1/10", "0", "0", "1/10"], "size": 2, "t": 1, "trace_ok": true, "verified": true}',
+        "partition 8,2": '{"elsm_ok": true, "k": 2, "n": 8, "projection": ["1/7", "0", "1/35"], "relation_ok": true, "scaled_identity_plus_m": ["1/7", "0", "1/35"], "size": 4, "t": 1, "trace_ok": true, "verified": true}',
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DOCS))
+    def test_pinned_document(self, name):
+        design = {
+            "fano": lambda: as_design(make_family(7, 3, FANO_BLOCKS), 2),
+            "sts9": lambda: as_design(make_family(9, 3, STS9_BLOCKS), 2),
+            "sqs8": lambda: as_design(make_family(8, 4, SQS8_BLOCKS), 3),
+            "partition 6,3": lambda: partition_design(6, 3),
+            "partition 8,2": lambda: partition_design(8, 2),
+        }[name]()
+        doc = design_projection_report(design).to_dict()
+        assert json.dumps(doc, sort_keys=True) == self.PINNED_DOCS[name]
+
 
 # (n, k, t, budget) -> (status, nodes, first 16 hex digits of the sha256 of
 # the JSON block list), as the linked-node dancing-links search gave them;

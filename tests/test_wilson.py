@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from jshm.designs import as_design
+from jshm.designs import as_design, partition_design
 from jshm.exact import binom
 from jshm.johnson import (
     MAX_TABLE_K,
@@ -26,6 +27,8 @@ from jshm.wilson import (
     wilson_matrix,
     wilson_matrix_symbolic,
 )
+
+from conftest import STS9_BLOCKS
 
 
 def certificate_grid():
@@ -180,6 +183,21 @@ class TestCliqueCoclique:
             assert all(c == 0 for c in prod.coeffs[1:])
             assert prod.coeffs[0] == star.coeffs[0]
 
+    def test_pinned_documents(self):
+        # keys sorted, as the parent gave them
+        below = clique_coclique(certificate_matrix(8, 4, 2),
+                                project_family(star_family(8, 4, (1, 2))))
+        assert json.dumps(below.to_dict(), sort_keys=True) == (
+            '{"applicable": false, "holds": null, "order": 70, "product": null, '
+            '"psd_first": false, "psd_second": true, "schur_gamma": "3/14", '
+            '"schur_multiple_of_identity": true, "tight": null}')
+        tight = clique_coclique(certificate_matrix(7, 3, 2),
+                                project_family(star_family(7, 3, (1, 2))))
+        assert json.dumps(tight.to_dict(), sort_keys=True) == (
+            '{"applicable": true, "holds": true, "order": 35, "product": "35", '
+            '"psd_first": true, "psd_second": true, "schur_gamma": "1/7", '
+            '"schur_multiple_of_identity": true, "tight": true}')
+
 
 class TestEKRCertificate:
     def test_desk_scale(self):
@@ -257,3 +275,31 @@ class TestBoundFromDesign:
         assert doubled.lam == 4
         rep = bound_from_design(doubled, star_family(9, 3, (1,)))
         assert not rep.premises_ok
+
+    # case -> the report document, keys sorted, as the parent gave it
+    PINNED_DOCS = {
+        "fano star": '{"bound": 5, "clique_coclique": {"applicable": true, "holds": true, "order": 35, "product": "35", "psd_first": true, "psd_second": true, "schur_gamma": "1/7", "schur_multiple_of_identity": true, "tight": true}, "detail": "ok", "family_size": 5, "k": 3, "n": 7, "premises_ok": true, "t": 2, "tight": true, "within_bound": true}',
+        "fano line": '{"bound": 5, "clique_coclique": {"applicable": true, "holds": true, "order": 35, "product": "7", "psd_first": true, "psd_second": true, "schur_gamma": "1/35", "schur_multiple_of_identity": true, "tight": false}, "detail": "ok", "family_size": 1, "k": 3, "n": 7, "premises_ok": true, "t": 2, "tight": false, "within_bound": true}',
+        "fano disjoint": '{"bound": 5, "clique_coclique": null, "detail": "family is not 2-intersecting: blocks [1, 2, 3] and [4, 5, 6] meet in too few points", "family_size": 2, "k": 3, "n": 7, "premises_ok": false, "t": 2, "tight": null, "within_bound": null}',
+        "fano mismatch": '{"bound": 5, "clique_coclique": null, "detail": "family parameters do not match the design", "family_size": 6, "k": 3, "n": 7, "premises_ok": false, "t": 2, "tight": null, "within_bound": null}',
+        "sts9 star": '{"bound": 7, "clique_coclique": {"applicable": true, "holds": true, "order": 84, "product": "84", "psd_first": true, "psd_second": true, "schur_gamma": "1/12", "schur_multiple_of_identity": true, "tight": true}, "detail": "ok", "family_size": 7, "k": 3, "n": 9, "premises_ok": true, "t": 2, "tight": true, "within_bound": true}',
+        "sts9 as 1-design": '{"bound": 28, "clique_coclique": null, "detail": "design is not a Steiner system", "family_size": 28, "k": 3, "n": 9, "premises_ok": false, "t": 1, "tight": null, "within_bound": null}',
+        "partition star": '{"bound": 7, "clique_coclique": {"applicable": true, "holds": true, "order": 28, "product": "28", "psd_first": true, "psd_second": true, "schur_gamma": "1/4", "schur_multiple_of_identity": true, "tight": true}, "detail": "ok", "family_size": 7, "k": 2, "n": 8, "premises_ok": true, "t": 1, "tight": true, "within_bound": true}',
+        "sqs8 star": '{"bound": 5, "clique_coclique": {"applicable": true, "holds": true, "order": 70, "product": "70", "psd_first": true, "psd_second": true, "schur_gamma": "1/14", "schur_multiple_of_identity": true, "tight": true}, "detail": "ok", "family_size": 5, "k": 4, "n": 8, "premises_ok": true, "t": 3, "tight": true, "within_bound": true}',
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DOCS))
+    def test_pinned_document(self, name, fano_design, sts9_design, sqs8_design):
+        design, fam = {
+            "fano star": (fano_design, star_family(7, 3, (1, 2))),
+            "fano line": (fano_design, make_family(7, 3, [[1, 2, 3]])),
+            "fano disjoint": (fano_design, make_family(7, 3, [[1, 2, 3], [4, 5, 6]])),
+            "fano mismatch": (fano_design, star_family(8, 3, (1, 2))),
+            "sts9 star": (sts9_design, star_family(9, 3, (1, 2))),
+            "sts9 as 1-design": (as_design(make_family(9, 3, STS9_BLOCKS), 1),
+                                 star_family(9, 3, (1,))),
+            "partition star": (partition_design(8, 2), star_family(8, 2, (1,))),
+            "sqs8 star": (sqs8_design, star_family(8, 4, (1, 2, 3))),
+        }[name]
+        doc = bound_from_design(design, fam).to_dict()
+        assert json.dumps(doc, sort_keys=True) == self.PINNED_DOCS[name]
