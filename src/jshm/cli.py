@@ -16,9 +16,9 @@ import os
 import sys
 
 from . import johnson
-from .exact import rat_from_str, rat_to_str
+from .exact import rat_from_str, rat_to_str, to_json
 from .johnson import SchemeParams, SizeBudgetError
-from .subsets import family_to_dict, load_family
+from .subsets import load_family
 
 # Each command imports the modules it runs when it is called, so start-up
 # compiles only those; the package itself loads exact, johnson and subsets.
@@ -33,7 +33,7 @@ EXIT_BUDGET = 3
 
 
 def _emit(payload: dict, summary: str) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(to_json(payload), sort_keys=True, indent=2) + "\n")
     if summary:
         sys.stderr.write(summary + "\n")
 
@@ -56,13 +56,7 @@ def _default_budget(args, default: int) -> int:
 
 def _cmd_scheme(args) -> int:
     es = johnson.eigensystem(SchemeParams(args.n, args.k))
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "theta1": [rat_to_str(x) for x in es.theta1],
-        "P": [[rat_to_str(x) for x in row] for row in es.P],
-        "m": list(es.m),
-    }
+    payload = {"n": args.n, "k": args.k, "theta1": es.theta1, "P": es.P, "m": es.m}
     _emit(payload, f"eigenvalue table of J({args.n},{args.k}): "
                    f"{args.k + 1} eigenspaces, order {es.params.order}")
     return EXIT_OK
@@ -71,8 +65,7 @@ def _cmd_scheme(args) -> int:
 def _cmd_wilson_omega(args) -> int:
     from . import wilson
     v = wilson.wilson_matrix(args.n, args.k, args.t, args.variant)
-    payload = {"n": args.n, "k": args.k,
-               "coeffs": [rat_to_str(c) for c in v.coeffs]}
+    payload = {"n": args.n, "k": args.k, "coeffs": v.coeffs}
     _emit(payload, f"Wilson matrix ({args.variant}) for "
                    f"(n,k,t)=({args.n},{args.k},{args.t})")
     return EXIT_OK
@@ -101,22 +94,17 @@ def _cmd_design_verify(args) -> int:
     from . import designs
     fam = load_family(args.file)
     try:
-        lam = designs.verify_design(fam, args.t)
+        design = designs.as_design(fam, args.t)
     except designs.NotADesignError as exc:
-        payload = family_to_dict(fam)
-        payload["t"] = args.t
-        payload["lambda"] = None
+        payload = designs.Design(fam, args.t, None).to_dict()
         payload["witness"] = {
-            "subset": list(exc.witness),
+            "subset": exc.witness,
             "count": exc.count,
             "expected": exc.expected,
         }
         _emit(payload, f"not a {args.t}-design: {exc}")
         return EXIT_FAILED
-    payload = family_to_dict(fam)
-    payload["t"] = args.t
-    payload["lambda"] = lam
-    _emit(payload, f"verified {args.t}-({fam.n},{fam.k},{lam}) design")
+    _emit(design.to_dict(), f"verified {args.t}-({fam.n},{fam.k},{design.lam}) design")
     return EXIT_OK
 
 
@@ -216,9 +204,7 @@ def _cmd_oracle_spectrum(args) -> int:
     coeffs = tuple(rat_from_str(c) for c in args.coeffs.split(","))
     v = johnson.BMVector(params, coeffs)
     spectrum = oracles.float_spectrum(johnson.dense(v))
-    payload = {"n": args.n, "k": args.k,
-               "coeffs": [rat_to_str(c) for c in coeffs],
-               "spectrum": spectrum}
+    payload = {"n": args.n, "k": args.k, "coeffs": coeffs, "spectrum": spectrum}
     _emit(payload, f"float spectrum of a {params.order}x{params.order} matrix")
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
+from .exact import RationalFunction, binom, binom_at_size, binom_rf, to_json
 from .johnson import (
     MAX_ENUMERATED_SUBSETS,
     MAX_TABLE_K,
@@ -60,11 +60,12 @@ class NotADesignError(ValueError):
 
 @dataclass(frozen=True)
 class Design:
-    """A verified t-(n,k,lambda) design."""
+    """A verified t-(n,k,lambda) design; ``lam`` is None only in the
+    document of a family that failed verification."""
 
     family: Family
     t: int
-    lam: int
+    lam: int | None
 
     @property
     def n(self) -> int:
@@ -79,10 +80,7 @@ class Design:
         return self.family.size
 
     def to_dict(self) -> dict:
-        doc = family_to_dict(self.family)
-        doc["t"] = self.t
-        doc["lambda"] = self.lam
-        return doc
+        return to_json({**family_to_dict(self.family), "t": self.t, "lambda": self.lam})
 
 
 def verify_design(fam: Family, t: int) -> int:
@@ -205,18 +203,18 @@ class DesignProjectionReport:
         return self.trace_ok and self.entry_sum_ok and self.relation_ok
 
     def to_dict(self) -> dict:
-        return {
+        return to_json({
             "n": self.n,
             "k": self.k,
             "t": self.t,
             "size": self.size,
-            "projection": [rat_to_str(c) for c in self.projection],
-            "scaled_identity_plus_m": [rat_to_str(c) for c in self.scaled_identity_plus_m],
+            "projection": self.projection,
+            "scaled_identity_plus_m": self.scaled_identity_plus_m,
             "trace_ok": self.trace_ok,
             "elsm_ok": self.entry_sum_ok,
             "relation_ok": self.relation_ok,
             "verified": self.verified,
-        }
+        })
 
 
 def design_projection_report(design: Design) -> DesignProjectionReport:

@@ -57,9 +57,24 @@ def rat_to_str(x: Scalar) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# rat_from_str refuses a decimal exponent beyond this in magnitude, which
+# Fraction would multiply out first ("1e999999999" takes about 415 MB);
+# finite floats end near 1e308, and 10**1000 is a 3322-bit integer
+MAX_DECIMAL_EXPONENT = 1000
+
+
 def rat_from_str(s: str) -> Fraction:
-    """Parse the "p/q" / "p" form produced by :func:`rat_to_str`."""
-    return Fraction(s.strip())
+    """Parse the "p/q" / "p" form produced by :func:`rat_to_str`, or a
+    decimal such as "-1.5e3"; an exponent beyond MAX_DECIMAL_EXPONENT in
+    magnitude, also one written with "_", raises ValueError."""
+    s = s.strip()
+    try:
+        too_large = abs(int(s.lower().partition("e")[2])) > MAX_DECIMAL_EXPONENT
+    except ValueError:  # no exponent, or a malformed one that Fraction names
+        too_large = False
+    if too_large:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT} in magnitude: {s!r}")
+    return Fraction(s)
 
 
 def _trim(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
@@ -362,6 +377,29 @@ def rf_to_str(f: RationalFunction) -> str:
     if f.den == Polynomial.const(1):
         return num
     return f"({num})/({poly_to_str(f.den)})"
+
+
+def to_json(value):
+    """The JSON form of a value, written once for every jshm document.
+
+    A Fraction becomes its "p/q" string, a rational function its text,
+    tuples and lists arrays, a dict an object of encoded values, and a
+    report its ``to_dict()``; None, bools, ints, floats and strings pass
+    through.  Anything else raises TypeError.
+    """
+    if isinstance(value, Fraction):
+        return rat_to_str(value)
+    if isinstance(value, RationalFunction):
+        return rf_to_str(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 NU = RationalFunction.variable()

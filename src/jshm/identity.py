@@ -35,7 +35,7 @@ from .designs import (
     search_design,
     DEFAULT_SEARCH_BUDGET,
 )
-from .exact import PoleError, RationalFunction, rat_to_str, rf_to_str
+from .exact import PoleError, RationalFunction, to_json
 from .johnson import (
     MAX_TABLE_N,
     BMVector,
@@ -131,16 +131,8 @@ class IdentityReport:
         witness = None
         if self.witness is not None:
             r, n, value = self.witness
-            witness = {"r": r, "n": n, "value": rat_to_str(value)}
-        return {
-            "k": self.k,
-            "t": self.t,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "equal": self.equal,
-            "h": [rf_to_str(f) for f in self.h],
-            "witness": witness,
-        }
+            witness = {"r": r, "n": n, "value": value}
+        return to_json({**vars(self), "witness": witness})
 
 
 def _validate_sides(k: int, t: int, lhs: str, rhs: str):
@@ -211,21 +203,9 @@ class PointwiseReport:
         failure = None
         if self.first_failure is not None:
             n, r, a, b = self.first_failure
-            failure = {"n": n, "r": r, "lhs": rat_to_str(a), "rhs": rat_to_str(b)}
-        return {
-            "k": self.k,
-            "t": self.t,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "n_from": self.n_from,
-            "n_to": self.n_to,
-            "points_checked": self.points_checked,
-            "points_equal": self.points_equal,
-            "skipped_poles": [],  # n >= 2k has no poles; key kept for readers
-            "first_failure": failure,
-            "equal": self.equal,
-            "threshold": self.threshold,
-        }
+            failure = {"n": n, "r": r, "lhs": a, "rhs": b}
+        # n >= 2k has no poles; the "skipped_poles" key is kept for readers
+        return to_json({**vars(self), "first_failure": failure, "skipped_poles": []})
 
 
 def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
@@ -286,8 +266,7 @@ class WitnessPoint:
     nodes: int | None
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "status": self.status, "detail": self.detail,
-                "nodes": self.nodes}
+        return to_json(vars(self))
 
 
 @dataclass(frozen=True)
@@ -305,11 +284,7 @@ class WitnessReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "points": [p.to_dict() for p in self.points],
-        }
+        return to_json(vars(self))
 
 
 def design_witness_check(k: int, t: int, ns: list[int],

@@ -22,15 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import binom
-from .subsets import colex_tuples, subset_mask
+from .subsets import MAX_ENUMERATED_SUBSETS, SizeBudgetError, colex_tuples, subset_mask
 
 # dense and the dense oracles (inclusion and disjointness matrices,
 # brute_projection, max_family) refuse orders above this fixed budget
 DEFAULT_DENSE_BUDGET = 5000
-
-# colex_masks (oracle and dense paths only) refuses larger C(n,k); admits
-# C(25,8) = 1 081 575 (~350 MB peak)
-MAX_ENUMERATED_SUBSETS = 2_000_000
 
 # eigensystem, and the numeric M and Omega, refuse k > MAX_TABLE_K or
 # n >= MAX_TABLE_N: the table costs O(k^3) products of integers of up to
@@ -38,10 +34,6 @@ MAX_ENUMERATED_SUBSETS = 2_000_000
 # int-to-str digit limit of the JSON output
 MAX_TABLE_K = 64
 MAX_TABLE_N = 2**64
-
-
-class SizeBudgetError(RuntimeError):
-    """Work refused: a dense order, an enumeration or a table exceeds its bound."""
 
 
 class SelfCheckError(RuntimeError):

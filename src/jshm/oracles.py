@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .designs import NotADesignError
-from .exact import binom
+from .exact import binom, to_json
 from .johnson import (
     DEFAULT_DENSE_BUDGET,
     MAX_ENUMERATED_SUBSETS,
@@ -165,7 +165,7 @@ class MaxFamilyResult:
     nodes: int
 
     def to_dict(self) -> dict:
-        return {
+        return to_json({
             "n": self.n,
             "k": self.k,
             "t": self.t,
@@ -173,7 +173,7 @@ class MaxFamilyResult:
             "size": self.size,
             "optimal": self.optimal,
             "nodes": self.nodes,
-        }
+        })
 
 
 def max_family(n: int, k: int, t: int,

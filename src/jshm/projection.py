@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exact import binom, rat_to_str
+from .exact import binom, to_json
 from .johnson import (
     BMVector,
     SchemeParams,
@@ -134,13 +134,13 @@ class FamilyLemmaReport:
         return self.t_intersecting and self.support_ok and self.trace_ok and self.entry_sum_ok
 
     def to_dict(self) -> dict:
-        return {
+        return to_json({
             "t_intersecting": self.t_intersecting,
             "support_ok": self.support_ok,
-            "trace": rat_to_str(self.trace),
-            "elsm": rat_to_str(self.entry_sum),
-            "coeffs": [rat_to_str(c) for c in self.coeffs],
-        }
+            "trace": self.trace,
+            "elsm": self.entry_sum,
+            "coeffs": self.coeffs,
+        })
 
 
 def family_lemma_report(fam: Family, t: int) -> FamilyLemmaReport:

@@ -13,6 +13,16 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .exact import binom
+
+# star_family, and colex_masks (oracle and dense paths only), refuse to
+# enumerate more subsets; admits C(25,8) = 1 081 575 (~350 MB peak)
+MAX_ENUMERATED_SUBSETS = 2_000_000
+
+
+class SizeBudgetError(RuntimeError):
+    """Work refused: a dense order, an enumeration or a table exceeds its bound."""
+
 
 def subset_mask(elements) -> int:
     """Bitmask with bit e-1 set for each (distinct) element e."""
@@ -110,10 +120,22 @@ def family_to_dict(fam: Family) -> dict:
 
 
 def star_family(n: int, k: int, core) -> Family:
-    """All k-subsets of {1..n} containing the given core set."""
+    """All k-subsets of {1..n} containing the given core set.
+
+    More than MAX_ENUMERATED_SUBSETS blocks raise SizeBudgetError before any
+    is built; when k = |core| the core is the one block, and the ground set,
+    of any size, is not walked.
+    """
     core = tuple(sorted(core))
-    if len(core) > k:
+    free = k - len(core)
+    if free < 0:
         raise ValueError("core larger than subset size")
+    if free == 0:
+        return make_family(n, k, [core])
+    count = binom(n - len({e for e in core if 1 <= e <= n}), free)
+    if count > MAX_ENUMERATED_SUBSETS:
+        raise SizeBudgetError(f"star of {count} blocks exceeds the enumeration cap "
+                              f"{MAX_ENUMERATED_SUBSETS}")
     rest = [e for e in range(1, n + 1) if e not in core]
-    blocks = [core + extra for extra in combinations(rest, k - len(core))]
+    blocks = [core + extra for extra in combinations(rest, free)]
     return make_family(n, k, blocks)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str
+from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str, to_json
 from .johnson import (
     BMVector,
     SchemeParams,
@@ -121,17 +121,7 @@ class CliqueCocliqueReport:
     tight: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "psd_first": self.psd_first,
-            "psd_second": self.psd_second,
-            "schur_multiple_of_identity": self.schur_multiple_of_identity,
-            "schur_gamma": None if self.schur_gamma is None else rat_to_str(self.schur_gamma),
-            "applicable": self.applicable,
-            "product": None if self.product is None else rat_to_str(self.product),
-            "order": self.order,
-            "holds": self.holds,
-            "tight": self.tight,
-        }
+        return to_json(vars(self))
 
 
 def clique_coclique(u: BMVector, v: BMVector) -> CliqueCocliqueReport:
@@ -186,23 +176,23 @@ class EKRCertificate:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
+        return to_json({
             "n": self.n,
             "k": self.k,
             "t": self.t,
             "variant": self.variant,
-            "coeffs": [rat_to_str(c) for c in self.matrix.coeffs],
-            "spectrum": [rat_to_str(x) for x in self.spectrum],
+            "coeffs": self.matrix.coeffs,
+            "spectrum": self.spectrum,
             "psd": self.psd,
-            "min_eigenvalue": rat_to_str(self.min_eigenvalue),
+            "min_eigenvalue": self.min_eigenvalue,
             "support_ok": self.support_ok,
-            "ratio": rat_to_str(self.ratio),
+            "ratio": self.ratio,
             "ratio_ok": self.ratio_ok,
             "bound": self.bound,
             "regime_ok": self.regime_ok,
             "valid": self.valid,
-            "notes": list(self.notes),
-        }
+            "notes": self.notes,
+        })
 
 
 def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCertificate:
@@ -279,18 +269,18 @@ class DesignBoundReport:
     tight: bool | None
 
     def to_dict(self) -> dict:
-        return {
+        return to_json({
             "n": self.n,
             "k": self.k,
             "t": self.t,
             "premises_ok": self.premises_ok,
             "detail": self.detail,
-            "clique_coclique": None if self.clique is None else self.clique.to_dict(),
+            "clique_coclique": self.clique,
             "bound": self.bound,
             "family_size": self.family_size,
             "within_bound": self.within_bound,
             "tight": self.tight,
-        }
+        })
 
 
 def bound_from_design(design: Design, fam: Family) -> DesignBoundReport:
@@ -305,29 +295,22 @@ def bound_from_design(design: Design, fam: Family) -> DesignBoundReport:
 
     n, k, t = design.n, design.k, design.t
     bound = binom(n - t, k - t)
+
+    def refused(detail):
+        return DesignBoundReport(n, k, t, False, detail, None, bound, fam.size, None, None)
+
     if fam.n != n or fam.k != k:
-        return DesignBoundReport(
-            n, k, t, False, "family parameters do not match the design",
-            None, bound, fam.size, None, None,
-        )
+        return refused("family parameters do not match the design")
     if design.lam != 1:
-        return DesignBoundReport(
-            n, k, t, False, "design is not a Steiner system",
-            None, bound, fam.size, None, None,
-        )
+        return refused("design is not a Steiner system")
     lemma = family_lemma_report(fam, t)
     if not lemma.t_intersecting:
-        return DesignBoundReport(
-            n, k, t, False,
-            f"family is not {t}-intersecting: blocks "
-            f"{list(lemma.violating_pair[0])} and {list(lemma.violating_pair[1])} "
-            "meet in too few points",
-            None, bound, fam.size, None, None,
-        )
-    fam_side = project_family(fam)
-    design_side = project_family(design.family).scale(
-        Fraction(SchemeParams(n, k).order, design.size)
-    )
+        a, b = lemma.violating_pair
+        return refused(f"family is not {t}-intersecting: blocks {list(a)} and {list(b)} "
+                       "meet in too few points")
+    params = SchemeParams(n, k)
+    fam_side = BMVector(params, lemma.coeffs)  # the lemma projected the family
+    design_side = project_family(design.family).scale(Fraction(params.order, design.size))
     clique = clique_coclique(fam_side, design_side)
     return DesignBoundReport(
         n=n,

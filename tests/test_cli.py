@@ -355,6 +355,17 @@ class TestOracle:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and "finite float" in captured.err
 
+    @pytest.mark.parametrize("coeffs", ["1e999999999,0,0", "0,-1E+999_999_999,0",
+                                        "0,0,1e-999999999"])
+    def test_spectrum_huge_exponent(self, capsys, coeffs):
+        # Fraction alone would build the integer 10**999999999, about 415 MB
+        start = time.perf_counter()
+        code = main(["oracle", "spectrum", "--n", "5", "--k", "2", "--coeffs", coeffs])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "decimal exponent" in captured.err
+
 
 class TestDeterminismAndEnv:
     @pytest.mark.parametrize("argv", [

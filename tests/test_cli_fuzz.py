@@ -32,7 +32,8 @@ WILD = {
     "--rhs": st.sampled_from(["bogus", "omega_literal"]),
     "--budget": st.one_of(st.integers(-2, 1000).map(str), st.sampled_from(MALFORMED)),
     "--coeffs": st.one_of(
-        st.sampled_from(["1/0", "0,1/0,1", "1,,2", "1/2/3", "nan", "inf", "1e400"]),
+        st.sampled_from(["1/0", "0,1/0,1", "1,,2", "1/2/3", "nan", "inf", "1e400",
+                         "1e999999999", "0,1e999_999_999,0"]),
         st.lists(st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "", " 2"]),
                  max_size=12).map(",".join)),
 }

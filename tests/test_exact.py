@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jshm.exact import (
+    MAX_DECIMAL_EXPONENT,
     NU,
     PoleError,
     Polynomial,
@@ -210,6 +211,19 @@ class TestSerialization:
     @given(small_fractions)
     def test_roundtrip(self, x):
         assert rat_from_str(rat_to_str(x)) == x
+
+    def test_decimal_exponent_bound(self):
+        assert rat_from_str(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+        assert rat_from_str(f"-2.5E-{MAX_DECIMAL_EXPONENT}") == Fraction(-5, 2 * 10**MAX_DECIMAL_EXPONENT)
+        for s in [f"1e{MAX_DECIMAL_EXPONENT + 1}", f"1e-{MAX_DECIMAL_EXPONENT + 1}",
+                  "1e999999999", "1E+999_999_999", " -3.5e1_0_0_1 "]:
+            with pytest.raises(ValueError, match="exponent"):
+                rat_from_str(s)
+
+    @pytest.mark.parametrize("s", ["1e", "e5", "1e5/3", "1e_5", "1ee5"])
+    def test_malformed_exponent(self, s):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            rat_from_str(s)
 
     def test_poly_string(self):
         assert poly_to_str(binom_poly(-2, 2)) == "1/2*nu^2 - 5/2*nu + 3"

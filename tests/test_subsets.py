@@ -1,12 +1,16 @@
 import json
+import time
 from itertools import combinations
 
 import pytest
 
+import jshm
+from jshm import johnson, subsets
 from jshm.exact import binom
 from jshm.oracles import colex_rank
 from jshm.subsets import (
     Family,
+    SizeBudgetError,
     colex_tuples,
     family_from_dict,
     family_to_dict,
@@ -120,6 +124,29 @@ class TestStarFamily:
     def test_members_contain_core(self):
         for m in star_family(7, 3, (1, 2)).members:
             assert {1, 2} <= set(m)
+
+    def test_budget(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeBudgetError, match="enumeration cap"):
+            star_family(100, 50, (1,))
+        assert time.perf_counter() - start < 0.1
+
+    def test_budget_boundary(self, monkeypatch):
+        # C(6,2) = 15 blocks: admitted at a cap of 15, refused below it
+        monkeypatch.setattr(subsets, "MAX_ENUMERATED_SUBSETS", 15)
+        assert star_family(7, 3, (1,)).size == 15
+        monkeypatch.setattr(subsets, "MAX_ENUMERATED_SUBSETS", 14)
+        with pytest.raises(SizeBudgetError):
+            star_family(7, 3, (1,))
+
+    def test_core_is_the_only_block(self):
+        start = time.perf_counter()
+        fam = star_family(10**30, 3, (3, 1, 2))
+        assert fam.members == ((1, 2, 3),)
+        assert time.perf_counter() - start < 0.1
+
+    def test_budget_error_is_one_class(self):
+        assert jshm.SizeBudgetError is johnson.SizeBudgetError is SizeBudgetError
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):

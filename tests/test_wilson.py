@@ -15,6 +15,7 @@ from jshm.johnson import (
     identity_vector,
     schur,
 )
+from jshm import projection
 from jshm.projection import project_family
 from jshm.subsets import make_family, star_family
 from jshm.wilson import (
@@ -275,6 +276,19 @@ class TestBoundFromDesign:
         assert doubled.lam == 4
         rep = bound_from_design(doubled, star_family(9, 3, (1,)))
         assert not rep.premises_ok
+
+    def test_family_projected_once(self, fano_design, monkeypatch):
+        calls = []
+        counted = projection.pair_distribution
+
+        def counting(fam):
+            calls.append(fam)
+            return counted(fam)
+
+        monkeypatch.setattr(projection, "pair_distribution", counting)
+        doc = bound_from_design(fano_design, star_family(7, 3, (1, 2))).to_dict()
+        assert len(calls) == 2  # the family and the design
+        assert json.dumps(doc, sort_keys=True) == self.PINNED_DOCS["fano star"]
 
     # case -> the report document, keys sorted, as the parent gave it
     PINNED_DOCS = {
