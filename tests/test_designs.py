@@ -238,7 +238,8 @@ class TestDesignProjectionIdentity:
         with pytest.raises(ValueError, match="Steiner"):
             design_projection_report(as_design(fam, 2))
 
-    # design -> its report document, keys sorted, as the parent gave it
+    # design -> its report document, keys sorted, as the hand-written
+    # to_dict gave it before exact.to_json
     PINNED_DOCS = {
         "fano": '{"elsm_ok": true, "k": 3, "n": 7, "projection": ["1/5", "0", "1/15", "0"], "relation_ok": true, "scaled_identity_plus_m": ["1/5", "0", "1/15", "0"], "size": 7, "t": 2, "trace_ok": true, "verified": true}',
         "sts9": '{"elsm_ok": true, "k": 3, "n": 9, "projection": ["1/7", "0", "1/35", "1/70"], "relation_ok": true, "scaled_identity_plus_m": ["1/7", "0", "1/35", "1/70"], "size": 12, "t": 2, "trace_ok": true, "verified": true}',

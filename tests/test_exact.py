@@ -214,7 +214,8 @@ class TestSerialization:
 
     def test_decimal_exponent_bound(self):
         assert rat_from_str(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
-        assert rat_from_str(f"-2.5E-{MAX_DECIMAL_EXPONENT}") == Fraction(-5, 2 * 10**MAX_DECIMAL_EXPONENT)
+        assert (rat_from_str(f"-2.5E-{MAX_DECIMAL_EXPONENT}")
+                == Fraction(-5, 2 * 10**MAX_DECIMAL_EXPONENT))
         for s in [f"1e{MAX_DECIMAL_EXPONENT + 1}", f"1e-{MAX_DECIMAL_EXPONENT + 1}",
                   "1e999999999", "1E+999_999_999", " -3.5e1_0_0_1 "]:
             with pytest.raises(ValueError, match="exponent"):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jshm import projection
 from jshm.designs import as_design, partition_design
 from jshm.exact import binom
 from jshm.johnson import (
@@ -15,7 +16,6 @@ from jshm.johnson import (
     identity_vector,
     schur,
 )
-from jshm import projection
 from jshm.projection import project_family
 from jshm.subsets import make_family, star_family
 from jshm.wilson import (
@@ -185,7 +185,7 @@ class TestCliqueCoclique:
             assert prod.coeffs[0] == star.coeffs[0]
 
     def test_pinned_documents(self):
-        # keys sorted, as the parent gave them
+        # keys sorted, as the hand-written to_dict gave them before exact.to_json
         below = clique_coclique(certificate_matrix(8, 4, 2),
                                 project_family(star_family(8, 4, (1, 2))))
         assert json.dumps(below.to_dict(), sort_keys=True) == (
@@ -290,7 +290,8 @@ class TestBoundFromDesign:
         assert len(calls) == 2  # the family and the design
         assert json.dumps(doc, sort_keys=True) == self.PINNED_DOCS["fano star"]
 
-    # case -> the report document, keys sorted, as the parent gave it
+    # case -> the report document, keys sorted, as the hand-written to_dict
+    # methods gave it before exact.to_json
     PINNED_DOCS = {
         "fano star": '{"bound": 5, "clique_coclique": {"applicable": true, "holds": true, "order": 35, "product": "35", "psd_first": true, "psd_second": true, "schur_gamma": "1/7", "schur_multiple_of_identity": true, "tight": true}, "detail": "ok", "family_size": 5, "k": 3, "n": 7, "premises_ok": true, "t": 2, "tight": true, "within_bound": true}',
         "fano line": '{"bound": 5, "clique_coclique": {"applicable": true, "holds": true, "order": 35, "product": "7", "psd_first": true, "psd_second": true, "schur_gamma": "1/35", "schur_multiple_of_identity": true, "tight": false}, "detail": "ok", "family_size": 1, "k": 3, "n": 7, "premises_ok": true, "t": 2, "tight": false, "within_bound": true}',
