@@ -1,5 +1,6 @@
 """The JSON encoder and the documents of every report type."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -89,3 +90,37 @@ def test_every_report_type_is_covered():
 def test_document_is_strict_json(name):
     doc = REPORTS[name].to_dict()
     assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
+# report -> first 16 hex digits of the sha256 of json.dumps(doc, sort_keys=True),
+# taken from the hand-written document methods
+PINNED = {
+    "CliqueCocliqueReport": "0150d045e7bfbc8b",
+    "CliqueCocliqueReport, premises fail": "a23491962dfcca4b",
+    "Design": "1ade99910e573ad0",
+    "DesignBoundReport": "75180f11d9c99baf",
+    "DesignBoundReport, premises fail": "15508b18c8a79b8d",
+    "DesignProjectionReport": "d4715904f52c5373",
+    "EKRCertificate": "0064030f29e38a72",
+    "EKRCertificate, below the regime": "b63a6d4fe0925a49",
+    "FamilyLemmaReport": "3a94defcb10952e7",
+    "FamilyLemmaReport, not intersecting": "1139eff9966f8a54",
+    "IdentityReport": "fcc3032e5509f4da",
+    "IdentityReport, with a witness": "d145b74f42b0d2cf",
+    "MaxFamilyResult": "4cb00ef143f09916",
+    "PointwiseReport": "c283e00873d03aaa",
+    "PointwiseReport, with a failure": "11c6bceade84fcd3",
+    "WitnessPoint": "8219b88b806bdbd6",
+    "WitnessPoint, no nodes": "3a6c850035e1fd19",
+    "WitnessReport": "9113826a3417485f",
+}
+
+
+def test_every_report_is_pinned():
+    assert sorted(PINNED) == sorted(REPORTS)
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_document_is_pinned(name):
+    text = json.dumps(REPORTS[name].to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED[name]
