@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exact import RationalFunction, binom, binom_at_size, binom_rf, to_json
+from .exact import RationalFunction, Report, binom, binom_at_size, binom_rf, to_json
 from .johnson import (
     MAX_ENUMERATED_SUBSETS,
     MAX_TABLE_K,
@@ -36,7 +36,6 @@ from .johnson import (
     BMVector,
     SchemeParams,
     SizeBudgetError,
-    check_table_bound,
     entry_sum,
     plus_identity,
     trace,
@@ -59,7 +58,7 @@ class NotADesignError(ValueError):
 
 
 @dataclass(frozen=True)
-class Design:
+class Design(Report):
     """A verified t-(n,k,lambda) design; ``lam`` is None only in the
     document of a family that failed verification."""
 
@@ -79,7 +78,7 @@ class Design:
     def size(self) -> int:
         return self.family.size
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict:  # the family's document, with t and lambda merged in
         return to_json({**family_to_dict(self.family), "t": self.t, "lambda": self.lam})
 
 
@@ -152,7 +151,6 @@ def design_matrix(n: int, k: int, t: int) -> BMVector:
     params = SchemeParams(n, k)
     if k > n - k:
         raise ValueError(f"out of regime: C({n - k},{k}) = 0 (need k <= n-k)")
-    check_table_bound(params)
     return BMVector(params, tuple(_design_coeffs(binom_at_size(n), k, t)))
 
 
@@ -181,7 +179,7 @@ def _design_coeffs(binom_at, k, t):
 
 
 @dataclass(frozen=True)
-class DesignProjectionReport:
+class DesignProjectionReport(Report):
     """Relation between a Steiner design's projection and M(n,k,t).
 
     Checks trace = |D|, entry sum = |D|^2, and the coefficientwise identity
@@ -195,26 +193,9 @@ class DesignProjectionReport:
     projection: tuple[Fraction, ...]
     scaled_identity_plus_m: tuple[Fraction, ...]
     trace_ok: bool
-    entry_sum_ok: bool
+    elsm_ok: bool
     relation_ok: bool
-
-    @property
-    def verified(self) -> bool:
-        return self.trace_ok and self.entry_sum_ok and self.relation_ok
-
-    def to_dict(self) -> dict:
-        return to_json({
-            "n": self.n,
-            "k": self.k,
-            "t": self.t,
-            "size": self.size,
-            "projection": self.projection,
-            "scaled_identity_plus_m": self.scaled_identity_plus_m,
-            "trace_ok": self.trace_ok,
-            "elsm_ok": self.entry_sum_ok,
-            "relation_ok": self.relation_ok,
-            "verified": self.verified,
-        })
+    verified: bool
 
 
 def design_projection_report(design: Design) -> DesignProjectionReport:
@@ -226,6 +207,9 @@ def design_projection_report(design: Design) -> DesignProjectionReport:
     m = design_matrix(fam.n, fam.k, design.t)
     scale = Fraction(fam.size, params.order)
     rhs = BMVector(params, tuple(plus_identity(m.coeffs))).scale(scale)
+    trace_ok = trace(proj) == fam.size
+    elsm_ok = entry_sum(proj) == fam.size * fam.size
+    relation_ok = proj.coeffs == rhs.coeffs
     return DesignProjectionReport(
         n=fam.n,
         k=fam.k,
@@ -233,9 +217,10 @@ def design_projection_report(design: Design) -> DesignProjectionReport:
         size=fam.size,
         projection=proj.coeffs,
         scaled_identity_plus_m=rhs.coeffs,
-        trace_ok=trace(proj) == fam.size,
-        entry_sum_ok=entry_sum(proj) == fam.size * fam.size,
-        relation_ok=proj.coeffs == rhs.coeffs,
+        trace_ok=trace_ok,
+        elsm_ok=elsm_ok,
+        relation_ok=relation_ok,
+        verified=trace_ok and elsm_ok and relation_ok,
     )
 
 

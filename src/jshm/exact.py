@@ -384,8 +384,8 @@ def to_json(value):
 
     A Fraction becomes its "p/q" string, a rational function its text,
     tuples and lists arrays, a dict an object of encoded values, and a
-    report its ``to_dict()``; None, bools, ints, floats and strings pass
-    through.  Anything else raises TypeError.
+    :class:`Report` its ``to_dict()``; None, bools, ints, floats and strings
+    pass through.  Anything else raises TypeError.
     """
     if isinstance(value, Fraction):
         return rat_to_str(value)
@@ -395,11 +395,22 @@ def to_json(value):
         return [to_json(v) for v in value]
     if isinstance(value, dict):
         return {key: to_json(v) for key, v in value.items()}
-    if hasattr(value, "to_dict"):
+    if isinstance(value, Report):
         return value.to_dict()
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+class Report:
+    """A result whose JSON document is its fields, encoded by :func:`to_json`.
+
+    A subclass overrides ``to_dict`` only where its document differs from
+    its fields, and says why beside the override.
+    """
+
+    def to_dict(self) -> dict:
+        return to_json(vars(self))
 
 
 NU = RationalFunction.variable()

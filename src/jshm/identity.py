@@ -35,7 +35,7 @@ from .designs import (
     search_design,
     DEFAULT_SEARCH_BUDGET,
 )
-from .exact import PoleError, RationalFunction, to_json
+from .exact import PoleError, RationalFunction, Report, to_json
 from .johnson import (
     MAX_TABLE_N,
     BMVector,
@@ -116,7 +116,7 @@ def numeric_side(name: str, n: int, k: int, t: int) -> BMVector:
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Report):
     """Outcome of a symbolic coefficient comparison."""
 
     k: int
@@ -127,7 +127,7 @@ class IdentityReport:
     equal: bool
     witness: tuple[int, int, Fraction] | None  # (r, n, h_r(n))
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict:  # the witness field stays a tuple: perfbench/checks.py unpacks it
         witness = None
         if self.witness is not None:
             r, n, value = self.witness
@@ -184,7 +184,7 @@ def _sample_nonzero(f: RationalFunction, k: int) -> tuple[int, Fraction]:
 
 
 @dataclass(frozen=True)
-class PointwiseReport:
+class PointwiseReport(Report):
     """Outcome of exact evaluation of both sides over an integer range."""
 
     k: int
@@ -199,12 +199,12 @@ class PointwiseReport:
     equal: bool
     threshold: int
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict:  # perfbench/workloads.py reads the "skipped_poles" key
         failure = None
         if self.first_failure is not None:
             n, r, a, b = self.first_failure
             failure = {"n": n, "r": r, "lhs": a, "rhs": b}
-        # n >= 2k has no poles; the "skipped_poles" key is kept for readers
+        # n >= 2k has no poles, so none is skipped
         return to_json({**vars(self), "first_failure": failure, "skipped_poles": []})
 
 
@@ -259,18 +259,15 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
 
 
 @dataclass(frozen=True)
-class WitnessPoint:
+class WitnessPoint(Report):
     n: int
     status: str  # verified | failed | inadmissible | not-found | unverified
     detail: str
     nodes: int | None
 
-    def to_dict(self) -> dict:
-        return to_json(vars(self))
-
 
 @dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Report):
     """The identity verified through explicitly found Steiner systems."""
 
     k: int
@@ -282,9 +279,6 @@ class WitnessReport:
         return all(p.status != "failed" for p in self.points) and any(
             p.status == "verified" for p in self.points
         )
-
-    def to_dict(self) -> dict:
-        return to_json(vars(self))
 
 
 def design_witness_check(k: int, t: int, ns: list[int],

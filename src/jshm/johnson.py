@@ -28,10 +28,10 @@ from .subsets import MAX_ENUMERATED_SUBSETS, SizeBudgetError, colex_tuples, subs
 # brute_projection, max_family) refuse orders above this fixed budget
 DEFAULT_DENSE_BUDGET = 5000
 
-# eigensystem, and the numeric M and Omega, refuse k > MAX_TABLE_K or
-# n >= MAX_TABLE_N: the table costs O(k^3) products of integers of up to
-# k*log2(n) bits, and at n < 2**64 every entry stays far below the
-# int-to-str digit limit of the JSON output
+# SchemeParams refuses k > MAX_TABLE_K or n >= MAX_TABLE_N, which bounds
+# every algebra element: the table costs O(k^3) products of integers of up
+# to k*log2(n) bits, a projection grows about as k^2.7, and at n < 2**64
+# every entry stays far below the int-to-str digit limit of the JSON output
 MAX_TABLE_K = 64
 MAX_TABLE_N = 2**64
 
@@ -42,7 +42,7 @@ class SelfCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Parameters (n, k) of the Johnson scheme J(n,k)."""
+    """Parameters (n, k) of the Johnson scheme J(n,k), within the table bound."""
 
     n: int
     k: int
@@ -50,6 +50,9 @@ class SchemeParams:
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        if self.k > MAX_TABLE_K or self.n >= MAX_TABLE_N:
+            raise SizeBudgetError(f"J({self.n},{self.k}) exceeds "
+                                  f"the table bound k <= {MAX_TABLE_K}, n < 2**64")
 
     @property
     def order(self) -> int:
@@ -128,7 +131,8 @@ def all_ones_vector(params: SchemeParams) -> BMVector:
     return BMVector(params, tuple(Fraction(1) for _ in range(params.num_classes)))
 
 
-@lru_cache(maxsize=None)
+# up to 2*10**6 masks each: the memo keeps the few a dense oracle reuses
+@lru_cache(maxsize=4)
 def colex_masks(n: int, k: int) -> tuple[int, ...]:
     """Bitmasks of all k-subsets in colex order (cached; sweeps reuse it)."""
     if binom(n, k) > MAX_ENUMERATED_SUBSETS:
@@ -192,15 +196,8 @@ class EigenSystem:
     m: tuple[int, ...]
 
 
-def check_table_bound(params: SchemeParams) -> None:
-    """Raise SizeBudgetError when J(n,k) is beyond the table bound, which also
-    bounds the numeric M(n,k,t) and Omega(n,k,t)."""
-    if params.k > MAX_TABLE_K or params.n >= MAX_TABLE_N:
-        raise SizeBudgetError(f"J({params.n},{params.k}) exceeds "
-                              f"the table bound k <= {MAX_TABLE_K}, n < 2**64")
-
-
-@lru_cache(maxsize=None)
+# a table within the bound holds at most about 1.1 MB
+@lru_cache(maxsize=32)
 def eigensystem(params: SchemeParams) -> EigenSystem:
     """Build and self-verify the eigenvalue table of J(n,k).
 
@@ -210,13 +207,12 @@ def eigensystem(params: SchemeParams) -> EigenSystem:
     O(k^3) cost; nothing is enumerated.  Before returning, the eigenspace
     dimensions must sum to C(n,k), each row must sum to C(n,k) on the
     trivial eigenspace and 0 elsewhere, every class but A_0 must have zero
-    trace, and column 1 must equal (k-j)(n-k-j) - j.  Tables with k above
-    MAX_TABLE_K or n of MAX_TABLE_N or more are refused with SizeBudgetError.
+    trace, and column 1 must equal (k-j)(n-k-j) - j.  The table bound is
+    checked by SchemeParams.
     """
     n, k = params.n, params.k
     if k > n - k:
         raise ValueError(f"eigensystem requires k <= n-k, got k={k}, n={n}")
-    check_table_bound(params)
 
     table = []
     for j in range(k + 1):

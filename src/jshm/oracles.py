@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .designs import NotADesignError
-from .exact import binom, to_json
+from .exact import Report, binom, to_json
 from .johnson import (
     DEFAULT_DENSE_BUDGET,
     MAX_ENUMERATED_SUBSETS,
@@ -153,7 +153,7 @@ DEFAULT_CLIQUE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
-class MaxFamilyResult:
+class MaxFamilyResult(Report):
     """Largest t-intersecting family found; optimal means search completed."""
 
     n: int
@@ -164,7 +164,7 @@ class MaxFamilyResult:
     optimal: bool
     nodes: int
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict:  # the witness field stays a Family: the tests project it
         return to_json({
             "n": self.n,
             "k": self.k,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exact import binom, to_json
+from .exact import Report, binom, to_json
 from .johnson import (
     BMVector,
     SchemeParams,
@@ -111,7 +111,7 @@ def _per_one(total: Fraction, params: SchemeParams, r: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class FamilyLemmaReport:
+class FamilyLemmaReport(Report):
     """Diagnostic check of the projection of a t-intersecting family.
 
     When the family is t-intersecting its projection must be supported on
@@ -133,7 +133,7 @@ class FamilyLemmaReport:
     def verified(self) -> bool:
         return self.t_intersecting and self.support_ok and self.trace_ok and self.entry_sum_ok
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict:  # verified and bound_from_design read fields left out here
         return to_json({
             "t_intersecting": self.t_intersecting,
             "support_ok": self.support_ok,

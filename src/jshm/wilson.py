@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact import RationalFunction, binom, binom_at_size, binom_rf, rat_to_str, to_json
+from .exact import RationalFunction, Report, binom, binom_at_size, binom_rf, rat_to_str
 from .johnson import (
     BMVector,
     SchemeParams,
-    check_table_bound,
     entry_sum,
     plus_identity,
     psd_report,
@@ -56,9 +55,7 @@ def wilson_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVecto
     _check_variant(variant)
     if not 1 <= t <= k <= n - k:
         raise ValueError(f"need 1 <= t <= k <= n-k, got t={t}, k={k}, n={n}")
-    params = SchemeParams(n, k)
-    check_table_bound(params)
-    return BMVector(params, tuple(_omega_coeffs(binom_at_size(n), k, t, variant)))
+    return BMVector(SchemeParams(n, k), tuple(_omega_coeffs(binom_at_size(n), k, t, variant)))
 
 
 def certificate_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVector:
@@ -102,7 +99,7 @@ def sum_trace_ratio(v: BMVector) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CliqueCocliqueReport:
+class CliqueCocliqueReport(Report):
     """The clique-coclique inequality for two algebra elements.
 
     Premises: both positive semidefinite, and their entrywise product is a
@@ -119,9 +116,6 @@ class CliqueCocliqueReport:
     order: int
     holds: bool | None
     tight: bool | None
-
-    def to_dict(self) -> dict:
-        return to_json(vars(self))
 
 
 def clique_coclique(u: BMVector, v: BMVector) -> CliqueCocliqueReport:
@@ -153,7 +147,7 @@ def clique_coclique(u: BMVector, v: BMVector) -> CliqueCocliqueReport:
 
 
 @dataclass(frozen=True)
-class EKRCertificate:
+class EKRCertificate(Report):
     """Exact certificate that t-intersecting families in J(n,k) have size
     at most C(n-t, k-t)."""
 
@@ -161,38 +155,17 @@ class EKRCertificate:
     k: int
     t: int
     variant: str
-    matrix: BMVector
+    coeffs: tuple[Fraction, ...]  # of I + Omega on A_0..A_k
     spectrum: tuple[Fraction, ...]
     psd: bool
     min_eigenvalue: Fraction
-    argmin: int
     support_ok: bool
     ratio: Fraction
-    ratio_target: Fraction
     ratio_ok: bool
     bound: int
     regime_ok: bool
     valid: bool
     notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return to_json({
-            "n": self.n,
-            "k": self.k,
-            "t": self.t,
-            "variant": self.variant,
-            "coeffs": self.matrix.coeffs,
-            "spectrum": self.spectrum,
-            "psd": self.psd,
-            "min_eigenvalue": self.min_eigenvalue,
-            "support_ok": self.support_ok,
-            "ratio": self.ratio,
-            "ratio_ok": self.ratio_ok,
-            "bound": self.bound,
-            "regime_ok": self.regime_ok,
-            "valid": self.valid,
-            "notes": self.notes,
-        })
 
 
 def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCertificate:
@@ -206,7 +179,7 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         raise ValueError(f"need 1 <= t < k, got t={t}, k={k}")
     if k > n - k:
         raise ValueError(f"need k <= n-k, got k={k}, n={n}")
-    # wilson_matrix refuses the table bound before any big-integer work
+    # SchemeParams refuses the table bound before any big-integer work
     nabla = certificate_matrix(n, k, t, variant)
     rep = psd_report(nabla)
     sup = support_ok(nabla, t)
@@ -237,14 +210,12 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         k=k,
         t=t,
         variant=variant,
-        matrix=nabla,
+        coeffs=nabla.coeffs,
         spectrum=rep.spectrum,
         psd=rep.psd,
         min_eigenvalue=rep.min_eigenvalue,
-        argmin=rep.argmin,
         support_ok=sup,
         ratio=ratio,
-        ratio_target=target,
         ratio_ok=ratio_ok,
         bound=bound,
         regime_ok=regime_ok,
@@ -254,7 +225,7 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
 
 
 @dataclass(frozen=True)
-class DesignBoundReport:
+class DesignBoundReport(Report):
     """The intersecting-family bound derived from an explicit Steiner design."""
 
     n: int
@@ -262,25 +233,11 @@ class DesignBoundReport:
     t: int
     premises_ok: bool
     detail: str
-    clique: CliqueCocliqueReport | None
+    clique_coclique: CliqueCocliqueReport | None
     bound: int
     family_size: int
     within_bound: bool | None
     tight: bool | None
-
-    def to_dict(self) -> dict:
-        return to_json({
-            "n": self.n,
-            "k": self.k,
-            "t": self.t,
-            "premises_ok": self.premises_ok,
-            "detail": self.detail,
-            "clique_coclique": self.clique,
-            "bound": self.bound,
-            "family_size": self.family_size,
-            "within_bound": self.within_bound,
-            "tight": self.tight,
-        })
 
 
 def bound_from_design(design: Design, fam: Family) -> DesignBoundReport:
@@ -318,7 +275,7 @@ def bound_from_design(design: Design, fam: Family) -> DesignBoundReport:
         t=t,
         premises_ok=clique.applicable,
         detail="ok" if clique.applicable else "clique-coclique premises failed",
-        clique=clique,
+        clique_coclique=clique,
         bound=bound,
         family_size=fam.size,
         within_bound=fam.size <= bound,

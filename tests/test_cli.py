@@ -155,6 +155,15 @@ class TestProject:
                              "--t", "1")
         assert code == 2
 
+    def test_beyond_the_table_bound(self, capsys, tmp_path):
+        # a projection's cost grows about as k^2.7, so k above the table
+        # bound is refused before the pair distribution is counted
+        path = write_family(tmp_path, 10**30, 65, [list(range(1, 66))])
+        start = time.perf_counter()
+        code, _, out = run_cli(capsys, "project", "--file", path, "--t", "1")
+        assert (code, out) == (3, "")
+        assert time.perf_counter() - start < 0.5
+
 
 class TestDesign:
     def test_verify_fano(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """The JSON encoder and the documents of every report type."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from jshm.designs import as_design, design_projection_report
-from jshm.exact import NU, to_json
+from jshm.exact import NU, Report, to_json
 from jshm.identity import compare_pointwise, compare_symbolic, design_witness_check
 from jshm.oracles import max_family
 from jshm.projection import family_lemma_report, project_family
@@ -84,6 +85,27 @@ REPORTS = _reports()
 
 def test_every_report_type_is_covered():
     assert len({type(r).__name__ for r in REPORTS.values()}) == 11
+    assert all(isinstance(r, Report) for r in REPORTS.values())
+
+
+# the reports whose document is not their fields, each with its reason
+# beside its to_dict
+OVERRIDES = {"Design", "FamilyLemmaReport", "IdentityReport", "PointwiseReport",
+             "MaxFamilyResult"}
+
+
+def test_only_the_overrides_define_to_dict():
+    own = {type(r).__name__ for r in REPORTS.values() if "to_dict" in vars(type(r))}
+    assert own == OVERRIDES
+
+
+@pytest.mark.parametrize("name", sorted(n for n, r in REPORTS.items()
+                                        if type(r).__name__ not in OVERRIDES))
+def test_document_is_the_fields(name):
+    report = REPORTS[name]
+    doc = report.to_dict()
+    assert set(doc) == {f.name for f in dataclasses.fields(report)}
+    assert doc == to_json(vars(report))
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))

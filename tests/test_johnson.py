@@ -277,6 +277,15 @@ class TestEigenSystem:
         es = eigensystem(SchemeParams(2**64 - 1, 64))
         assert sum(es.m) == binom(2**64 - 1, 64)
 
+    def test_scheme_params_carry_the_table_bound(self):
+        # every algebra element is bounded, projections included; an input
+        # both beyond the bound and invalid (2k > n) is refused as a budget
+        for n, k in [(200, 65), (2**64, 2), (100, 70), (10**30, 65)]:
+            with pytest.raises(SizeBudgetError, match="table bound"):
+                SchemeParams(n, k)
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            SchemeParams(3, 70)
+
     def test_random_vectors_match_float_oracle(self):
         rng = random.Random(88)
         for (n, k) in [(6, 3), (7, 3), (8, 4)]:
@@ -343,3 +352,12 @@ def test_colex_order_of_dense_rows():
         for j, t in enumerate(subsets):
             expected = 1 if len(set(s) & set(t)) == 1 else 0
             assert mat[i][j] == expected
+
+
+@pytest.mark.parametrize("memo, args", [(eigensystem, lambda n: (SchemeParams(n, 2),)),
+                                        (colex_masks, lambda n: (n, 1))])
+def test_memo_is_bounded(memo, args):
+    maxsize = memo.cache_info().maxsize
+    for n in range(4, 4 + maxsize + 5):  # more sizes than the memo holds
+        memo(*args(n))
+    assert memo.cache_info().currsize <= maxsize

@@ -252,7 +252,7 @@ class TestBoundFromDesign:
         assert rep.premises_ok
         assert rep.bound == 5 and rep.family_size == 5
         assert rep.within_bound and rep.tight
-        assert rep.clique.tight
+        assert rep.clique_coclique.tight
 
     def test_fano_single_line(self, fano_design):
         rep = bound_from_design(fano_design, make_family(7, 3, [[1, 2, 3]]))
