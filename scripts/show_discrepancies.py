@@ -59,7 +59,7 @@ def main() -> None:
     for lhs, rhs in [("m", "omega_corrected"), ("m_plus_i", "nabla_corrected"),
                      ("m_plus_i", "omega_corrected"), ("m", "nabla_corrected")]:
         rep = compare_symbolic(3, 2, lhs, rhs)
-        verdict = "equal" if rep.equal else f"NOT equal (witness class {rep.witness[0]})"
+        verdict = "equal" if rep.equal else f"NOT equal (witness class {rep.witness.r})"
         print(f"  {lhs:>8} vs {rhs:<16}: {verdict}")
 
 

@@ -382,15 +382,18 @@ def rf_to_str(f: RationalFunction) -> str:
 def to_json(value):
     """The JSON form of a value, written once for every jshm document.
 
-    A Fraction becomes its "p/q" string, a rational function its text,
-    tuples and lists arrays, a dict an object of encoded values, and a
-    :class:`Report` its ``to_dict()``; None, bools, ints, floats and strings
-    pass through.  Anything else raises TypeError.
+    A Fraction becomes its "p/q" string, a rational function its text, a
+    named tuple an object of its fields, other tuples and lists arrays, a
+    dict an object of encoded values, and a :class:`Report` its
+    ``to_dict()``; None, bools, ints, floats and strings pass through.
+    Anything else raises TypeError.
     """
     if isinstance(value, Fraction):
         return rat_to_str(value)
     if isinstance(value, RationalFunction):
         return rf_to_str(value)
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {key: to_json(v) for key, v in zip(value._fields, value)}
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     if isinstance(value, dict):

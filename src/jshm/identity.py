@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .designs import (
     admissible,
@@ -35,11 +36,10 @@ from .designs import (
     search_design,
     DEFAULT_SEARCH_BUDGET,
 )
-from .exact import PoleError, RationalFunction, Report, to_json
+from .exact import PoleError, RationalFunction, Report
 from .johnson import (
     MAX_TABLE_N,
     BMVector,
-    SchemeParams,
     SelfCheckError,
     SizeBudgetError,
     plus_identity,
@@ -69,20 +69,6 @@ MAX_SYMBOLIC_K = 24
 MAX_POINTWISE_POINTS = 1000
 
 
-def _side_coeffs(name: str, n: int | None, k: int, t: int) -> list:
-    """One side at ground-set size n, or in nu when n is None."""
-    if name not in _SIDES:
-        raise ValueError(f"unknown side {name!r}")
-    builder, variant, adds_identity = _SIDES[name]
-    if n is None:
-        coeffs = _symbolic_coeffs(builder, variant, k, t)
-    elif builder == "m":
-        coeffs = design_matrix(n, k, t).coeffs
-    else:
-        coeffs = wilson_matrix(n, k, t, variant).coeffs
-    return plus_identity(coeffs) if adds_identity else list(coeffs)
-
-
 def _check_symbolic_bound(k: int) -> None:
     if k > MAX_SYMBOLIC_K:
         raise SizeBudgetError(f"symbolic comparison at k = {k} exceeds the bound "
@@ -95,7 +81,7 @@ def _symbolic_coeffs(builder: str, variant: str | None, k: int,
     """M(nu,k,t) or Omega(nu,k,t), built once per (builder, variant, k, t).
 
     Entries are immutable, and callers get a fresh list from
-    :func:`_side_coeffs`, so sharing the tuple is safe.  The bound on k
+    :func:`symbolic_side`, so sharing the tuple is safe.  The bound on k
     also bounds the memo.
     """
     _check_symbolic_bound(k)
@@ -106,13 +92,34 @@ def _symbolic_coeffs(builder: str, variant: str | None, k: int,
 
 def symbolic_side(name: str, k: int, t: int) -> list[RationalFunction]:
     """Coefficients on A_0..A_k of one side, as rational functions of nu."""
-    return _side_coeffs(name, None, k, t)
+    if name not in _SIDES:
+        raise ValueError(f"unknown side {name!r}")
+    builder, variant, adds_identity = _SIDES[name]
+    coeffs = _symbolic_coeffs(builder, variant, k, t)
+    return plus_identity(coeffs) if adds_identity else list(coeffs)
 
 
 def numeric_side(name: str, n: int, k: int, t: int) -> BMVector:
     """One side evaluated at a concrete ground-set size."""
-    coeffs = tuple(_side_coeffs(name, n, k, t))
-    return BMVector(SchemeParams(n, k), coeffs)
+    if name not in _SIDES:
+        raise ValueError(f"unknown side {name!r}")
+    builder, variant, adds_identity = _SIDES[name]
+    if builder == "m":
+        side = design_matrix(n, k, t)
+    else:
+        side = wilson_matrix(n, k, t, variant)
+    if adds_identity:
+        side = BMVector(side.params, tuple(plus_identity(side.coeffs)))
+    return side
+
+
+class SymbolicWitness(NamedTuple):
+    """The first class r whose difference h_r is nonzero, and h_r(n) at the
+    first n >= 2k+1 where it is defined and nonzero."""
+
+    r: int
+    n: int
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -125,14 +132,7 @@ class IdentityReport(Report):
     rhs: str
     h: tuple[RationalFunction, ...]
     equal: bool
-    witness: tuple[int, int, Fraction] | None  # (r, n, h_r(n))
-
-    def to_dict(self) -> dict:  # the witness field stays a tuple: perfbench/checks.py unpacks it
-        witness = None
-        if self.witness is not None:
-            r, n, value = self.witness
-            witness = {"r": r, "n": n, "value": value}
-        return to_json({**vars(self), "witness": witness})
+    witness: SymbolicWitness | None
 
 
 def _validate_sides(k: int, t: int, lhs: str, rhs: str):
@@ -164,7 +164,7 @@ def compare_symbolic(k: int, t: int, lhs: str = "m",
     witness = None
     for r, f in enumerate(h):
         if not f.is_zero():
-            witness = (r,) + _sample_nonzero(f, k)
+            witness = SymbolicWitness(r, *_sample_nonzero(f, k))
             break
     return IdentityReport(
         k=k, t=t, lhs=lhs, rhs=rhs, h=h, equal=witness is None, witness=witness
@@ -183,6 +183,16 @@ def _sample_nonzero(f: RationalFunction, k: int) -> tuple[int, Fraction]:
     raise SelfCheckError("no witness point found for a nonzero rational function")
 
 
+class PointwiseFailure(NamedTuple):
+    """The first size n where the sides differ, the first class r where they
+    differ there, and the two sides' coefficients on A_r."""
+
+    n: int
+    r: int
+    lhs: Fraction
+    rhs: Fraction
+
+
 @dataclass(frozen=True)
 class PointwiseReport(Report):
     """Outcome of exact evaluation of both sides over an integer range."""
@@ -195,17 +205,10 @@ class PointwiseReport(Report):
     n_to: int
     points_checked: int
     points_equal: int
-    first_failure: tuple[int, int, Fraction, Fraction] | None  # (n, r, lhs, rhs)
+    first_failure: PointwiseFailure | None
     equal: bool
     threshold: int
-
-    def to_dict(self) -> dict:  # perfbench/workloads.py reads the "skipped_poles" key
-        failure = None
-        if self.first_failure is not None:
-            n, r, a, b = self.first_failure
-            failure = {"n": n, "r": r, "lhs": a, "rhs": b}
-        # n >= 2k has no poles, so none is skipped
-        return to_json({**vars(self), "first_failure": failure, "skipped_poles": []})
+    skipped_poles: tuple[int, ...] = ()  # n >= 2k has no poles, so none is skipped
 
 
 def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
@@ -242,14 +245,13 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
             equal_count += 1
         elif first_failure is None:
             r = next(i for i, (a, b) in enumerate(zip(left.coeffs, right.coeffs)) if a != b)
-            first_failure = (n, r, left.coeffs[r], right.coeffs[r])
+            first_failure = PointwiseFailure(n, r, left.coeffs[r], right.coeffs[r])
 
-    equal = first_failure is None and equal_count >= threshold
-    symbolic = compare_symbolic(k, t, lhs, rhs)
-    if first_failure is None and equal_count >= threshold and not symbolic.equal:
-        raise SelfCheckError("pointwise equality contradicts the symbolic comparison")
-    if first_failure is not None and symbolic.equal:
-        raise SelfCheckError("pointwise failure contradicts the symbolic comparison")
+    # the range holds at least 2k+1 = threshold sizes, so no failure means
+    # equal_count >= threshold
+    equal = first_failure is None
+    if equal != compare_symbolic(k, t, lhs, rhs).equal:
+        raise SelfCheckError("pointwise verdict contradicts the symbolic comparison")
     return PointwiseReport(
         k=k, t=t, lhs=lhs, rhs=rhs, n_from=n_from, n_to=n_to,
         points_checked=n_to - n_from + 1, points_equal=equal_count,

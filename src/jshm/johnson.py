@@ -131,10 +131,8 @@ def all_ones_vector(params: SchemeParams) -> BMVector:
     return BMVector(params, tuple(Fraction(1) for _ in range(params.num_classes)))
 
 
-# up to 2*10**6 masks each: the memo keeps the few a dense oracle reuses
-@lru_cache(maxsize=4)
 def colex_masks(n: int, k: int) -> tuple[int, ...]:
-    """Bitmasks of all k-subsets in colex order (cached; sweeps reuse it)."""
+    """Bitmasks of all k-subsets in colex order."""
     if binom(n, k) > MAX_ENUMERATED_SUBSETS:
         raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} subsets exceed the "
                               f"enumeration cap {MAX_ENUMERATED_SUBSETS}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .designs import NotADesignError
-from .exact import Report, binom, to_json
+from .exact import Report, binom
 from .johnson import (
     DEFAULT_DENSE_BUDGET,
     MAX_ENUMERATED_SUBSETS,
@@ -33,7 +33,7 @@ from .johnson import (
     schur,
 )
 from .projection import project_dense
-from .subsets import Family, colex_tuples, make_family, subset_mask
+from .subsets import Family, colex_tuples, subset_mask
 
 
 def float_spectrum(mat: list[list]) -> list[float]:
@@ -101,8 +101,6 @@ def _subset_pair_matrix(i, params, contained):
         raise ValueError(f"row subset size {i} out of range [0, {params.k}]")
     if max(params.order, binom(params.n, i)) > DEFAULT_DENSE_BUDGET:
         raise SizeBudgetError("matrix dimensions exceed dense budget")
-    if i == 0:
-        return [[1] * params.order]
     rows = colex_masks(params.n, i)
     cols = colex_masks(params.n, params.k)
     if contained:
@@ -160,20 +158,9 @@ class MaxFamilyResult(Report):
     k: int
     t: int
     size: int
-    witness: Family
+    blocks: tuple[tuple[int, ...], ...]  # in colex order
     optimal: bool
     nodes: int
-
-    def to_dict(self) -> dict:  # the witness field stays a Family: the tests project it
-        return to_json({
-            "n": self.n,
-            "k": self.k,
-            "t": self.t,
-            "blocks": self.witness.blocks(),
-            "size": self.size,
-            "optimal": self.optimal,
-            "nodes": self.nodes,
-        })
 
 
 def max_family(n: int, k: int, t: int,
@@ -271,10 +258,9 @@ def max_family(n: int, k: int, t: int,
                 best = current.copy()
             current.pop()
 
-    chosen = sorted(best)
-    witness = make_family(n, k, [subsets[v] for v in chosen])
+    blocks = tuple(subsets[v] for v in sorted(best))
     return MaxFamilyResult(
-        n=n, k=k, t=t, size=len(chosen), witness=witness,
+        n=n, k=k, t=t, size=len(blocks), blocks=blocks,
         optimal=not aborted, nodes=nodes,
     )
 

@@ -243,6 +243,6 @@ def test_c10_determinism(capsys):
     assert a.design.family.blocks() == b.design.family.blocks()
     x = max_family(8, 3, 1)
     y = max_family(8, 3, 1)
-    assert x.witness.blocks() == y.witness.blocks()
+    assert x.blocks == y.blocks
     print("\nACCEPTANCE 10: PASS determinism (byte-identical CLI output, "
           "reproducible search witnesses)")

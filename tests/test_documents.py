@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -32,6 +33,15 @@ class TestToJson:
     def test_nested_tuples_become_lists(self):
         value = (Fraction(1, 2), (Fraction(3), [NU]), ())
         assert to_json(value) == ["1/2", ["3", ["nu"]], []]
+
+    def test_named_tuple_becomes_an_object_of_its_fields(self):
+        class Point(NamedTuple):
+            n: int
+            value: object
+
+        point = Point(7, (Fraction(-1, 3), Point(8, NU)))
+        assert to_json(point) == {"n": 7, "value": ["-1/3", {"n": 8, "value": "nu"}]}
+        assert to_json(tuple(point)) == [7, ["-1/3", {"n": 8, "value": "nu"}]]
 
     def test_dict_values_are_encoded(self):
         assert to_json({"a": (Fraction(2, 4),), "b": None}) == {"a": ["1/2"], "b": None}
@@ -90,8 +100,7 @@ def test_every_report_type_is_covered():
 
 # the reports whose document is not their fields, each with its reason
 # beside its to_dict
-OVERRIDES = {"Design", "FamilyLemmaReport", "IdentityReport", "PointwiseReport",
-             "MaxFamilyResult"}
+OVERRIDES = {"Design", "FamilyLemmaReport"}
 
 
 def test_only_the_overrides_define_to_dict():

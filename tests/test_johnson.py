@@ -159,8 +159,8 @@ class TestInnerTraceSum:
 class TestSubsetMatrices:
     def test_row_of_ones(self):
         p = SchemeParams(7, 3)
-        mat = inclusion_matrix(0, p)
-        assert mat == [[1] * 35]
+        assert inclusion_matrix(0, p) == [[1] * 35]
+        assert disjointness_matrix(0, p) == [[1] * 35]
 
     def test_inclusion_row_sums(self):
         p = SchemeParams(7, 3)
@@ -354,8 +354,7 @@ def test_colex_order_of_dense_rows():
             assert mat[i][j] == expected
 
 
-@pytest.mark.parametrize("memo, args", [(eigensystem, lambda n: (SchemeParams(n, 2),)),
-                                        (colex_masks, lambda n: (n, 1))])
+@pytest.mark.parametrize("memo, args", [(eigensystem, lambda n: (SchemeParams(n, 2),))])
 def test_memo_is_bounded(memo, args):
     maxsize = memo.cache_info().maxsize
     for n in range(4, 4 + maxsize + 5):  # more sizes than the memo holds

@@ -18,6 +18,7 @@ from jshm.johnson import (
 )
 from jshm.oracles import brute_projection, float_spectrum, max_family
 from jshm.projection import project_family
+from jshm.subsets import make_family
 
 from conftest import projection_corpus
 
@@ -92,7 +93,7 @@ class TestMaxFamily:
                 res = max_family(n, k, t)
             else:
                 res = max_family(n, k, t, budget)
-            blocks = json.dumps(res.witness.blocks()).encode()
+            blocks = json.dumps(res.blocks).encode()
             digest = hashlib.sha256(blocks).hexdigest()[:16]
             assert (res.size, res.nodes, res.optimal, digest) == expected, (n, k, t, budget)
 
@@ -117,7 +118,7 @@ class TestMaxFamily:
 
     def test_witness_is_t_intersecting(self):
         result = max_family(7, 3, 2)
-        members = result.witness.members
+        members = result.blocks
         assert len(members) == result.size
         for i, a in enumerate(members):
             for b in members[i + 1:]:
@@ -126,14 +127,14 @@ class TestMaxFamily:
     def test_deterministic(self):
         a = max_family(9, 3, 2)
         b = max_family(9, 3, 2)
-        assert a.witness.blocks() == b.witness.blocks()
+        assert a.blocks == b.blocks
         assert a.nodes == b.nodes
 
     def test_witness_projection_support(self):
         # maximal witnesses are t-intersecting, so their projections must
         # vanish on the top t classes
         for (n, k, t) in [(6, 3, 2), (7, 3, 2), (8, 3, 1), (9, 3, 2)]:
-            proj = project_family(max_family(n, k, t).witness)
+            proj = project_family(make_family(n, k, max_family(n, k, t).blocks))
             assert all(proj.coeffs[r] == 0 for r in range(k - t + 1, k + 1))
 
     def test_budget_exhaustion(self):
@@ -156,8 +157,6 @@ class TestBruteProjection:
     def test_single_set(self):
         from fractions import Fraction
 
-        from jshm.subsets import make_family
-
         fam = make_family(7, 3, [[2, 4, 6]])
         got = brute_projection(fam)
         assert got.coeffs == (Fraction(1, 35), 0, 0, 0)
@@ -169,8 +168,6 @@ class TestBruteProjection:
 
     def test_budget(self):
         # refused like the other dense paths, with exit 3 rather than 2
-        from jshm.subsets import make_family
-
         with pytest.raises(SizeBudgetError):
             brute_projection(make_family(20, 10, [range(1, 11)]))
 
