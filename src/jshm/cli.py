@@ -18,10 +18,10 @@ import sys
 from . import johnson
 from .exact import rat_from_str, rat_to_str, to_json
 from .johnson import SchemeParams, SizeBudgetError
-from .subsets import load_family
+from .subsets import family_to_dict, load_family
 
 # Each command imports the modules it runs when it is called, so start-up
-# compiles only those; the package itself loads exact, johnson and subsets.
+# compiles only those and the exact, johnson and subsets imported above.
 # The --variant choices, equal to wilson.VARIANTS (a test pins them), are
 # spelled out so that building the parser does not import wilson.
 VARIANTS = ("literal", "corrected")
@@ -56,7 +56,8 @@ def _default_budget(args, default: int) -> int:
 
 def _cmd_scheme(args) -> int:
     es = johnson.eigensystem(SchemeParams(args.n, args.k))
-    payload = {"n": args.n, "k": args.k, "theta1": es.theta1, "P": es.P, "m": es.m}
+    payload = {"n": args.n, "k": args.k, "theta1": tuple(row[1] for row in es.P),
+               "P": es.P, "m": es.m}
     _emit(payload, f"eigenvalue table of J({args.n},{args.k}): "
                    f"{args.k + 1} eigenspaces, order {es.params.order}")
     return EXIT_OK
@@ -96,12 +97,8 @@ def _cmd_design_verify(args) -> int:
     try:
         design = designs.as_design(fam, args.t)
     except designs.NotADesignError as exc:
-        payload = designs.Design(fam, args.t, None).to_dict()
-        payload["witness"] = {
-            "subset": exc.witness,
-            "count": exc.count,
-            "expected": exc.expected,
-        }
+        payload = {**family_to_dict(fam), "t": args.t, "lambda": None, "witness": {
+            "subset": exc.witness, "count": exc.count, "expected": exc.expected}}
         _emit(payload, f"not a {args.t}-design: {exc}")
         return EXIT_FAILED
     _emit(design.to_dict(), f"verified {args.t}-({fam.n},{fam.k},{design.lam}) design")
@@ -209,6 +206,13 @@ def _cmd_oracle_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parser holding one flag, shared through argparse's ``parents``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*names, **kwargs)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jshm",
@@ -216,70 +220,56 @@ def build_parser() -> argparse.ArgumentParser:
                     "design projections, intersecting-family bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a parent's flags come before the command's own in help and usage, so
+    # a flag declared after a command-specific one stays local
+    n, k, t = (_flag(name, type=int, required=True) for name in ("--n", "--k", "--t"))
+    budget = _flag("--budget", type=int, default=None)
+    variant = _flag("--variant", choices=VARIANTS, default="corrected")
+    lhs = _flag("--lhs", choices=sorted(_LHS_FLAGS), default="m")
+    rhs = _flag("--rhs", choices=sorted(_RHS_FLAGS), default="corrected")
+    file = _flag("--file", required=True)
 
-    p = sub.add_parser("scheme", help="exact eigenvalue table of J(n,k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("scheme", parents=[n, k], help="exact eigenvalue table of J(n,k)")
     p.set_defaults(func=_cmd_scheme)
 
     w = sub.add_parser("wilson", help="Wilson matrix and EKR certificates")
     wsub = w.add_subparsers(dest="subcommand", required=True)
-    p = wsub.add_parser("omega", help="coefficients of the Wilson matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="corrected")
+    p = wsub.add_parser("omega", parents=[n, k, t, variant],
+                        help="coefficients of the Wilson matrix")
     p.set_defaults(func=_cmd_wilson_omega)
-    p = wsub.add_parser("certify", help="build and verify an EKR certificate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="corrected")
+    p = wsub.add_parser("certify", parents=[n, k, t, variant],
+                        help="build and verify an EKR certificate")
     p.set_defaults(func=_cmd_wilson_certify)
 
-    p = sub.add_parser("project", help="project a family file onto the algebra")
-    p.add_argument("--file", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = sub.add_parser("project", parents=[file, t],
+                       help="project a family file onto the algebra")
     p.set_defaults(func=_cmd_project)
 
     d = sub.add_parser("design", help="verify, search, admissibility")
     dsub = d.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("verify", help="verify a family file as a t-design")
-    p.add_argument("--file", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = dsub.add_parser("verify", parents=[file, t],
+                        help="verify a family file as a t-design")
     p.set_defaults(func=_cmd_design_verify)
-    p = dsub.add_parser("search", help="exact-cover search for a t-(n,k,1) design")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p = dsub.add_parser("search", parents=[n, k, t, budget],
+                        help="exact-cover search for a t-(n,k,1) design")
     p.set_defaults(func=_cmd_design_search)
-    p = dsub.add_parser("admissible", help="divisibility admissibility")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = dsub.add_parser("admissible", parents=[k, t], help="divisibility admissibility")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.set_defaults(func=_cmd_design_admissible)
 
     i = sub.add_parser("identity", help="design matrix vs Wilson matrix")
     isub = i.add_subparsers(dest="subcommand", required=True)
-    p = isub.add_parser("prove", help="symbolic coefficient comparison")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--lhs", choices=sorted(_LHS_FLAGS), default="m")
-    p.add_argument("--rhs", choices=sorted(_RHS_FLAGS), default="corrected")
+    p = isub.add_parser("prove", parents=[k, t, lhs, rhs],
+                        help="symbolic coefficient comparison")
     p.set_defaults(func=_cmd_identity_prove)
-    p = isub.add_parser("pointwise", help="exact comparison over an integer range")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--lhs", choices=sorted(_LHS_FLAGS), default="m")
-    p.add_argument("--rhs", choices=sorted(_RHS_FLAGS), default="corrected")
+    p = isub.add_parser("pointwise", parents=[k, t, lhs, rhs],
+                        help="exact comparison over an integer range")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.set_defaults(func=_cmd_identity_pointwise)
-    p = isub.add_parser("witness", help="verify through explicitly found designs")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p = isub.add_parser("witness", parents=[k, t],
+                        help="verify through explicitly found designs")
     p.add_argument("--n", type=int, action="append", required=True,
                    help="ground-set size to test (repeatable)")
     p.add_argument("--budget", type=int, default=None)
@@ -287,15 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="brute-force oracles")
     osub = o.add_subparsers(dest="subcommand", required=True)
-    p = osub.add_parser("max-family", help="exact maximum t-intersecting family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p = osub.add_parser("max-family", parents=[n, k, t, budget],
+                        help="exact maximum t-intersecting family")
     p.set_defaults(func=_cmd_oracle_max_family)
-    p = osub.add_parser("spectrum", help="float spectrum of an algebra element")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = osub.add_parser("spectrum", parents=[n, k],
+                        help="float spectrum of an algebra element")
     p.add_argument("--coeffs", required=True,
                    help="comma-separated rationals c_0..c_k")
     p.set_defaults(func=_cmd_oracle_spectrum)

@@ -47,24 +47,20 @@ from .subsets import Family, colex_tuples, family_to_dict, make_family
 class NotADesignError(ValueError):
     """A family failed design verification; carries a witness t-subset."""
 
-    def __init__(self, witness: tuple[int, ...], count: int, expected: int | None):
+    def __init__(self, witness: tuple[int, ...], count: int, expected: int):
         self.witness = witness
         self.count = count
         self.expected = expected
-        detail = f"covered {count} times"
-        if expected is not None:
-            detail += f", expected {expected}"
-        super().__init__(f"subset {list(witness)} {detail}")
+        super().__init__(f"subset {list(witness)} covered {count} times, expected {expected}")
 
 
 @dataclass(frozen=True)
 class Design(Report):
-    """A verified t-(n,k,lambda) design; ``lam`` is None only in the
-    document of a family that failed verification."""
+    """A verified t-(n,k,lambda) design."""
 
     family: Family
     t: int
-    lam: int | None
+    lam: int
 
     @property
     def n(self) -> int:

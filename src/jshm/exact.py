@@ -1,12 +1,11 @@
 """Exact scalar arithmetic: rationals, polynomials, rational functions.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator), re-exported as ``Rational``.  Polynomials are dense
-ascending coefficient tuples over the rationals in a single indeterminate,
-written ``nu`` in string form, which stands for the ground-set size when
-identities are checked symbolically.  Rational functions keep a monic
-denominator and a reduced numerator so that equality is plain structural
-comparison.
+positive denominator).  Polynomials are dense ascending coefficient tuples
+over the rationals in a single indeterminate, written ``nu`` in string
+form, which stands for the ground-set size when identities are checked
+symbolically.  Rational functions keep a monic denominator and a reduced
+numerator so that equality is plain structural comparison.
 
 Reduction skips only work whose result is known: coefficients that are
 already exactly ``Fraction`` are not re-wrapped, a gcd of degree 0 (which
@@ -25,8 +24,6 @@ import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 

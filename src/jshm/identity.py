@@ -276,12 +276,6 @@ class WitnessReport(Report):
     t: int
     points: tuple[WitnessPoint, ...]
 
-    @property
-    def all_conclusive_verified(self) -> bool:
-        return all(p.status != "failed" for p in self.points) and any(
-            p.status == "verified" for p in self.points
-        )
-
 
 def design_witness_check(k: int, t: int, ns: list[int],
                          budget: int = DEFAULT_SEARCH_BUDGET) -> WitnessReport:

@@ -185,11 +185,10 @@ class EigenSystem:
     """Exact eigenvalue table of J(n,k).
 
     ``P[j][i]`` is the eigenvalue of A_i on the j-th common eigenspace,
-    ``theta1`` is column i = 1, and ``m[j]`` the eigenspace dimension.
+    and ``m[j]`` the eigenspace dimension.
     """
 
     params: SchemeParams
-    theta1: tuple[Fraction, ...]
     P: tuple[tuple[Fraction, ...], ...]
     m: tuple[int, ...]
 
@@ -234,7 +233,7 @@ def eigensystem(params: SchemeParams) -> EigenSystem:
             raise SelfCheckError(f"class {i} has nonzero trace")
 
     P = tuple(tuple(Fraction(x) for x in row) for row in table)
-    return EigenSystem(params, tuple(row[1] for row in P), P, m)
+    return EigenSystem(params, P, m)
 
 
 def eigenvalues(v: BMVector) -> tuple[Fraction, ...]:

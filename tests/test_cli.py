@@ -487,6 +487,8 @@ README_ARGV = [
     "oracle max-family --n 7 --k 3 --t 2",
     "oracle spectrum --n 5 --k 2 --coeffs 0,0,1",
 ]
+# identity pointwise's failing exit, which no README command reaches
+FAILED_ARGV = ["identity pointwise --k 3 --t 2 --rhs literal --n-from 7 --n-to 20"]
 FILE_ARGV = [f"{command} --file @{name} --t {t}"
              for name in PINNED_DOCS for command in ("project", "design verify")
              for t in range(4)]
@@ -649,6 +651,8 @@ PINNED = {
         (2, "e3b0c44298fc1c14", "error: ground-set size must be positive, got 0"),
     "identity pointwise --k 3 --t 2 --n-from 7 --n-to 20":
         (0, "ac3b632087c41566", "pointwise comparison on [7,20]: 14/14 equal, verdict equal"),
+    "identity pointwise --k 3 --t 2 --rhs literal --n-from 7 --n-to 20":
+        (1, "99560b7950145435", "pointwise comparison on [7,20]: 0/14 equal, verdict not equal"),
     "identity prove --k 3 --t 2 --rhs literal":
         (1, "a2be536d9a7c4831", "symbolic comparison m vs omega_literal: NOT equal"),
     "identity witness --k 3 --t 2 --n 7 --n 9":
@@ -835,9 +839,43 @@ def pinned_output(argv: str, tmp_path) -> tuple[int, str, str]:
 
 
 def test_pinned_table_covers_the_readme_and_the_documents():
-    assert set(PINNED) == set(README_ARGV + FILE_ARGV)
+    assert set(PINNED) == set(README_ARGV + FAILED_ARGV + FILE_ARGV)
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED))
 def test_pinned_output(argv, tmp_path):
     assert pinned_output(argv, tmp_path) == PINNED[argv]
+
+
+# The first 16 hex digits of the sha256 of each parser's -h output at 80
+# columns, keyed by its usage prefix: all 17 parsers, pinned while each
+# command still declared every one of its flags itself.
+HELP = {
+    "jshm": "36d26c83f9e809cc",
+    "jshm scheme": "f11196a760a5b4a7",
+    "jshm wilson": "3290634301145055",
+    "jshm wilson omega": "1484dfc8a3db9915",
+    "jshm wilson certify": "b3f5b0ace5f7ddaf",
+    "jshm project": "ac27994367a487ff",
+    "jshm design": "70e5cf2e4a58ba71",
+    "jshm design verify": "aba6ef145f6e7652",
+    "jshm design search": "61174af5b6ef2d63",
+    "jshm design admissible": "a9f58686f097f7fd",
+    "jshm identity": "fd5efd48926a7089",
+    "jshm identity prove": "daf1dd2899069215",
+    "jshm identity pointwise": "44ae54082fd88c27",
+    "jshm identity witness": "2ad68254216ece42",
+    "jshm oracle": "823229e60cf99194",
+    "jshm oracle max-family": "7339d10a675b78a8",
+    "jshm oracle spectrum": "481640175d197612",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split()[1:] + ["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == HELP[command]

@@ -185,6 +185,11 @@ class TestCanonicalForm:
         with pytest.raises(AttributeError):
             binom_rf(-3, 2).num = Polynomial()
 
+    def test_polynomial_is_immutable(self):
+        # the memoised binom_rf(-3, 2) shares its numerator with every caller
+        with pytest.raises(AttributeError, match="Polynomial is immutable"):
+            binom_rf(-3, 2).num.coeffs = ()
+
 
 class TestEvaluation:
     def test_variable(self):

@@ -203,7 +203,6 @@ class TestDesignWitness:
         assert by_n[7].status == "verified"
         assert by_n[8].status == "inadmissible"
         assert by_n[9].status == "verified"
-        assert rep.all_conclusive_verified
 
     def test_quadruple_system(self):
         rep = design_witness_check(4, 3, [8])

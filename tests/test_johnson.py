@@ -233,7 +233,7 @@ class TestIntersectionNumbers:
 class TestEigenSystem:
     def test_petersen(self):
         es = eigensystem(SchemeParams(5, 2))
-        assert es.theta1 == (6, 1, -2)
+        assert tuple(row[1] for row in es.P) == (6, 1, -2)
         assert es.m == (1, 4, 5)
         assert tuple(row[2] for row in es.P) == (3, -2, 1)
         assert all(row[0] == 1 for row in es.P)
@@ -252,7 +252,7 @@ class TestEigenSystem:
                     eigensystem(SchemeParams(n, k))
 
     def test_counted_recurrence(self):
-        # theta1[j] * P[j][i] = sum_r p_{1,i}(r) P[j][r], with the
+        # P[j][1] * P[j][i] = sum_r p_{1,i}(r) P[j][r], with the
         # intersection numbers counted over all k-subsets
         for n in range(4, 13):
             for k in range(1, min(5, n // 2) + 1):
@@ -262,7 +262,7 @@ class TestEigenSystem:
                       for i in range(k + 1)]
                 for j in range(k + 1):
                     for i in range(k + 1):
-                        assert es.theta1[j] * es.P[j][i] == sum(
+                        assert es.P[j][1] * es.P[j][i] == sum(
                             p1[i][r] * es.P[j][r] for r in range(k + 1))
 
     def test_rejects_large_k(self):
