@@ -182,7 +182,7 @@ def _cmd_identity_witness(args) -> int:
         return EXIT_FAILED
     if "unverified" in statuses:
         return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_OK if "verified" in statuses else EXIT_FAILED
 
 
 def _cmd_oracle_max_family(args) -> int:

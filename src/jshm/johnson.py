@@ -180,6 +180,11 @@ def wilson_basis_vector(i: int, params: SchemeParams) -> BMVector:
     )
 
 
+def multiplicities(n: int, k: int) -> tuple[int, ...]:
+    """Dimensions m_j = C(n,j) - C(n,j-1) of the eigenspaces V_0..V_k of J(n,k)."""
+    return tuple(binom(n, j) - binom(n, j - 1) for j in range(k + 1))
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Exact eigenvalue table of J(n,k).
@@ -217,7 +222,7 @@ def eigensystem(params: SchemeParams) -> EigenSystem:
         table.append([sum((-1) ** h * binom(j, h) * w[i - h] for h in range(min(i, j) + 1))
                       for i in range(k + 1)])
 
-    m = tuple(binom(n, j) - binom(n, j - 1) for j in range(k + 1))
+    m = multiplicities(n, k)
 
     order = params.order
     if sum(m) != order:
@@ -255,8 +260,13 @@ class PSDReport:
     spectrum: tuple[Fraction, ...]
 
 
-def psd_report(v: BMVector) -> PSDReport:
-    spectrum = eigenvalues(v)
+def psd_verdict(spectrum: tuple[Fraction, ...]) -> PSDReport:
+    """The verdict on a spectrum theta_0..theta_k: its minimum, ties to the
+    lowest eigenspace."""
     argmin = min(range(len(spectrum)), key=lambda j: (spectrum[j], j))
     mn = spectrum[argmin]
     return PSDReport(psd=mn >= 0, min_eigenvalue=mn, argmin=argmin, spectrum=spectrum)
+
+
+def psd_report(v: BMVector) -> PSDReport:
+    return psd_verdict(eigenvalues(v))

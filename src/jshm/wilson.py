@@ -19,10 +19,19 @@ matrix is positive semidefinite, its off-diagonal support avoids A_1..
 A_{k-t}, and its entry-sum/trace ratio is C(n,t)/C(k,t); by the clique-
 coclique bound these force every t-intersecting family to have size at most
 C(n-t,k-t).
+
+The certificate's spectrum comes from Wilson's lemma, not from the Eberlein
+table of :mod:`jshm.johnson`: W_a, the vector with C(r, a) on A_r, has
+eigenvalue (-1)^j C(k-j, a-j) C(n-a-j, k-j) on V_j, and Omega's terms are
+put over one common denominator, so the spectrum is k+1 integers over it.
+Two self-checks raise SelfCheckError: the spectrum must give the trace
+C(n,k) of I + Omega, and theta_0 must equal the entry-sum/trace ratio
+computed from the class sizes.  The table is the tests' oracle for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -31,9 +40,12 @@ from .exact import RationalFunction, Report, binom, binom_at_size, binom_rf, rat
 from .johnson import (
     BMVector,
     SchemeParams,
+    SelfCheckError,
     entry_sum,
+    multiplicities,
     plus_identity,
     psd_report,
+    psd_verdict,
     schur,
     trace,
 )
@@ -72,17 +84,51 @@ def wilson_matrix_symbolic(k: int, t: int, variant: str = "corrected") -> list[R
     return _omega_coeffs(binom_rf, k, t, variant)
 
 
-def _omega_coeffs(binom_at, k, t, variant):
-    """Sum over i < t of (-1)^(t-1-i) C(k-1-i, k-t) / C(nu-k-t+d, k-t) times
-    the vector with C(r, k-i) on A_r; d is 1 (literal) or i (corrected).
+def _omega_terms(k, t, variant):
+    """Omega's terms, one (s, h, a) for each i < t: the term is s / C(nu+h, k-t)
+    times W_a, the vector with C(r, a) on A_r, where s = (-1)^(t-1-i) C(k-1-i,
+    k-t), a = k-i and h = -k-t+d, d being 1 (literal) or i (corrected).
     Beyond t-1 the numerator C(k-1-i, k-t) vanishes, so the sum stops there."""
-    coeffs = [0 * binom_at(0, 0)] * (k + 1)  # zeros of the provider's type
     for i in range(t):
-        den = binom_at(-k - t + (1 if variant == "literal" else i), k - t)
-        sign_num = (-1) ** (t - 1 - i) * binom(k - 1 - i, k - t)
-        for r in range(k - i, k + 1):  # C(r, k-i) vanishes below r = k-i
-            coeffs[r] = coeffs[r] + sign_num * binom(r, k - i) / den
+        yield ((-1) ** (t - 1 - i) * binom(k - 1 - i, k - t),
+               -k - t + (1 if variant == "literal" else i), k - i)
+
+
+def _omega_coeffs(binom_at, k, t, variant):
+    """Coefficients of Omega on A_0..A_k over the binomial provider."""
+    coeffs = [0 * binom_at(0, 0)] * (k + 1)  # zeros of the provider's type
+    for s, h, a in _omega_terms(k, t, variant):
+        den = binom_at(h, k - t)
+        for r in range(a, k + 1):  # C(r, a) vanishes below r = a
+            coeffs[r] = coeffs[r] + s * binom(r, a) / den
     return coeffs
+
+
+def wilson_eigenvalue(n: int, k: int, a: int, j: int) -> int:
+    """Eigenvalue of W_a (``johnson.wilson_basis_vector(a)``) on V_j in J(n,k),
+    by Wilson's lemma: (-1)^j C(k-j, a-j) C(n-a-j, k-j)."""
+    return (-1) ** j * binom(k - j, a - j) * binom(n - a - j, k - j)
+
+
+def _certificate_spectrum(n, k, t, variant) -> tuple[Fraction, ...]:
+    """Eigenvalues of I + Omega(n,k,t) on V_0..V_k from Wilson's lemma.
+
+    Omega's terms are put over one common denominator D, the lcm of their
+    C(n-k-t+d, k-t), so each theta_j is an integer numerator over D.  Omega
+    has no A_0 part, so the trace sum_j m_j theta_j of I + Omega must be
+    C(n,k), m_j being the eigenspace dimensions; a mismatch raises
+    SelfCheckError.
+    """
+    terms = [(s, binom(n + h, k - t), a) for s, h, a in _omega_terms(k, t, variant)]
+    den = math.lcm(*(d for _, d, _ in terms))
+    nums = [den] * (k + 1)
+    for s, d, a in terms:
+        c = s * (den // d)
+        for j in range(a + 1):  # C(k-j, a-j) vanishes beyond j = a
+            nums[j] += c * wilson_eigenvalue(n, k, a, j)
+    if sum(m * x for m, x in zip(multiplicities(n, k), nums)) != den * binom(n, k):
+        raise SelfCheckError(f"the spectrum of I + Omega({n},{k},{t}) misses its trace")
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def support_ok(v: BMVector, t: int) -> bool:
@@ -181,9 +227,12 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         raise ValueError(f"need k <= n-k, got k={k}, n={n}")
     # SchemeParams refuses the table bound before any big-integer work
     nabla = certificate_matrix(n, k, t, variant)
-    rep = psd_report(nabla)
+    rep = psd_verdict(_certificate_spectrum(n, k, t, variant))
     sup = support_ok(nabla, t)
     ratio = sum_trace_ratio(nabla)
+    if rep.spectrum[0] != ratio:
+        raise SelfCheckError(f"theta_0 of I + Omega({n},{k},{t}) is not its "
+                             "entry-sum/trace ratio")
     target = Fraction(binom(n, t), binom(k, t))
     ratio_ok = ratio == target
     bound = binom(n - t, k - t)

@@ -487,8 +487,10 @@ README_ARGV = [
     "oracle max-family --n 7 --k 3 --t 2",
     "oracle spectrum --n 5 --k 2 --coeffs 0,0,1",
 ]
-# identity pointwise's failing exit, which no README command reaches
-FAILED_ARGV = ["identity pointwise --k 3 --t 2 --rhs literal --n-from 7 --n-to 20"]
+# the failing exits of identity pointwise, and of identity witness when no
+# point is verified, which no README command reaches
+FAILED_ARGV = ["identity pointwise --k 3 --t 2 --rhs literal --n-from 7 --n-to 20",
+               "identity witness --k 3 --t 2 --n 8 --n 10"]
 FILE_ARGV = [f"{command} --file @{name} --t {t}"
              for name in PINNED_DOCS for command in ("project", "design verify")
              for t in range(4)]
@@ -657,6 +659,8 @@ PINNED = {
         (1, "a2be536d9a7c4831", "symbolic comparison m vs omega_literal: NOT equal"),
     "identity witness --k 3 --t 2 --n 7 --n 9":
         (0, "a4ac70f694c802e5", "witness statuses: n=7:verified, n=9:verified"),
+    "identity witness --k 3 --t 2 --n 8 --n 10":
+        (1, "0c1e2d84e9ad0e43", "witness statuses: n=8:inadmissible, n=10:inadmissible"),
     "oracle max-family --n 7 --k 3 --t 2":
         (0, "5689e03fd3ea53ad", "max 2-intersecting family in J(7,3): size 5 (optimal)"),
     "oracle spectrum --n 5 --k 2 --coeffs 0,0,1":

@@ -1,6 +1,7 @@
 """Smoke test of the scripts: they import library names a refactor can break."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,14 @@ def test_show_discrepancies():
     proc = run_script("show_discrepancies.py")
     assert proc.returncode == 0, proc.stderr
     assert "corrected variant: equal" in proc.stdout
+
+
+def test_certificate_grid_below_regime():
+    # below (t+1)(k-t+1) the certificate's spectrum goes negative
+    proc = run_script("certificate_grid.py", "--include-below-regime",
+                      "--k-max", "5", "--n-max", "14")
+    assert proc.returncode == 0, proc.stderr
+    below = sum(n < (t + 1) * (k - t + 1)
+                for k in range(2, 6) for t in range(1, k) for n in range(2 * k, 15))
+    assert below > 0
+    assert re.search(r"^(\d+) invalid certificates", proc.stdout, re.M).group(1) == str(below)

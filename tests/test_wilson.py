@@ -3,28 +3,41 @@ from fractions import Fraction
 
 import pytest
 
-from jshm import projection
+from jshm import projection, wilson
 from jshm.designs import as_design, partition_design
 from jshm.exact import binom
 from jshm.johnson import (
     MAX_TABLE_K,
     MAX_TABLE_N,
     SchemeParams,
+    SelfCheckError,
     SizeBudgetError,
     all_ones_vector,
     basis_vector,
+    eigensystem,
+    eigenvalues,
     identity_vector,
     schur,
+    wilson_basis_vector,
+)
+from jshm.oracles import (
+    disjointness_matrix,
+    float_spectrum,
+    inclusion_matrix,
+    mat_mul,
+    mat_transpose,
 )
 from jshm.projection import project_family
 from jshm.subsets import make_family, star_family
 from jshm.wilson import (
+    VARIANTS,
     bound_from_design,
     certificate_matrix,
     clique_coclique,
     ekr_certificate,
     sum_trace_ratio,
     support_ok,
+    wilson_eigenvalue,
     wilson_matrix,
     wilson_matrix_symbolic,
 )
@@ -198,6 +211,75 @@ class TestCliqueCoclique:
             '{"applicable": true, "holds": true, "order": 35, "product": "35", '
             '"psd_first": true, "psd_second": true, "schur_gamma": "1/7", '
             '"schur_multiple_of_identity": true, "tight": true}')
+
+
+class TestWilsonLemma:
+    """W_a's eigenvalue on V_j, (-1)^j C(k-j, a-j) C(n-a-j, k-j), which the
+    certificate's spectrum is built from."""
+
+    def test_against_the_eigenvalue_table(self):
+        for n in range(2, 23):
+            for k in range(1, n // 2 + 1):
+                p = SchemeParams(n, k)
+                for a in range(k + 1):
+                    table = eigenvalues(wilson_basis_vector(a, p))
+                    assert tuple(wilson_eigenvalue(n, k, a, j)
+                                 for j in range(k + 1)) == table, (n, k, a)
+
+    def test_against_the_dense_product(self):
+        # W_a is transpose(inclusion) * disjointness (test_dense_product_orientation)
+        for (n, k) in [(7, 3), (8, 4)]:
+            p = SchemeParams(n, k)
+            m = eigensystem(p).m
+            for a in range(k + 1):
+                prod = mat_mul(mat_transpose(inclusion_matrix(a, p)),
+                               disjointness_matrix(a, p))
+                want = sorted((wilson_eigenvalue(n, k, a, j)
+                               for j in range(k + 1) for _ in range(m[j])), reverse=True)
+                got = float_spectrum(prod)
+                assert len(got) == len(want) == p.order
+                assert all(abs(x - y) < 1e-8 for x, y in zip(got, want)), (n, k, a)
+
+
+# table-corner points, beyond any grid the dense or counted oracles reach
+CORNERS = [(1000, 40, 20), (10**6, 64, 30), (200, 64, 32),
+           (MAX_TABLE_N - 1, MAX_TABLE_K, 32), (MAX_TABLE_N - 1, MAX_TABLE_K, 63)]
+
+
+class TestCertificateSpectrum:
+    """ekr_certificate takes its spectrum from Wilson's lemma; the Eberlein
+    table is its oracle."""
+
+    def test_grid_against_the_table(self):
+        for k in range(2, 9):
+            for n in range(2 * k, 26):
+                for t in range(1, k):
+                    for variant in VARIANTS:
+                        cert = ekr_certificate(n, k, t, variant)
+                        assert cert.spectrum == eigenvalues(
+                            certificate_matrix(n, k, t, variant)), (n, k, t, variant)
+
+    @pytest.mark.parametrize("n,k,t", CORNERS)
+    def test_corner_against_the_table(self, n, k, t):
+        for variant in VARIANTS:
+            cert = ekr_certificate(n, k, t, variant)
+            assert cert.spectrum == eigenvalues(certificate_matrix(n, k, t, variant))
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_a_wrong_lemma_eigenvalue_is_caught(self, j, monkeypatch):
+        # off by one for W_k (the term i = 0, present for every t) on V_j alone
+        lemma = wilson.wilson_eigenvalue
+        monkeypatch.setattr(wilson, "wilson_eigenvalue", lambda n, k, a, i:
+                            lemma(n, k, a, i) + (a == k and i == j))
+        with pytest.raises(SelfCheckError):
+            ekr_certificate(12, 4, 2)
+
+    def test_a_wrong_ratio_is_caught(self, monkeypatch):
+        # theta_0 of I + Omega is its entry-sum/trace ratio
+        ratio = wilson.sum_trace_ratio
+        monkeypatch.setattr(wilson, "sum_trace_ratio", lambda v: ratio(v) + 1)
+        with pytest.raises(SelfCheckError):
+            ekr_certificate(12, 4, 2)
 
 
 class TestEKRCertificate:
