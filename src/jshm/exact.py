@@ -1,18 +1,17 @@
 """Exact scalar arithmetic: rationals, polynomials, rational functions.
 
-Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator).  Polynomials are dense ascending coefficient tuples
-over the rationals in a single indeterminate, written ``nu`` in string
-form, which stands for the ground-set size when identities are checked
-symbolically.  Rational functions keep a monic denominator and a reduced
-numerator so that equality is plain structural comparison.
-
-Reduction skips only work whose result is known: coefficients that are
-already exactly ``Fraction`` are not re-wrapped, a gcd of degree 0 (which
-``poly_gcd`` returns monic, so it is 1) divides nothing out, and a leading
-denominator coefficient of 1 needs no rescaling.  The gcd is still computed
-for every rational function, so the canonical form (gcd(num, den) = 1, den
-monic) holds exactly as if every step ran.
+Rationals are ``fractions.Fraction``.  A polynomial in one indeterminate,
+written ``nu`` (the ground-set size when identities are checked
+symbolically), is stored as dense ascending integer coefficients over one
+positive common denominator, in lowest terms, so its arithmetic runs on
+Python ints; ``coeffs`` builds the Fraction tuple only when it is read.
+A rational function is reduced once, when it is built (``_lowest_terms``):
+the primitive parts of numerator and denominator are divided by their gcd
+over Z, taken by the primitive remainder sequence and skipped when either
+part is constant, and the result is scaled so that gcd(num, den) = 1 and
+den is monic over Q.  That canonical form makes equality plain structural
+comparison.  One integer pseudo-division, ``_pdivmod``, serves the
+remainder sequence, the exact quotients and ``Polynomial.divmod``.
 
 Everything here is immutable and pure; ``binom_rf`` is memoised for that
 reason.
@@ -74,73 +73,154 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _trim(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _poly(nums: tuple[int, ...], den: int) -> "Polynomial":
+    """The polynomial nums / den, from parts already in canonical form."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "_num", nums)
+    object.__setattr__(p, "_den", den)
+    return p
+
+
+def _canonical(nums: list[int], den: int) -> "Polynomial":
+    """The polynomial nums / den for any nonzero den: trailing zeros trimmed,
+    the denominator made positive and coprime to the coefficients."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _poly((), 1)
+    if den < 0:
+        den = -den
+        nums = [-c for c in nums]
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [c // g for c in nums]
+    return _poly(tuple(nums), den)
+
+
+def _split(c) -> tuple[int, tuple[int, ...]]:
+    """(content, primitive part) of nonzero integer coefficients, the
+    content being their positive gcd."""
+    g = math.gcd(*c)
+    return g, (tuple(c) if g == 1 else tuple(x // g for x in c))
+
+
+def _pdivmod(a, b) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of ascending coefficient sequences: (q, r, e)
+    with lc(b)**e * a = q * b + r, r trimmed and shorter than b.
+
+    A step scales by lc(b) only when lc(b) does not divide the leading
+    remainder coefficient, so e = 0 whenever b divides a over Z, which by
+    Gauss's lemma holds for a primitive b that divides a over Q.
+    """
+    lead, d = b[-1], len(b) - 1
+    rem = list(a)
+    q = [0] * max(len(a) - d, 0)
+    e = 0
+    for pos in range(len(a) - 1 - d, -1, -1):
+        c = rem[pos + d]
+        if not c:
+            continue
+        if c % lead:
+            rem = [x * lead for x in rem]
+            q = [x * lead for x in q]
+            e += 1
+            c *= lead
+        c //= lead
+        q[pos] = c
+        for i in range(d):  # rem[pos + d] cancels and is never read again
+            rem[pos + i] -= c * b[i]
+    del rem[d:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem, e
+
+
+def _zgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Gcd over Z of two nonzero primitive integer polynomials, primitive
+    with a positive leading coefficient, by the primitive remainder
+    sequence: each pseudo-remainder is divided by its content.  A shorter
+    a is its own remainder, so the first step swaps the two."""
+    while len(b) > 1:
+        r = _pdivmod(a, b)[1]
+        if not r:
+            return b if b[-1] > 0 else tuple(-x for x in b)
+        a, b = b, _split(r)[1]
+    return (1,)
 
 
 class Polynomial:
     """Dense univariate polynomial over the rationals, ascending degree.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
+    Stored as integer coefficients over one positive denominator, in lowest
+    terms; ``coeffs`` builds the Fraction tuple when it is read.  The zero
+    polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        fs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fs))
+        p = _canonical([f.numerator * (den // f.denominator) for f in fs], den)
+        object.__setattr__(self, "_num", p._num)
+        object.__setattr__(self, "_den", p._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def const(cls, c: Scalar) -> "Polynomial":
-        return cls((Fraction(c),))
+        c = Fraction(c)
+        return _canonical([c.numerator], c.denominator)
 
     @classmethod
     def variable(cls) -> "Polynomial":
-        return cls((Fraction(0), Fraction(1)))
+        return _poly((0, 1), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
-        if not isinstance(other, Polynomial):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(("Polynomial", self.coeffs))
+        # a constant equals its scalar, so it hashes as that scalar
+        return hash(self.evaluate(0) if self.degree < 1 else (self._num, self._den))
 
     def __add__(self, other) -> "Polynomial":
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        (a, da), (b, db) = (self._num, self._den), (other._num, other._den)
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            (a, da), (b, db) = (b, db), (a, da)
+        g = math.gcd(da, db)
+        out = [x * (db // g) for x in a]
+        for i, y in enumerate(b):
+            out[i] += y * (da // g)
+        return _canonical(out, da * (db // g))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other) -> "Polynomial":
         other = _as_poly(other)
@@ -158,52 +238,51 @@ class Polynomial:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self._num, other._num
+        if not a or not b:
+            return _poly((), 1)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(tuple(a * c for a in self.coeffs))
+        return _canonical([x * c.numerator for x in self._num], self._den * c.denominator)
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading())
+        return _canonical(list(self._num), self._num[-1])
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division: self = q * other + r with deg r < deg other."""
+        """Exact long division: self = q * other + r with deg r < deg other.
+
+        For self = a / da and other = b / db with lc(b)**e a = q b + r over Z
+        (``_pdivmod``), the quotient is q db / (lc(b)**e da) and the
+        remainder r / (lc(b)**e da).
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.leading()
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            c = rem[-1] / lead
-            pos = len(rem) - 1 - d
-            q[pos] = c
-            for i, b in enumerate(other.coeffs):
-                rem[pos + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(q), Polynomial(rem)
+        q, r, e = _pdivmod(self._num, other._num)
+        den = other._num[-1] ** e * self._den
+        return _canonical([x * other._den for x in q], den), _canonical(r, den)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        acc = 0
+        for c in reversed(self._num):
             acc = acc * x + c
-        return acc
+        return Fraction(acc) / self._den
 
     def __repr__(self) -> str:
         return f"Polynomial({poly_to_str(self)!r})"
+
+
+_ONE = Polynomial.const(1)
 
 
 def _as_poly(x) -> Polynomial | None:
@@ -215,20 +294,22 @@ def _as_poly(x) -> Polynomial | None:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
+    """Monic gcd, from the primitive gcd over Z of the two primitive parts;
+    gcd(0, 0) = 0."""
+    if a.is_zero() or b.is_zero():
+        return (a if b.is_zero() else b).monic()
+    g = _zgcd(_split(a._num)[1], _split(b._num)[1])
+    return _poly(g, g[-1])
 
 
 def poly_to_str(p: Polynomial) -> str:
     """Render descending-degree, e.g. "nu^2 - 5*nu + 6"."""
     if p.is_zero():
         return "0"
+    coeffs = p.coeffs
     parts = []
     for d in range(p.degree, -1, -1):
-        c = p.coeffs[d]
+        c = coeffs[d]
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
@@ -246,6 +327,27 @@ def poly_to_str(p: Polynomial) -> str:
     return text
 
 
+def _lowest_terms(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num / den (den nonzero) with gcd(num, den) = 1 and den monic.
+
+    With contents ca, cb and primitive parts a, b, num / den is
+    (ca den._den) / (cb num._den) * a / b; the primitive gcd of a and b
+    divides both exactly over Z, and is skipped when either is constant.
+    """
+    if num.is_zero():
+        return num, _ONE
+    (ca, a), (cb, b) = _split(num._num), _split(den._num)
+    if len(a) > 1 and len(b) > 1:
+        g = _zgcd(a, b)
+        if len(g) > 1:
+            a, b = _pdivmod(a, g)[0], tuple(_pdivmod(b, g)[0])
+    lead = b[-1]
+    num = _canonical([x * ca * den._den for x in a], cb * num._den * lead)
+    if lead < 0:
+        b, lead = tuple(-x for x in b), -lead
+    return num, _poly(b, lead)
+
+
 class RationalFunction:
     """Quotient of two polynomials, kept in canonical reduced form.
 
@@ -258,22 +360,12 @@ class RationalFunction:
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
-        den = Polynomial.const(1) if den is None else _as_poly(den)
+        den = _ONE if den is None else _as_poly(den)
         if num is None or den is None:
             raise TypeError("RationalFunction expects polynomial or scalar parts")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Polynomial(), Polynomial.const(1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lead = den.leading()
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+        num, den = _lowest_terms(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -298,12 +390,15 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        # with denominator 1 it equals its numerator, so it hashes as that
+        return hash(self.num) if self.den == _ONE else hash((self.num, self.den))
 
     def __add__(self, other) -> "RationalFunction":
         other = _as_rf(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -311,7 +406,10 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        f = object.__new__(RationalFunction)  # negation keeps the canonical form
+        object.__setattr__(f, "num", -self.num)
+        object.__setattr__(f, "den", self.den)
+        return f
 
     def __sub__(self, other) -> "RationalFunction":
         other = _as_rf(other)
@@ -371,7 +469,7 @@ def _as_rf(x) -> RationalFunction | None:
 def rf_to_str(f: RationalFunction) -> str:
     """Render "num/den" ("num" alone for polynomial denominator 1)."""
     num = poly_to_str(f.num)
-    if f.den == Polynomial.const(1):
+    if f.den == _ONE:
         return num
     return f"({num})/({poly_to_str(f.den)})"
 
@@ -425,9 +523,9 @@ def binom_poly(shift: int, b: int) -> Polynomial:
     """
     if b < 0:
         raise ValueError(f"binom_poly: negative subset size {b}")
-    p = Polynomial.const(1)
+    p = _ONE
     for j in range(b):
-        p = p * Polynomial((Fraction(shift - j), Fraction(1)))
+        p = p * Polynomial((shift - j, 1))
     return p.scale(Fraction(1, math.factorial(b)))
 
 

@@ -60,10 +60,11 @@ RHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "omega")
 _WITNESS_SCAN_LIMIT = 200
 
 # The symbolic sides (and so compare_symbolic and compare_pointwise) refuse
-# k > MAX_SYMBOLIC_K: rational-function cost grows steeply with k, and the
-# worst admitted comparison, k = 24 at t near 17, takes about 1.1 s cold
-# against 2.2-2.7 s at k = 28.  compare_pointwise also refuses more than
-# MAX_POINTWISE_POINTS sizes (each costs up to 4 ms at k = 24) and
+# k > MAX_SYMBOLIC_K: rational-function cost grows steeply with k.  On a
+# 2-vCPU x86-64 host the worst admitted comparison, k = 24 against the
+# corrected Omega at t near 18, takes about 0.04 s cold, against 0.07 s at
+# k = 28.  compare_pointwise also refuses more than MAX_POINTWISE_POINTS
+# sizes (each costs up to 2 ms at k = 24, so 1000 take about 1.5 s) and
 # n_to >= MAX_TABLE_N, the bound of the numeric sides.
 MAX_SYMBOLIC_K = 24
 MAX_POINTWISE_POINTS = 1000

@@ -18,6 +18,7 @@ numbered at least kmin = |best| - |current| + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .designs import NotADesignError
@@ -117,6 +118,38 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
         raise ValueError("incompatible matrix shapes")
     bt = mat_transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _trimmed(coeffs) -> list[Fraction]:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def euclid_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Long division over Q of ascending coefficient sequences:
+    a = q * b + r with r shorter than b, both trimmed."""
+    rem, b = _trimmed(a), _trimmed(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        pos = len(rem) - len(b)
+        q[pos] = c
+        for i, y in enumerate(b):
+            rem[pos + i] -= c * y
+        rem = _trimmed(rem)
+    return tuple(_trimmed(q)), tuple(rem)
+
+
+def euclid_gcd(a, b) -> tuple[Fraction, ...]:
+    """Monic gcd over Q by Euclid's algorithm, ascending; gcd(0, 0) = ()."""
+    a, b = tuple(_trimmed(a)), tuple(_trimmed(b))
+    while b:
+        a, b = b, euclid_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else ()
 
 
 def _distance_pair(params: SchemeParams, r: int) -> tuple[int, int]:

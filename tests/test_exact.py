@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from jshm.exact import (
     rat_to_str,
     rf_to_str,
 )
+from jshm.oracles import euclid_divmod, euclid_gcd
 
 
 class TestBinom:
@@ -128,12 +130,11 @@ def mixed_polynomials(max_degree=3):
 
 
 def _reference_reduction(num, den):
-    """Canonical (num, den) by always dividing by the gcd and scaling."""
-    g = poly_gcd(num, den)
-    num, _ = num.divmod(g)
-    den, _ = den.divmod(g)
-    lead = den.leading()
-    return num.scale(1 / lead), den.scale(1 / lead)
+    """Canonical (num, den) coefficients by Euclid over Q (the oracle): both
+    divided by their monic gcd, then scaled so that den is monic."""
+    g = euclid_gcd(num.coeffs, den.coeffs)
+    num, den = euclid_divmod(num.coeffs, g)[0], euclid_divmod(den.coeffs, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
 
 
 def _assert_exact(p):
@@ -169,7 +170,7 @@ class TestCanonicalForm:
                 assert f.den == Polynomial.const(1)
             else:
                 assert poly_gcd(f.num, f.den) == Polynomial.const(1)
-            assert (f.num, f.den) == _reference_reduction(n, d)
+            assert (f.num.coeffs, f.den.coeffs) == _reference_reduction(n, d)
 
     @settings(max_examples=40)
     @given(rational_functions(), rational_functions())
@@ -178,7 +179,7 @@ class TestCanonicalForm:
         if not g.is_zero():
             results.append(f / g)
         for h in results:
-            assert (h.num, h.den) == _reference_reduction(h.num, h.den)
+            assert (h.num.coeffs, h.den.coeffs) == _reference_reduction(h.num, h.den)
 
     def test_binom_rf_is_shared_and_immutable(self):
         assert binom_rf(-3, 2) is binom_rf(-3, 2)
@@ -189,6 +190,63 @@ class TestCanonicalForm:
         # the memoised binom_rf(-3, 2) shares its numerator with every caller
         with pytest.raises(AttributeError, match="Polynomial is immutable"):
             binom_rf(-3, 2).num.coeffs = ()
+
+
+def _negative_leading(p):
+    return -p if not p.is_zero() and p.leading() > 0 else p
+
+
+# products of up to five linear factors with rational roots and scales, the
+# shape of the binomial denominators, so the remainder sequence runs long
+linear_products = st.lists(
+    st.tuples(small_fractions, small_fractions.filter(bool)), max_size=5
+).map(lambda fs: functools.reduce(
+    lambda p, f: p * Polynomial(f), fs, Polynomial.const(1)))
+
+
+class TestAgainstEuclid:
+    @settings(max_examples=150)
+    @given(st.one_of(polynomials(4), linear_products),
+           st.one_of(polynomials(4), linear_products),
+           st.one_of(polynomials(2), linear_products))
+    def test_gcd(self, a, b, common):
+        for x, y in ((a, b), (a * common, b * common),
+                     (_negative_leading(a * common), _negative_leading(b * common)),
+                     (_negative_leading(a) * common, b)):
+            assert poly_gcd(x, y) == Polynomial(euclid_gcd(x.coeffs, y.coeffs))
+
+    def test_gcd_with_zero(self):
+        p = Polynomial((2, Fraction(-3, 2), -4))
+        assert poly_gcd(Polynomial(), Polynomial()) == Polynomial()
+        assert poly_gcd(p, Polynomial()) == Polynomial(euclid_gcd(p.coeffs, ()))
+        assert poly_gcd(Polynomial(), p) == Polynomial(euclid_gcd((), p.coeffs))
+        assert poly_gcd(p, Polynomial.const(Fraction(-2, 3))) == Polynomial.const(1)
+
+    @settings(max_examples=150)
+    @given(st.one_of(polynomials(5), linear_products),
+           st.one_of(polynomials(3), linear_products).filter(lambda p: not p.is_zero()))
+    def test_divmod(self, a, b):
+        b = _negative_leading(b)
+        for x in (a, a * b, _negative_leading(a) * b + a):
+            q, r = x.divmod(b)
+            assert (q, r) == tuple(map(Polynomial, euclid_divmod(x.coeffs, b.coeffs)))
+
+
+class TestHash:
+    @given(st.one_of(st.integers(-5, 5), small_fractions))
+    def test_a_constant_hashes_as_its_scalar(self, c):
+        for x in (Polynomial.const(c), RationalFunction.const(c)):
+            assert x == c
+            assert hash(x) == hash(c) == hash(Fraction(c))
+        assert len({RationalFunction.const(c), Polynomial.const(c), c}) == 1
+
+    def test_equal_values_hash_equal(self):
+        p = binom_poly(-2, 3)
+        assert RationalFunction(p) == p and hash(RationalFunction(p)) == hash(p)
+        a, b = (NU * (NU + 1)) / NU, NU + 1
+        assert a == b and hash(a) == hash(b)
+        f = RationalFunction(p, binom_poly(-3, 2))
+        assert hash(f) == hash(RationalFunction(p * 6, binom_poly(-3, 2) * 6))
 
 
 class TestEvaluation:

@@ -25,6 +25,10 @@ from jshm.wilson import wilson_matrix, wilson_matrix_symbolic
 # sort_keys=True) over 2 <= k <= 7, 1 <= t < k, LHS_CHOICES x RHS_CHOICES,
 # recorded before the rational-function fast paths and the side memo
 SYMBOLIC_REPORTS_SHA256 = "22d47eb39ce93e18c7b08a8194fb49856ccc20ec2286790e1c90654a53670729"
+# the same over 8 <= k <= 12, where the intermediates of a remainder sequence
+# over Z and of Euclid over Q differ most; recorded with Euclid over Q
+LARGE_K_SYMBOLIC_REPORTS_SHA256 = (
+    "ff5af8571644a45b8ff9b2ce88aa34309e9cc530524215a7bad30039dae5ea9a")
 
 VERIFIED_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
 
@@ -88,13 +92,19 @@ class TestCompareSymbolic:
         assert doc["h"][0] == "0"
 
 
+def _symbolic_reports_digest(ks) -> str:
+    docs = [compare_symbolic(k, t, lhs, rhs).to_dict()
+            for k in ks for t in range(1, k)
+            for lhs in LHS_CHOICES for rhs in RHS_CHOICES]
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
 class TestSymbolicSides:
     def test_reports_are_pinned(self):
-        docs = [compare_symbolic(k, t, lhs, rhs).to_dict()
-                for k in range(2, 8) for t in range(1, k)
-                for lhs in LHS_CHOICES for rhs in RHS_CHOICES]
-        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
-        assert digest == SYMBOLIC_REPORTS_SHA256
+        assert _symbolic_reports_digest(range(2, 8)) == SYMBOLIC_REPORTS_SHA256
+
+    def test_large_k_reports_are_pinned(self):
+        assert _symbolic_reports_digest(range(8, 13)) == LARGE_K_SYMBOLIC_REPORTS_SHA256
 
     @pytest.mark.parametrize("get", [
         lambda: symbolic_side("m", 4, 2),
