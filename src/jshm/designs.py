@@ -24,11 +24,10 @@ counts are those of the classical linked version.  Every enumeration here
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exact import RationalFunction, Report, binom, binom_at_size, binom_rf, to_json
+from .exact import RationalFunction, Record, Report, binom, binom_at_size, binom_rf, to_json
 from .johnson import (
     MAX_ENUMERATED_SUBSETS,
     MAX_TABLE_K,
@@ -54,7 +53,6 @@ class NotADesignError(ValueError):
         super().__init__(f"subset {list(witness)} covered {count} times, expected {expected}")
 
 
-@dataclass(frozen=True)
 class Design(Report):
     """A verified t-(n,k,lambda) design."""
 
@@ -174,7 +172,6 @@ def _design_coeffs(binom_at, k, t):
     return coeffs
 
 
-@dataclass(frozen=True)
 class DesignProjectionReport(Report):
     """Relation between a Steiner design's projection and M(n,k,t).
 
@@ -324,8 +321,7 @@ def _exact_cover(num_columns: int, rows: list[list[int]], budget: int):
             return "not-found", None, nodes
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of a Steiner-system search: found / not-found / budget-exhausted."""
 
     status: str
@@ -337,8 +333,8 @@ DEFAULT_SEARCH_BUDGET = 5_000_000
 
 # search_design refuses more than MAX_SEARCH_ENTRIES row entries
 # C(n,k) * C(k,t) before it enumerates a subset.  Measured peak RSS near
-# the bound: 57 MB at (28,5,2), 128 MB at (1000,2,1), and 480 MB at
-# (71,4,4), since for k = t every row is a column of its own.
+# the bound: 57 MB at (28,5,2), 128 MB at (1000,2,1), and 312 MB at
+# (71,4,4), whose design is all 971 635 of its 4-subsets.
 MAX_SEARCH_ENTRIES = 1_000_000
 
 
@@ -350,7 +346,9 @@ def search_design(n: int, k: int, t: int,
     covering its C(k,t) t-subsets.  The traversal is deterministic, so the
     returned design is reproducible; the budget counts row expansions and
     distinguishes an exhausted search space ("not-found") from an exhausted
-    budget.  More than MAX_SEARCH_ENTRIES row entries raise SizeBudgetError.
+    budget.  For k = t the one design, every k-subset, is taken without a
+    search, with the outcome and node count the search would report.  More
+    than MAX_SEARCH_ENTRIES row entries raise SizeBudgetError.
     """
     if not 0 < t <= k <= n:
         raise ValueError(f"need 0 < t <= k <= n, got t={t}, k={k}, n={n}")
@@ -358,13 +356,21 @@ def search_design(n: int, k: int, t: int,
     if entries > MAX_SEARCH_ENTRIES:
         raise SizeBudgetError(f"C({n},{k}) * C({k},{t}) = {entries} row entries "
                               f"exceed the search bound {MAX_SEARCH_ENTRIES}")
-    t_index = {sub: i for i, sub in enumerate(colex_tuples(n, t))}
-    k_subsets = colex_tuples(n, k)
-    rows = [[t_index[sub] for sub in combinations(block, t)] for block in k_subsets]
-    status, chosen, nodes = _exact_cover(len(t_index), rows, budget)
-    if status != "found":
-        return SearchOutcome(status, None, nodes)
-    blocks = [k_subsets[r] for r in sorted(chosen)]
+    if k == t:
+        # each row covers only its own column, so Algorithm X expands the
+        # rows one by one in colex order and takes them all
+        nodes = binom(n, k)
+        if nodes > budget:
+            return SearchOutcome("budget-exhausted", None, max(budget, 0) + 1)
+        blocks = colex_tuples(n, k)
+    else:
+        t_index = {sub: i for i, sub in enumerate(colex_tuples(n, t))}
+        k_subsets = colex_tuples(n, k)
+        rows = [[t_index[sub] for sub in combinations(block, t)] for block in k_subsets]
+        status, chosen, nodes = _exact_cover(len(t_index), rows, budget)
+        if status != "found":
+            return SearchOutcome(status, None, nodes)
+        blocks = [k_subsets[r] for r in sorted(chosen)]
     design = as_design(make_family(n, k, blocks), t)
     if design.lam != 1:
         raise RuntimeError("search produced a family that is not a Steiner system")

@@ -13,6 +13,12 @@ den is monic over Q.  That canonical form makes equality plain structural
 comparison.  One integer pseudo-division, ``_pdivmod``, serves the
 remainder sequence, the exact quotients and ``Polynomial.divmod``.
 
+``Record`` is the base of every jshm record type: its fields are the class
+annotations, and ``__init_subclass__`` writes each subclass's ``__init__``
+once, so that no module imports ``dataclasses`` at start-up.  ``Report``,
+the record whose JSON document is its fields, is one, and ``to_json``
+writes every document.
+
 Everything here is immutable and pure; ``binom_rf`` is memoised for that
 reason.
 """
@@ -500,7 +506,60 @@ def to_json(value):
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-class Report:
+class Record:
+    """An immutable record whose fields are its class annotations.
+
+    A subclass names its fields by annotation, after those of its bases in
+    MRO order; a class attribute of the same name is that field's default.
+    ``__init_subclass__`` keeps the names in ``_fields`` and writes the
+    subclass's ``__init__`` once, which takes the fields positionally or by
+    name, stores them in field order and then calls ``__post_init__`` if
+    the class defines one.  The instance dict holds exactly the fields, so
+    equality (same type, equal fields), hashing and ``repr`` read it.
+    """
+
+    _fields = ()  # the field names in order, set for each subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields, defaults = {}, {}
+        for base in reversed(cls.__mro__):
+            own = vars(base)
+            for name in own.get("__annotations__", ()):
+                fields[name] = None
+                if name in own:
+                    defaults[name] = own[name]
+        cls._fields = tuple(fields)
+        params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}"
+                         for f in cls._fields)
+        body = "".join(f"    _dict[{f!r}] = {f}\n" for f in cls._fields)
+        post = "    _self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        namespace = {"_defaults": defaults}
+        exec(f"def __init__(_self{params}):\n    _dict = _self.__dict__\n{body}{post}",
+             namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Report(Record):
     """A result whose JSON document is its fields, encoded by :func:`to_json`.
 
     A subclass overrides ``to_dict`` only where its document differs from

@@ -24,7 +24,6 @@ bounds that memo.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -123,7 +122,6 @@ class SymbolicWitness(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
 class IdentityReport(Report):
     """Outcome of a symbolic coefficient comparison."""
 
@@ -194,7 +192,6 @@ class PointwiseFailure(NamedTuple):
     rhs: Fraction
 
 
-@dataclass(frozen=True)
 class PointwiseReport(Report):
     """Outcome of exact evaluation of both sides over an integer range."""
 
@@ -261,7 +258,6 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
     )
 
 
-@dataclass(frozen=True)
 class WitnessPoint(Report):
     n: int
     status: str  # verified | failed | inadmissible | not-found | unverified
@@ -269,7 +265,6 @@ class WitnessPoint(Report):
     nodes: int | None
 
 
-@dataclass(frozen=True)
 class WitnessReport(Report):
     """The identity verified through explicitly found Steiner systems."""
 

@@ -17,11 +17,10 @@ itself a consistency check.  Counted intersection numbers live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binom
+from .exact import Record, binom
 from .subsets import MAX_ENUMERATED_SUBSETS, SizeBudgetError, colex_tuples, subset_mask
 
 # dense and the dense oracles (inclusion and disjointness matrices,
@@ -40,8 +39,7 @@ class SelfCheckError(RuntimeError):
     """A construction-time identity failed, signalling a formula bug."""
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record):
     """Parameters (n, k) of the Johnson scheme J(n,k), within the table bound."""
 
     n: int
@@ -73,8 +71,7 @@ def class_size(params: SchemeParams, r: int) -> int:
     return params.order * binom(params.k, r) * binom(params.n - params.k, r)
 
 
-@dataclass(frozen=True)
-class BMVector:
+class BMVector(Record):
     """Element sum(c_r * A_r) of the Bose-Mesner algebra.
 
     Coefficients are exact scalars: Fraction for numeric work, or any type
@@ -185,8 +182,7 @@ def multiplicities(n: int, k: int) -> tuple[int, ...]:
     return tuple(binom(n, j) - binom(n, j - 1) for j in range(k + 1))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(Record):
     """Exact eigenvalue table of J(n,k).
 
     ``P[j][i]`` is the eigenvalue of A_i on the j-th common eigenspace,
@@ -250,8 +246,7 @@ def eigenvalues(v: BMVector) -> tuple[Fraction, ...]:
     )
 
 
-@dataclass(frozen=True)
-class PSDReport:
+class PSDReport(Record):
     """Exact positive-semidefiniteness verdict for an algebra element."""
 
     psd: bool

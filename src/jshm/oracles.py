@@ -17,7 +17,7 @@ numbered at least kmin = |best| - |current| + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,8 +42,11 @@ def float_spectrum(mat: list[list]) -> list[float]:
 
     Comparisons against exact spectra in this package use a 1e-8 tolerance;
     at the orders in scope that is orders of magnitude above the rounding
-    error of the conversion.
+    error of the conversion.  Unless the caller chose otherwise before numpy
+    was loaded, OpenBLAS runs one thread: its default threads made these
+    small eigenproblems several times slower beside other busy processes.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np  # deferred: only the float oracle needs it
 
     order = len(mat)
@@ -183,7 +186,6 @@ def intersection_number(i: int, j: int, r: int, params: SchemeParams) -> int:
 DEFAULT_CLIQUE_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
 class MaxFamilyResult(Report):
     """Largest t-intersecting family found; optimal means search completed."""
 

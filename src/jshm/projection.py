@@ -23,11 +23,10 @@ family projects to trace |F| and entry sum |F|^2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exact import Report, binom, to_json
+from .exact import Record, Report, binom, to_json
 from .johnson import (
     BMVector,
     SchemeParams,
@@ -39,8 +38,7 @@ from .johnson import (
 from .subsets import Family, subset_mask
 
 
-@dataclass(frozen=True)
-class PairDistribution:
+class PairDistribution(Record):
     """d_r = number of ordered pairs (S, T) in F x F with |S inter T| = k - r."""
 
     counts: tuple[int, ...]
@@ -110,7 +108,6 @@ def _per_one(total: Fraction, params: SchemeParams, r: int) -> Fraction:
     return total / size if size else Fraction(0)
 
 
-@dataclass(frozen=True)
 class FamilyLemmaReport(Report):
     """Diagnostic check of the projection of a t-intersecting family.
 

@@ -10,10 +10,9 @@ e) are built only where intersections are counted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import binom
+from .exact import Record, binom
 
 # star_family, and colex_masks (oracle and dense paths only), refuse to
 # enumerate more subsets; admits C(25,8) = 1 081 575 (~350 MB peak)
@@ -39,8 +38,7 @@ def colex_tuples(n: int, k: int) -> list[tuple[int, ...]]:
     return [c[::-1] for c in reversed(list(combinations(range(n, 0, -1), k)))]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A family of distinct k-subsets of {1..n}, each a strictly increasing tuple."""
 
     n: int

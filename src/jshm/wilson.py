@@ -32,7 +32,6 @@ computed from the class sizes.  The table is the tests' oracle for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -144,7 +143,6 @@ def sum_trace_ratio(v: BMVector) -> Fraction:
     return entry_sum(v) / tr
 
 
-@dataclass(frozen=True)
 class CliqueCocliqueReport(Report):
     """The clique-coclique inequality for two algebra elements.
 
@@ -192,7 +190,6 @@ def clique_coclique(u: BMVector, v: BMVector) -> CliqueCocliqueReport:
     )
 
 
-@dataclass(frozen=True)
 class EKRCertificate(Report):
     """Exact certificate that t-intersecting families in J(n,k) have size
     at most C(n-t, k-t)."""
@@ -273,7 +270,6 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
     )
 
 
-@dataclass(frozen=True)
 class DesignBoundReport(Report):
     """The intersecting-family bound derived from an explicit Steiner design."""
 

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jshm.designs import (
+    DEFAULT_SEARCH_BUDGET,
     MAX_ADMISSIBLE_SIZES,
     MAX_SEARCH_ENTRIES,
     NotADesignError,
+    _exact_cover,
     admissible,
     admissible_range,
     as_design,
@@ -329,6 +331,28 @@ class TestSearchDesign:
         assert binom(30, 5) * binom(5, 2) > MAX_SEARCH_ENTRIES
         with pytest.raises(SizeBudgetError):
             search_design(30, 5, 2)
+
+    def test_k_equals_t_matches_the_search(self):
+        # for k = t the outcome is taken without running the search
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                subsets = colex_tuples(n, k)
+                rows = [[i] for i in range(len(subsets))]
+                total = len(subsets)
+                for budget in {-1, 0, 1, total - 1, total, DEFAULT_SEARCH_BUDGET}:
+                    status, chosen, nodes = _exact_cover(total, rows, budget)
+                    blocks = None if chosen is None else [subsets[r] for r in sorted(chosen)]
+                    out = search_design(n, k, k, budget)
+                    got = None if out.design is None else list(out.design.family.members)
+                    assert (out.status, out.nodes, got) == (status, nodes, blocks), \
+                        (n, k, budget)
+
+    def test_k_equals_t_is_not_searched(self):
+        # a search node took the minimum over all C(n,t) columns: 2.2 s on 2 vCPUs
+        start = time.perf_counter()
+        out = search_design(40, 3, 3)
+        assert time.perf_counter() - start < 1.0
+        assert out.status == "found" and out.nodes == out.design.size == binom(40, 3)
 
     def test_fano_parameters(self):
         out = search_design(7, 3, 2)

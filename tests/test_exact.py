@@ -11,6 +11,7 @@ from jshm.exact import (
     PoleError,
     Polynomial,
     RationalFunction,
+    Record,
     binom,
     binom_poly,
     binom_rf,
@@ -20,6 +21,9 @@ from jshm.exact import (
     rat_to_str,
     rf_to_str,
 )
+from jshm.designs import Design
+from jshm.identity import PointwiseReport
+from jshm.johnson import BMVector, SchemeParams
 from jshm.oracles import euclid_divmod, euclid_gcd
 
 
@@ -297,3 +301,77 @@ class TestSerialization:
         f = 1 / (NU - 4)
         assert rf_to_str(f) == "(1)/(nu - 4)"
         assert rf_to_str(NU + 1) == "nu + 1"
+
+
+class Point(Record):
+    x: int
+    y: Fraction = Fraction(1, 2)
+
+
+class Point3(Point):
+    z: int = 0
+
+
+class Pair(Record):  # the fields of Point, in another type
+    x: int
+    y: Fraction
+
+
+class TestRecord:
+    def test_fields_follow_the_mro(self):
+        assert Point._fields == ("x", "y")
+        assert Point3._fields == ("x", "y", "z")
+        assert Design._fields == ("family", "t", "lam")
+
+    def test_immutable(self):
+        p = Point(1)
+        with pytest.raises(AttributeError):
+            p.x = 2
+        with pytest.raises(AttributeError):
+            p.w = 2
+        with pytest.raises(AttributeError):
+            del p.x
+        assert p.x == 1
+
+    def test_equality_within_a_type_by_fields(self):
+        assert Point(1, 2) == Point(1, 2)
+        assert Point(1, 2) != Point(1, 3)
+        assert Point(1, 2) != Pair(1, 2)
+        assert Point(1, 2) != Point3(1, 2)
+        assert Point(1, 2) != (1, 2)
+        assert SchemeParams(5, 2) == SchemeParams(5, 2) != SchemeParams(6, 2)
+
+    def test_equal_records_hash_equal(self):
+        assert hash(Point(1, Fraction(1))) == hash(Point(1, 1))
+        assert len({SchemeParams(5, 2), SchemeParams(5, 2), SchemeParams(6, 2)}) == 2
+
+    def test_repr(self):
+        assert repr(Point3(1, Fraction(1, 3))) == "Point3(x=1, y=Fraction(1, 3), z=0)"
+        assert repr(SchemeParams(5, 2)) == "SchemeParams(n=5, k=2)"
+
+    def test_defaults(self):
+        assert vars(Point(1)) == {"x": 1, "y": Fraction(1, 2)}
+        assert Point3(1, z=5) == Point3(1, Fraction(1, 2), 5)
+        report = PointwiseReport(3, 2, "m", "omega_corrected", 6, 20, 15, 15, None, True, 20)
+        assert report.skipped_poles == ()
+
+    def test_positional_and_keyword(self):
+        assert Point3(1, 2, 3) == Point3(z=3, y=2, x=1)
+        assert list(vars(Point3(z=3, y=2, x=1))) == ["x", "y", "z"]
+
+    @pytest.mark.parametrize("build", [lambda: SchemeParams(0, 1),
+                                       lambda: SchemeParams(n=0, k=1),
+                                       lambda: BMVector(SchemeParams(5, 2), (1, 2)),
+                                       lambda: BMVector(params=SchemeParams(5, 2), coeffs=(1,))])
+    def test_post_init_runs_either_way(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("build", [lambda: Point(),
+                                       lambda: Point(1, 2, 3),
+                                       lambda: Point(1, w=3),
+                                       lambda: Point(1, x=1),
+                                       lambda: SchemeParams(5)])
+    def test_missing_extra_or_repeated_field(self, build):
+        with pytest.raises(TypeError):
+            build()

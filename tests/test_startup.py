@@ -1,4 +1,5 @@
-"""Start-up: each CLI command loads only the jshm modules it runs."""
+"""Start-up: each CLI command loads only the jshm modules it runs, and no
+command loads ``dataclasses``."""
 
 import ast
 import json
@@ -73,14 +74,15 @@ FAMILIES = {
 }
 
 # Runs each command through cli.main in turn and prints, after each, its
-# exit code and the jshm modules loaded so far.
+# exit code, the jshm modules loaded so far and whether dataclasses is.
 CHILD = """
 import contextlib, io, json, sys
 from jshm import cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    print(json.dumps([code, sorted(m[5:] for m in sys.modules if m.startswith("jshm."))]))
+    print(json.dumps([code, sorted(m[5:] for m in sys.modules if m.startswith("jshm.")),
+                      "dataclasses" in sys.modules]))
 """
 
 
@@ -100,6 +102,7 @@ def test_command_loads_only_its_modules(family, tmp_path):
     )
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(lines) == len(argvs)
-    for argv, (code, loaded) in zip(argvs, lines):
+    for argv, (code, loaded, dataclasses_loaded) in zip(argvs, lines):
         assert code in (0, 1), argv
         assert set(loaded) == expected, argv
+        assert not dataclasses_loaded, argv  # records are exact.Record
