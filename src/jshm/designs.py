@@ -333,7 +333,7 @@ DEFAULT_SEARCH_BUDGET = 5_000_000
 
 # search_design refuses more than MAX_SEARCH_ENTRIES row entries
 # C(n,k) * C(k,t) before it enumerates a subset.  Measured peak RSS near
-# the bound: 57 MB at (28,5,2), 128 MB at (1000,2,1), and 312 MB at
+# the bound: 57 MB at (28,5,2), 128 MB at (1000,2,1), and 238 MB at
 # (71,4,4), whose design is all 971 635 of its 4-subsets.
 MAX_SEARCH_ENTRIES = 1_000_000
 
@@ -371,7 +371,7 @@ def search_design(n: int, k: int, t: int,
         if status != "found":
             return SearchOutcome(status, None, nodes)
         blocks = [k_subsets[r] for r in sorted(chosen)]
-    design = as_design(make_family(n, k, blocks), t)
+    design = as_design(Family(n, k, tuple(blocks)), t)  # colex tuples are sorted
     if design.lam != 1:
         raise RuntimeError("search produced a family that is not a Steiner system")
     return SearchOutcome("found", design, nodes)

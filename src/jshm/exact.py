@@ -11,13 +11,13 @@ over Z, taken by the primitive remainder sequence and skipped when either
 part is constant, and the result is scaled so that gcd(num, den) = 1 and
 den is monic over Q.  That canonical form makes equality plain structural
 comparison.  One integer pseudo-division, ``_pdivmod``, serves the
-remainder sequence, the exact quotients and ``Polynomial.divmod``.
+remainder sequence and the exact quotients.
 
 ``Record`` is the base of every jshm record type: its fields are the class
-annotations, and ``__init_subclass__`` writes each subclass's ``__init__``
-once, so that no module imports ``dataclasses`` at start-up.  ``Report``,
-the record whose JSON document is its fields, is one, and ``to_json``
-writes every document.
+annotations, none with a default, and ``__init_subclass__`` writes each
+subclass's ``__init__`` once, so that no module imports ``dataclasses`` at
+start-up.  ``Report``, the record whose JSON document is its fields, is
+one, and ``to_json`` writes every document.
 
 Everything here is immutable and pure; ``binom_rf`` is memoised for that
 reason.
@@ -144,13 +144,15 @@ def _pdivmod(a, b) -> tuple[list[int], list[int], int]:
 
 def _zgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Gcd over Z of two nonzero primitive integer polynomials, primitive
-    with a positive leading coefficient, by the primitive remainder
-    sequence: each pseudo-remainder is divided by its content.  A shorter
-    a is its own remainder, so the first step swaps the two."""
+    and of either sign, by the primitive remainder sequence: each
+    pseudo-remainder is divided by its content.  A shorter a is its own
+    remainder, so the first step swaps the two.  Reduction divides both
+    parts by the gcd and takes the sign from the denominator, so the
+    gcd's own sign does not matter."""
     while len(b) > 1:
         r = _pdivmod(a, b)[1]
         if not r:
-            return b if b[-1] > 0 else tuple(-x for x in b)
+            return b
         a, b = b, _split(r)[1]
     return (1,)
 
@@ -194,11 +196,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._num
-
-    def leading(self) -> Fraction:
-        if not self._num:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
 
     def __eq__(self, other) -> bool:
         other = _as_poly(other)
@@ -259,24 +256,6 @@ class Polynomial:
         c = Fraction(c)
         return _canonical([x * c.numerator for x in self._num], self._den * c.denominator)
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return _canonical(list(self._num), self._num[-1])
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division: self = q * other + r with deg r < deg other.
-
-        For self = a / da and other = b / db with lc(b)**e a = q b + r over Z
-        (``_pdivmod``), the quotient is q db / (lc(b)**e da) and the
-        remainder r / (lc(b)**e da).
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, e = _pdivmod(self._num, other._num)
-        den = other._num[-1] ** e * self._den
-        return _canonical([x * other._den for x in q], den), _canonical(r, den)
-
     def evaluate(self, x: Scalar) -> Fraction:
         """Horner evaluation at a rational point."""
         acc = 0
@@ -297,15 +276,6 @@ def _as_poly(x) -> Polynomial | None:
     if isinstance(x, (int, Fraction)):
         return Polynomial.const(x)
     return None
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd, from the primitive gcd over Z of the two primitive parts;
-    gcd(0, 0) = 0."""
-    if a.is_zero() or b.is_zero():
-        return (a if b.is_zero() else b).monic()
-    g = _zgcd(_split(a._num)[1], _split(b._num)[1])
-    return _poly(g, g[-1])
 
 
 def poly_to_str(p: Polynomial) -> str:
@@ -510,31 +480,26 @@ class Record:
     """An immutable record whose fields are its class annotations.
 
     A subclass names its fields by annotation, after those of its bases in
-    MRO order; a class attribute of the same name is that field's default.
-    ``__init_subclass__`` keeps the names in ``_fields`` and writes the
-    subclass's ``__init__`` once, which takes the fields positionally or by
-    name, stores them in field order and then calls ``__post_init__`` if
-    the class defines one.  The instance dict holds exactly the fields, so
-    equality (same type, equal fields), hashing and ``repr`` read it.
+    MRO order; a field has no default, and a class attribute of the same
+    name is not read.  ``__init_subclass__`` keeps the names in ``_fields``
+    and writes the subclass's ``__init__`` once, which takes every field
+    positionally or by name, stores them in field order and then calls
+    ``__post_init__`` if the class defines one.  The instance dict holds
+    exactly the fields, so equality (same type, equal fields), hashing and
+    ``repr`` read it.
     """
 
     _fields = ()  # the field names in order, set for each subclass
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields, defaults = {}, {}
-        for base in reversed(cls.__mro__):
-            own = vars(base)
-            for name in own.get("__annotations__", ()):
-                fields[name] = None
-                if name in own:
-                    defaults[name] = own[name]
-        cls._fields = tuple(fields)
-        params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}"
-                         for f in cls._fields)
+        cls._fields = tuple(dict.fromkeys(
+            name for base in reversed(cls.__mro__)
+            for name in vars(base).get("__annotations__", ())))
+        params = "".join(f", {f}" for f in cls._fields)
         body = "".join(f"    _dict[{f!r}] = {f}\n" for f in cls._fields)
         post = "    _self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-        namespace = {"_defaults": defaults}
+        namespace = {}
         exec(f"def __init__(_self{params}):\n    _dict = _self.__dict__\n{body}{post}",
              namespace)
         cls.__init__ = namespace["__init__"]

@@ -206,7 +206,7 @@ class PointwiseReport(Report):
     first_failure: PointwiseFailure | None
     equal: bool
     threshold: int
-    skipped_poles: tuple[int, ...] = ()  # n >= 2k has no poles, so none is skipped
+    skipped_poles: tuple[int, ...]  # n >= 2k has no poles, so none is skipped
 
 
 def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
@@ -254,7 +254,7 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
         k=k, t=t, lhs=lhs, rhs=rhs, n_from=n_from, n_to=n_to,
         points_checked=n_to - n_from + 1, points_equal=equal_count,
         first_failure=first_failure,
-        equal=equal, threshold=threshold,
+        equal=equal, threshold=threshold, skipped_poles=(),
     )
 
 

@@ -18,7 +18,6 @@ itself a consistency check.  Counted intersection numbers live in
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import Record, binom
 from .subsets import MAX_ENUMERATED_SUBSETS, SizeBudgetError, colex_tuples, subset_mask
@@ -194,8 +193,6 @@ class EigenSystem(Record):
     m: tuple[int, ...]
 
 
-# a table within the bound holds at most about 1.1 MB
-@lru_cache(maxsize=32)
 def eigensystem(params: SchemeParams) -> EigenSystem:
     """Build and self-verify the eigenvalue table of J(n,k).
 

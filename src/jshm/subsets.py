@@ -56,17 +56,18 @@ class Family(Record):
                 raise ValueError(f"ground-set size must be positive, got {n}")
             if not m:
                 raise ValueError("empty subset")
-            if any(e < 1 or e > n for e in m):
+            if min(m) < 1 or max(m) > n:
                 raise ValueError(f"element out of range [1, {n}]: {m}")
-            if any(a >= b for a, b in zip(m, m[1:])):
+            if list(m) != sorted(m):  # the elements are distinct
                 raise ValueError(f"elements must be strictly increasing: {m}")
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        seen = set()
-        for m in self.members:
-            if m in seen:
-                raise ValueError(f"duplicate block {list(m)}")
-            seen.add(m)
+        if len(set(self.members)) != len(self.members):
+            seen = set()
+            for m in self.members:
+                if m in seen:
+                    raise ValueError(f"duplicate block {list(m)}")
+                seen.add(m)
 
     @property
     def size(self) -> int:
@@ -107,9 +108,13 @@ def family_from_dict(doc: dict) -> Family:
 
 
 def load_family(path: str) -> Family:
-    """Load a family from a UTF-8 JSON file."""
+    """Load a family from a UTF-8 JSON file; JSON nested too deeply for the
+    decoder raises ValueError, as any other undecodable file does."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
     return family_from_dict(doc)
 
 

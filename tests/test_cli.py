@@ -150,6 +150,24 @@ class TestProject:
                 code, _, out = run_cli(capsys, *command, "--file", str(path), "--t", "1")
                 assert (code, out) == (2, ""), (text, command)
 
+    def test_nesting_too_deep_to_decode(self, tmp_path):
+        # the decoder recurses once per level, so this is invalid input, not
+        # a crash with the "verification failed" exit code
+        src = os.path.dirname(os.path.dirname(jshm.__file__))
+        depth = 100_000
+        for name, text in [("bare", "[" * depth),
+                           ("blocks", '{"n": 5, "k": 2, "blocks": ' + "[" * depth + "}")]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(text, encoding="utf-8")
+            for command in (["project"], ["design", "verify"]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "jshm", *command, "--file", str(path), "--t", "1"],
+                    capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                )
+                assert (proc.returncode, proc.stdout) == (2, ""), (name, command)
+                assert "Traceback" not in proc.stderr
+                assert proc.stderr.count("\n") == 1 and "nested too deeply" in proc.stderr
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "project", "--file", "/nonexistent.json",
                              "--t", "1")

@@ -352,11 +352,3 @@ def test_colex_order_of_dense_rows():
         for j, t in enumerate(subsets):
             expected = 1 if len(set(s) & set(t)) == 1 else 0
             assert mat[i][j] == expected
-
-
-@pytest.mark.parametrize("memo, args", [(eigensystem, lambda n: (SchemeParams(n, 2),))])
-def test_memo_is_bounded(memo, args):
-    maxsize = memo.cache_info().maxsize
-    for n in range(4, 4 + maxsize + 5):  # more sizes than the memo holds
-        memo(*args(n))
-    assert memo.cache_info().currsize <= maxsize

@@ -89,6 +89,8 @@ class TestFamilyLoading:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             family_from_dict({"n": 7, "k": 3, "blocks": [[1, 2, 8]]})
+        with pytest.raises(ValueError, match="out of range"):
+            family_from_dict({"n": 7, "k": 3, "blocks": [[0, 1, 2]]})
 
     def test_wrong_block_size(self):
         with pytest.raises(ValueError, match="size"):
