@@ -13,12 +13,16 @@ alternating excess sums below.  M is well defined whether or not a design
 exists.  Each formula is written once over a binomial provider, numeric
 (``exact.binom_at_size(n)``) or symbolic in nu (``exact.binom_rf``).
 
-The search is Knuth's Algorithm X (*Dancing Links*, 2000) over plain lists:
-live-row flags and per-column live counts stand in for the linked nodes,
-with the same column choice and row order, so found designs and node
-counts are those of the classical linked version.  Every enumeration here
-(search rows, verified t-subsets, admissible sizes) is refused with
-``SizeBudgetError`` above a fixed bound before it starts.
+The search is Knuth's Algorithm X (*Dancing Links*, 2000) over plain
+sequences: each row is a tuple of its column indices, each column a list of
+its row indices preallocated at its size, and live-row flags and per-column
+live counts stand in for the linked nodes, with the same column choice and
+row order, so found designs and node counts are those of the classical
+linked version.  The rows are built from the decreasing k-subsets that
+``itertools.combinations`` yields, without a list of the subsets beside
+them, and only the chosen blocks are recovered, by colex unrank.  Every
+enumeration here (search rows, verified t-subsets, admissible sizes) is
+refused with ``SizeBudgetError`` above a fixed bound before it starts.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .johnson import (
     trace,
 )
 from .projection import project_family
-from .subsets import Family, colex_tuples, family_to_dict, make_family
+from .subsets import Family, colex_tuples, colex_unrank, family_to_dict, make_family
 
 
 class NotADesignError(ValueError):
@@ -253,8 +257,8 @@ def admissible_range(k: int, t: int, n_max: int) -> list[int]:
 # Exact-cover search (Algorithm X)
 
 
-def _exact_cover(num_columns: int, rows: list[list[int]], budget: int):
-    """Knuth's Algorithm X over plain lists: (status, chosen rows, nodes).
+def _exact_cover(num_columns: int, rows: list[tuple[int, ...]], budget: int):
+    """Knuth's Algorithm X over plain sequences: (status, chosen rows, nodes).
 
     The column with the fewest live rows is chosen, ties to the lowest
     index, and its rows are tried in ascending order, so the first solution
@@ -262,12 +266,19 @@ def _exact_cover(num_columns: int, rows: list[list[int]], budget: int):
     expansions, including the first one past the budget.  A covered column
     carries ``covered`` on top of its size, so it never wins the minimum,
     and a minimum of at least ``covered`` means every column is covered.
+    Each column's list of rows is allocated at its size, counted first, and
+    filled in row order: lists grown by appending hold about a tenth more.
     """
-    col_rows = [[] for _ in range(num_columns)]
+    sizes = [0] * num_columns
+    for cols in rows:
+        for c in cols:
+            sizes[c] += 1
+    col_rows = [[0] * size for size in sizes]
+    sizes = [0] * num_columns  # counts up to the same sizes as the lists fill
     for r, cols in enumerate(rows):
         for c in cols:
-            col_rows[c].append(r)
-    sizes = [len(rs) for rs in col_rows]
+            col_rows[c][sizes[c]] = r
+            sizes[c] += 1
     live = [True] * len(rows)
     covered = len(rows) + 1
 
@@ -333,8 +344,9 @@ DEFAULT_SEARCH_BUDGET = 5_000_000
 
 # search_design refuses more than MAX_SEARCH_ENTRIES row entries
 # C(n,k) * C(k,t) before it enumerates a subset.  Measured peak RSS near
-# the bound: 57 MB at (28,5,2), 128 MB at (1000,2,1), and 238 MB at
-# (71,4,4), whose design is all 971 635 of its 4-subsets.
+# the bound: 39 MB at (28,5,2) up to the first node, 81 MB at
+# (1000,2,1), and 239 MB at (71,4,4), whose design is all 971 635 of its
+# 4-subsets; there the Counter of verify_design sets the peak.
 MAX_SEARCH_ENTRIES = 1_000_000
 
 
@@ -364,13 +376,21 @@ def search_design(n: int, k: int, t: int,
             return SearchOutcome("budget-exhausted", None, max(budget, 0) + 1)
         blocks = colex_tuples(n, k)
     else:
-        t_index = {sub: i for i, sub in enumerate(colex_tuples(n, t))}
-        k_subsets = colex_tuples(n, k)
-        rows = [[t_index[sub] for sub in combinations(block, t)] for block in k_subsets]
-        status, chosen, nodes = _exact_cover(len(t_index), rows, budget)
+        # rows and columns in colex order, built from the decreasing tuples
+        # that ``combinations`` yields in reverse colex order from the
+        # decreasing ground set; only the chosen blocks are built as subsets
+        num_columns = binom(n, t)
+        t_index = {sub: num_columns - 1 - i
+                   for i, sub in enumerate(combinations(range(n, 0, -1), t))}
+        column = t_index.__getitem__
+        rows = [tuple(map(column, combinations(block, t)))
+                for block in combinations(range(n, 0, -1), k)]
+        rows.reverse()
+        status, chosen, nodes = _exact_cover(num_columns, rows, budget)
+        del rows
         if status != "found":
             return SearchOutcome(status, None, nodes)
-        blocks = [k_subsets[r] for r in sorted(chosen)]
+        blocks = [colex_unrank(r, k) for r in sorted(chosen)]
     design = as_design(Family(n, k, tuple(blocks)), t)  # colex tuples are sorted
     if design.lam != 1:
         raise RuntimeError("search produced a family that is not a Steiner system")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -323,6 +324,18 @@ class TestSearchDesign:
         # the complete 2-(50,2,1) design chooses all 1225 pairs, one level each
         out = search_design(50, 2, 2)
         assert out.status == "found" and out.nodes == 1225
+
+    def test_traced_peak_of_a_search(self):
+        # rows are tuples built from the decreasing subsets and only the
+        # chosen blocks are unranked: about 5.2 MB traced, 8.5 MB with a
+        # list of all k-subsets beside list rows
+        tracemalloc.start()
+        try:
+            out = search_design(21, 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == "found" and peak < 6_000_000
 
     def test_row_entry_bound(self):
         # C(25,5) * C(5,2) = 531 300 entries is admitted (pinned above)

@@ -16,9 +16,9 @@ from jshm.johnson import (
     dense,
     identity_vector,
 )
-from jshm.oracles import brute_projection, float_spectrum, max_family
+from jshm.oracles import brute_projection, compatibility, float_spectrum, max_family
 from jshm.projection import project_family
-from jshm.subsets import make_family
+from jshm.subsets import colex_tuples, make_family, subset_mask
 
 from conftest import projection_corpus
 
@@ -84,6 +84,18 @@ PINNED_MAX_FAMILIES = {
     (12, 10, 5, 1): (0, 2, False, "4f53cda18c2baa0c"),
     (12, 10, 5, 65): (0, 66, False, "4f53cda18c2baa0c"),
 }
+
+
+def test_compatibility_is_the_pairwise_definition():
+    for n in range(1, 10):
+        for k in range(n + 1):
+            subsets = colex_tuples(n, k)
+            masks = [subset_mask(s) for s in subsets]
+            for t in range(k + 1):
+                expected = [sum(1 << b for b, mb in enumerate(masks)
+                                if b != a and (ma & mb).bit_count() >= t)
+                            for a, ma in enumerate(masks)]
+                assert compatibility(subsets, n, t) == expected, (n, k, t)
 
 
 class TestMaxFamily:

@@ -11,6 +11,7 @@ from jshm.subsets import (
     Family,
     SizeBudgetError,
     colex_tuples,
+    colex_unrank,
     family_from_dict,
     family_to_dict,
     load_family,
@@ -53,6 +54,23 @@ class TestColexUnrank:
             for k in range(1, n + 1):
                 ranks = [colex_rank(s) for s in colex_tuples(n, k)]
                 assert sorted(ranks) == list(range(binom(n, k)))
+
+    def test_inverse_of_rank_for_every_rank(self):
+        for n in range(13):
+            for k in range(n + 1):
+                for rank, s in enumerate(colex_tuples(n, k)):
+                    assert colex_unrank(rank, k) == s
+                    assert colex_rank(colex_unrank(rank, k)) == rank
+
+    def test_large_rank(self):
+        s = (3, 10**6, 10**12, 10**18)
+        assert colex_unrank(colex_rank(s), 4) == s
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            colex_unrank(-1, 3)
+        with pytest.raises(ValueError):
+            colex_unrank(0, -1)
 
 
 class TestKSubsetValidation:
