@@ -20,31 +20,31 @@ live counts stand in for the linked nodes, with the same column choice and
 row order, so found designs and node counts are those of the classical
 linked version.  The rows are built from the decreasing k-subsets that
 ``itertools.combinations`` yields, without a list of the subsets beside
-them, and only the chosen blocks are recovered, by colex unrank.  Every
-enumeration here (search rows, verified t-subsets, admissible sizes) is
-refused with ``SizeBudgetError`` above a fixed bound before it starts.
+them, and the chosen blocks are read back from a second pass of the same
+walk.  Every enumeration here (search rows, verified t-subsets, admissible
+sizes) is refused through ``subsets.refuse_above`` above a fixed bound
+before it starts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 from .exact import RationalFunction, Record, Report, binom, binom_at_size, binom_rf, to_json
-from .johnson import (
-    MAX_ENUMERATED_SUBSETS,
-    MAX_TABLE_K,
-    MAX_TABLE_N,
-    BMVector,
-    SchemeParams,
-    SizeBudgetError,
-    entry_sum,
-    plus_identity,
-    trace,
-)
+from .johnson import (MAX_TABLE_K, MAX_TABLE_N, BMVector, SchemeParams, entry_sum,
+                      plus_identity, trace)
 from .projection import project_family
-from .subsets import Family, colex_tuples, colex_unrank, family_to_dict, make_family
+from .subsets import (
+    MAX_COUNT_WORK,
+    MAX_ENUMERATED_SUBSETS,
+    Family,
+    colex_tuples,
+    family_to_dict,
+    make_family,
+    refuse_above,
+)
 
 
 class NotADesignError(ValueError):
@@ -87,7 +87,8 @@ def verify_design(fam: Family, t: int) -> int:
     t-subsets are looked up in ``combinations`` order: O(|F| C(k,t) + C(n,t)).
     lambda is the count of {1..t}, and the witness is the first t-subset
     whose count differs from it.  The walk over the C(n,t) t-subsets is
-    refused with SizeBudgetError above ``johnson.MAX_ENUMERATED_SUBSETS``.
+    refused with SizeBudgetError above ``subsets.MAX_ENUMERATED_SUBSETS``,
+    and the |F| C(k,t) counted t-subsets above ``subsets.MAX_COUNT_WORK``.
     At t = 0 the only t-subset is the empty set, in every block, so
     lambda = |F| and the ground set, of any size, is not walked.
     """
@@ -95,9 +96,10 @@ def verify_design(fam: Family, t: int) -> int:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
     if t == 0:
         return fam.size
-    if binom(fam.n, t) > MAX_ENUMERATED_SUBSETS:
-        raise SizeBudgetError(f"C({fam.n},{t}) = {binom(fam.n, t)} t-subsets exceed "
-                              f"the enumeration cap {MAX_ENUMERATED_SUBSETS}")
+    refuse_above(binom(fam.n, t), MAX_ENUMERATED_SUBSETS,
+                 f"C({fam.n},{t}) t-subsets under the enumeration cap")
+    refuse_above(fam.size * binom(fam.k, t), MAX_COUNT_WORK,
+                 "t-subsets of the blocks under the count bound")
     counts = Counter(chain.from_iterable(combinations(m, t) for m in fam.members))
     subs = combinations(range(1, fam.n + 1), t)
     lam = counts[next(subs)]  # t <= n, so {1..t} exists
@@ -230,13 +232,12 @@ MAX_ADMISSIBLE_SIZES = 1000
 def admissible(n: int, k: int, t: int) -> bool:
     """Divisibility conditions: C(k-i, t-i) | C(n-i, t-i) for i = 0..t-1.
 
-    t > MAX_TABLE_K or n >= MAX_TABLE_N raise SizeBudgetError.
+    t > MAX_TABLE_K or n >= MAX_TABLE_N are refused with SizeBudgetError.
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
-    if t > MAX_TABLE_K or n >= MAX_TABLE_N:
-        raise SizeBudgetError(f"admissibility at t = {t}, n = {n} exceeds the "
-                              f"bound t <= {MAX_TABLE_K}, n < 2**64")
+    refuse_above(t, MAX_TABLE_K, f"t of admissibility at n = {n} under the table bound")
+    refuse_above(n, MAX_TABLE_N - 1, f"n of admissibility at t = {t} under the table bound")
     return all(
         binom(n - i, t - i) % binom(k - i, t - i) == 0 for i in range(t)
     )
@@ -247,9 +248,7 @@ def admissible_range(k: int, t: int, n_max: int) -> list[int]:
 
     A range of more than MAX_ADMISSIBLE_SIZES sizes raises SizeBudgetError.
     """
-    if n_max - k > MAX_ADMISSIBLE_SIZES:
-        raise SizeBudgetError(f"range of {n_max - k} sizes exceeds the bound "
-                              f"{MAX_ADMISSIBLE_SIZES}")
+    refuse_above(n_max - k, MAX_ADMISSIBLE_SIZES, f"sizes in ({k}, {n_max}]")
     return [n for n in range(k + 1, n_max + 1) if admissible(n, k, t)]
 
 
@@ -360,14 +359,12 @@ def search_design(n: int, k: int, t: int,
     distinguishes an exhausted search space ("not-found") from an exhausted
     budget.  For k = t the one design, every k-subset, is taken without a
     search, with the outcome and node count the search would report.  More
-    than MAX_SEARCH_ENTRIES row entries raise SizeBudgetError.
+    than MAX_SEARCH_ENTRIES row entries are refused with SizeBudgetError.
     """
     if not 0 < t <= k <= n:
         raise ValueError(f"need 0 < t <= k <= n, got t={t}, k={k}, n={n}")
-    entries = binom(n, k) * binom(k, t)
-    if entries > MAX_SEARCH_ENTRIES:
-        raise SizeBudgetError(f"C({n},{k}) * C({k},{t}) = {entries} row entries "
-                              f"exceed the search bound {MAX_SEARCH_ENTRIES}")
+    refuse_above(binom(n, k) * binom(k, t), MAX_SEARCH_ENTRIES,
+                 f"row entries C({n},{k}) * C({k},{t}) under the search bound")
     if k == t:
         # each row covers only its own column, so Algorithm X expands the
         # rows one by one in colex order and takes them all
@@ -378,7 +375,7 @@ def search_design(n: int, k: int, t: int,
     else:
         # rows and columns in colex order, built from the decreasing tuples
         # that ``combinations`` yields in reverse colex order from the
-        # decreasing ground set; only the chosen blocks are built as subsets
+        # decreasing ground set: position i of a walk is colex rank C(n,k)-1-i
         num_columns = binom(n, t)
         t_index = {sub: num_columns - 1 - i
                    for i, sub in enumerate(combinations(range(n, 0, -1), t))}
@@ -390,7 +387,12 @@ def search_design(n: int, k: int, t: int,
         del rows
         if status != "found":
             return SearchOutcome(status, None, nodes)
-        blocks = [colex_unrank(r, k) for r in sorted(chosen)]
+        # only the chosen blocks are built as subsets, by a second walk
+        picked = bytearray(binom(n, k))
+        for r in chosen:
+            picked[-1 - r] = 1
+        blocks = [b[::-1] for b in compress(combinations(range(n, 0, -1), k), picked)]
+        blocks.reverse()
     design = as_design(Family(n, k, tuple(blocks)), t)  # colex tuples are sorted
     if design.lam != 1:
         raise RuntimeError("search produced a family that is not a Steiner system")

@@ -36,13 +36,8 @@ from .designs import (
     DEFAULT_SEARCH_BUDGET,
 )
 from .exact import PoleError, RationalFunction, Report
-from .johnson import (
-    MAX_TABLE_N,
-    BMVector,
-    SelfCheckError,
-    SizeBudgetError,
-    plus_identity,
-)
+from .johnson import MAX_TABLE_N, BMVector, SelfCheckError, plus_identity
+from .subsets import refuse_above
 from .wilson import wilson_matrix, wilson_matrix_symbolic
 
 # side -> (builder, Wilson variant, adds I on A_0)
@@ -69,12 +64,6 @@ MAX_SYMBOLIC_K = 24
 MAX_POINTWISE_POINTS = 1000
 
 
-def _check_symbolic_bound(k: int) -> None:
-    if k > MAX_SYMBOLIC_K:
-        raise SizeBudgetError(f"symbolic comparison at k = {k} exceeds the bound "
-                              f"k <= {MAX_SYMBOLIC_K}")
-
-
 @functools.lru_cache(maxsize=None)
 def _symbolic_coeffs(builder: str, variant: str | None, k: int,
                      t: int) -> tuple[RationalFunction, ...]:
@@ -84,7 +73,7 @@ def _symbolic_coeffs(builder: str, variant: str | None, k: int,
     :func:`symbolic_side`, so sharing the tuple is safe.  The bound on k
     also bounds the memo.
     """
-    _check_symbolic_bound(k)
+    refuse_above(k, MAX_SYMBOLIC_K, "k of a symbolic comparison")
     if builder == "m":
         return tuple(design_matrix_symbolic(k, t))
     return tuple(wilson_matrix_symbolic(k, t, variant))
@@ -219,19 +208,16 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
     certifies the identity.  The verdict is cross-checked against
     :func:`compare_symbolic` and a disagreement aborts loudly.  Before any
     point is evaluated, k above MAX_SYMBOLIC_K, more than
-    MAX_POINTWISE_POINTS sizes and n_to >= 2**64 raise SizeBudgetError.
+    MAX_POINTWISE_POINTS sizes and n_to >= 2**64 are refused with SizeBudgetError.
     """
     _validate_sides(k, t, lhs, rhs)
     if n_from < 2 * k:
         raise ValueError(f"n_from must be at least 2k = {2 * k}, got {n_from}")
     if n_to - n_from + 1 < 2 * k + 1:
         raise ValueError(f"range must contain at least 2k+1 = {2 * k + 1} integers")
-    _check_symbolic_bound(k)
-    if n_to - n_from + 1 > MAX_POINTWISE_POINTS:
-        raise SizeBudgetError(f"range of {n_to - n_from + 1} sizes exceeds the bound "
-                              f"of {MAX_POINTWISE_POINTS} points")
-    if n_to >= MAX_TABLE_N:
-        raise SizeBudgetError(f"n_to = {n_to} exceeds the bound n < 2**64")
+    refuse_above(k, MAX_SYMBOLIC_K, "k of a symbolic comparison")
+    refuse_above(n_to - n_from + 1, MAX_POINTWISE_POINTS, f"points in [{n_from}, {n_to}]")
+    refuse_above(n_to, MAX_TABLE_N - 1, "n_to under the table bound")
 
     threshold = 2 * k + 1
     equal_count = 0

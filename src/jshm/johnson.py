@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import Record, binom
-from .subsets import MAX_ENUMERATED_SUBSETS, SizeBudgetError, colex_tuples, subset_mask
+from .subsets import SizeBudgetError, colex_tuples, refuse_above, subset_mask
 
 # dense and the dense oracles (inclusion and disjointness matrices,
 # brute_projection, max_family) refuse orders above this fixed budget
@@ -47,9 +47,8 @@ class SchemeParams(Record):
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.k > MAX_TABLE_K or self.n >= MAX_TABLE_N:
-            raise SizeBudgetError(f"J({self.n},{self.k}) exceeds "
-                                  f"the table bound k <= {MAX_TABLE_K}, n < 2**64")
+        refuse_above(self.k, MAX_TABLE_K, f"k of J({self.n},{self.k}) under the table bound")
+        refuse_above(self.n, MAX_TABLE_N - 1, f"n of J({self.n},{self.k}) under the table bound")
 
     @property
     def order(self) -> int:
@@ -128,19 +127,15 @@ def all_ones_vector(params: SchemeParams) -> BMVector:
 
 
 def colex_masks(n: int, k: int) -> tuple[int, ...]:
-    """Bitmasks of all k-subsets in colex order."""
-    if binom(n, k) > MAX_ENUMERATED_SUBSETS:
-        raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} subsets exceed the "
-                              f"enumeration cap {MAX_ENUMERATED_SUBSETS}")
+    """Bitmasks of all k-subsets in colex order; more than
+    ``subsets.MAX_ENUMERATED_SUBSETS`` are refused in ``colex_tuples``."""
     return tuple(subset_mask(c) for c in colex_tuples(n, k))
 
 
 def dense(v: BMVector) -> list[list]:
     """Materialize v as a square array in colex order (oracle path only)."""
     p = v.params
-    if p.order > DEFAULT_DENSE_BUDGET:
-        raise SizeBudgetError(f"order {p.order} exceeds dense budget "
-                              f"{DEFAULT_DENSE_BUDGET}")
+    refuse_above(p.order, DEFAULT_DENSE_BUDGET, f"order of J({p.n},{p.k}) under the dense budget")
     masks = colex_masks(p.n, p.k)
     c = v.coeffs
     k = p.k

@@ -23,18 +23,9 @@ from itertools import combinations
 
 from .designs import NotADesignError
 from .exact import Report, binom
-from .johnson import (
-    DEFAULT_DENSE_BUDGET,
-    MAX_ENUMERATED_SUBSETS,
-    BMVector,
-    SchemeParams,
-    SizeBudgetError,
-    colex_masks,
-    entry_sum,
-    schur,
-)
+from .johnson import DEFAULT_DENSE_BUDGET, BMVector, SchemeParams, colex_masks, entry_sum, schur
 from .projection import project_dense
-from .subsets import Family, colex_tuples, subset_mask
+from .subsets import MAX_ENUMERATED_SUBSETS, Family, colex_tuples, refuse_above, subset_mask
 
 
 def float_spectrum(mat: list[list]) -> list[float]:
@@ -103,8 +94,8 @@ def disjointness_matrix(i: int, params: SchemeParams) -> list[list[int]]:
 def _subset_pair_matrix(i, params, contained):
     if not 0 <= i <= params.k:
         raise ValueError(f"row subset size {i} out of range [0, {params.k}]")
-    if max(params.order, binom(params.n, i)) > DEFAULT_DENSE_BUDGET:
-        raise SizeBudgetError("matrix dimensions exceed dense budget")
+    refuse_above(max(params.order, binom(params.n, i)), DEFAULT_DENSE_BUDGET,
+                 f"dimensions of a {i}-subset by {params.k}-subset matrix under the dense budget")
     rows = colex_masks(params.n, i)
     cols = colex_masks(params.n, params.k)
     if contained:
@@ -236,9 +227,7 @@ def max_family(n: int, k: int, t: int,
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
-    if binom(n, k) > DEFAULT_DENSE_BUDGET:
-        raise SizeBudgetError(f"C({n},{k}) = {binom(n, k)} vertices exceed the "
-                              f"dense budget {DEFAULT_DENSE_BUDGET}")
+    refuse_above(binom(n, k), DEFAULT_DENSE_BUDGET, f"C({n},{k}) vertices under the dense budget")
     subsets = colex_tuples(n, k)
     v_count = len(subsets)
     adj = compatibility(subsets, n, t)
@@ -329,9 +318,8 @@ def brute_projection(fam: Family) -> BMVector:
     by entry; must agree with the pair-distribution shortcut.
     """
     params = SchemeParams(fam.n, fam.k)
-    if params.order > DEFAULT_DENSE_BUDGET:
-        raise SizeBudgetError(f"order {params.order} exceeds dense budget "
-                              f"{DEFAULT_DENSE_BUDGET}")
+    refuse_above(params.order, DEFAULT_DENSE_BUDGET,
+                 f"order of J({fam.n},{fam.k}) under the dense budget")
     members = set(fam.members)
     indicator = [1 if s in members else 0 for s in colex_tuples(fam.n, fam.k)]
     dense = [[a * b for b in indicator] for a in indicator]
@@ -341,13 +329,13 @@ def brute_projection(fam: Family) -> BMVector:
 def brute_verify_design(fam: Family, t: int) -> int:
     """``designs.verify_design`` by testing every t-subset against every block.
 
-    O(C(n,t) |F|); the same lambda, witness and bound as the counted path.
+    O(C(n,t) |F|); the same lambda and witness as the counted path, and its
+    enumeration cap ``subsets.MAX_ENUMERATED_SUBSETS`` (not its count bound).
     """
     if not 0 <= t <= fam.k:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
-    if binom(fam.n, t) > MAX_ENUMERATED_SUBSETS:
-        raise SizeBudgetError(f"C({fam.n},{t}) = {binom(fam.n, t)} t-subsets exceed "
-                              f"the enumeration cap {MAX_ENUMERATED_SUBSETS}")
+    refuse_above(binom(fam.n, t), MAX_ENUMERATED_SUBSETS,
+                 f"C({fam.n},{t}) t-subsets under the enumeration cap")
     masks = [subset_mask(m) for m in fam.members]
     lam = None
     for sub in combinations(range(1, fam.n + 1), t):

@@ -35,7 +35,7 @@ from .johnson import (
     entry_sum,
     trace,
 )
-from .subsets import Family, subset_mask
+from .subsets import MAX_COUNT_WORK, Family, refuse_above, subset_mask
 
 
 class PairDistribution(Record):
@@ -48,9 +48,12 @@ def pair_distribution(fam: Family) -> PairDistribution:
     """Exact ordered-pair counts, diagonal included (d_0 >= |F|).
 
     Walks the member pairs when 2^k > |F|, and otherwise inverts the
-    shared-subset counts N_i (module docstring).
+    shared-subset counts N_i (module docstring).  More than MAX_COUNT_WORK
+    units of work, |F| min(|F|, 2^k), are refused with SizeBudgetError before counting.
     """
     k = fam.k
+    refuse_above(fam.size * min(fam.size, 2 ** k), MAX_COUNT_WORK,
+                 "pair counts of a family under the count bound")
     if 2 ** k > fam.size:
         counts = [0] * (k + 1)
         masks = [subset_mask(m) for m in fam.members]
@@ -164,9 +167,14 @@ def family_lemma_report(fam: Family, t: int) -> FamilyLemmaReport:
 
 
 def _first_violating_pair(members, t):
-    """The first member pair, in member order, meeting in fewer than t points."""
+    """The first member pair, in member order, meeting in fewer than t points;
+    more than MAX_COUNT_WORK pairs compared, summed per member, are refused."""
     masks = [subset_mask(m) for m in members]
+    compared = 0
     for idx, a in enumerate(masks):
         for j in range(idx + 1, len(masks)):
             if (a & masks[j]).bit_count() < t:
                 return members[idx], members[j]
+        compared += len(masks) - idx - 1
+        refuse_above(compared, MAX_COUNT_WORK,
+                     "pairs walked for a violating pair under the count bound")

@@ -14,15 +14,30 @@ from itertools import combinations
 
 from .exact import Record, binom
 
-# star_family, and colex_masks (oracle and dense paths only), refuse to
-# enumerate more subsets; admits C(25,8) = 1 081 575, where the measured
-# peak RSS is 313 MB for star_family(25, 8, ()), 183 MB for colex_masks
-# and 140 MB for colex_tuples
+# colex_tuples, and so every enumeration of all k-subsets, and star_family
+# refuse more subsets than this; admits C(25,8) = 1 081 575, where the
+# measured peak RSS is 140 MB for colex_tuples(25,8), 183 MB for
+# colex_masks and 188 MB for star_family(25, 8, ())
 MAX_ENUMERATED_SUBSETS = 2_000_000
+
+# pair_distribution refuses more units of work, |F| * min(|F|, 2^k), than
+# this; verify_design more counted t-subsets, |F| * C(k,t); and the walk for
+# a violating pair more pairs compared.  Near the bound on a 2-vCPU x86-64
+# host: 5.4 s and 430 MB for the counts of 9765 random 10-subsets of 40,
+# 1.7 s for the walk of 3162 random 20-subsets, and 3.0 s and 220 MB to
+# verify 8*10^6 units.  The tests, scripts and benchmark need at most 29 120
+# units, and the check of a found design at most MAX_SEARCH_ENTRIES
+MAX_COUNT_WORK = 10_000_000
 
 
 class SizeBudgetError(RuntimeError):
     """Work refused: a dense order, an enumeration or a table exceeds its bound."""
+
+
+def refuse_above(size: int, bound: int, what: str) -> None:
+    """Raise SizeBudgetError when ``size`` exceeds ``bound``, naming ``what``."""
+    if size > bound:
+        raise SizeBudgetError(f"{what}: {size} exceeds the bound {bound}")
 
 
 def subset_mask(elements) -> int:
@@ -35,39 +50,16 @@ def colex_tuples(n: int, k: int) -> list[tuple[int, ...]]:
 
     Colex compares the largest elements first, so it is the lexicographic
     order of the decreasing tuples, which ``combinations`` yields in reverse
-    from the decreasing ground set.
+    from the decreasing ground set.  More than MAX_ENUMERATED_SUBSETS
+    subsets are refused with SizeBudgetError before any is built.
     """
+    refuse_above(binom(n, k), MAX_ENUMERATED_SUBSETS,
+                 f"C({n},{k}) subsets under the enumeration cap")
     out = list(combinations(range(n, 0, -1), k))
     out.reverse()
     for i, c in enumerate(out):  # one list: each entry is replaced in place
         out[i] = c[::-1]
     return out
-
-
-def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """The k-subset of colex rank ``rank``, the inverse of ``oracles.colex_rank``.
-
-    Greedy from the largest element down: the i-th element e_i is the
-    largest with C(e_i - 1, i) <= the rank left, found by doubling and
-    bisection, so a subset costs O(k log e_k) binomials and no n is needed.
-    """
-    if rank < 0 or k < 0:
-        raise ValueError(f"need rank >= 0 and k >= 0, got rank={rank}, k={k}")
-    out = []
-    for i in range(k, 0, -1):
-        lo, hi = i - 1, i  # C(lo, i) <= rank; find hi with C(hi, i) > rank
-        while binom(hi, i) <= rank:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if binom(mid, i) <= rank:
-                lo = mid
-            else:
-                hi = mid
-        rank -= binom(lo, i)
-        out.append(lo + 1)
-    out.reverse()
-    return tuple(out)
 
 
 class Family(Record):
@@ -157,9 +149,9 @@ def family_to_dict(fam: Family) -> dict:
 def star_family(n: int, k: int, core) -> Family:
     """All k-subsets of {1..n} containing the given core set.
 
-    More than MAX_ENUMERATED_SUBSETS blocks raise SizeBudgetError before any
-    is built; when k = |core| the core is the one block, and the ground set,
-    of any size, is not walked.
+    More than MAX_ENUMERATED_SUBSETS blocks are refused with SizeBudgetError
+    before any is built; when k = |core| the core is the one block, and the
+    ground set, of any size, is not walked.
     """
     core = tuple(sorted(core))
     free = k - len(core)
@@ -167,10 +159,7 @@ def star_family(n: int, k: int, core) -> Family:
         raise ValueError("core larger than subset size")
     if free == 0:
         return make_family(n, k, [core])
-    count = binom(n - len({e for e in core if 1 <= e <= n}), free)
-    if count > MAX_ENUMERATED_SUBSETS:
-        raise SizeBudgetError(f"star of {count} blocks exceeds the enumeration cap "
-                              f"{MAX_ENUMERATED_SUBSETS}")
+    refuse_above(binom(n - len({e for e in core if 1 <= e <= n}), free), MAX_ENUMERATED_SUBSETS,
+                 f"blocks of a star in J({n},{k}) under the enumeration cap")
     rest = [e for e in range(1, n + 1) if e not in core]
-    blocks = [core + extra for extra in combinations(rest, free)]
-    return make_family(n, k, blocks)
+    return make_family(n, k, (core + extra for extra in combinations(rest, free)))

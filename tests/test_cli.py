@@ -10,6 +10,7 @@ import time
 import pytest
 
 import jshm
+from jshm import projection
 from jshm.cli import main
 from jshm.designs import verify_design
 from jshm.subsets import family_from_dict, family_to_dict
@@ -108,6 +109,7 @@ class TestWilson:
             assert code == 3, argv
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+            assert "exceeds the bound" in captured.err, argv
             assert "Traceback" not in captured.err
 
 
@@ -181,6 +183,16 @@ class TestProject:
         code, _, out = run_cli(capsys, "project", "--file", path, "--t", "1")
         assert (code, out) == (3, "")
         assert time.perf_counter() - start < 0.5
+
+    def test_count_bound(self, capsys, monkeypatch, tmp_path):
+        # five blocks of the walk, 25 units: refused below, before counting
+        path = write_family(tmp_path, 7, 3, [[1, 2, x] for x in range(3, 8)])
+        monkeypatch.setattr(projection, "MAX_COUNT_WORK", 24)
+        code = main(["project", "--file", path, "--t", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "count bound" in captured.err and "exceeds the bound" in captured.err
 
 
 class TestDesign:
@@ -259,6 +271,7 @@ class TestDesign:
             assert code == 3, argv
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+            assert "exceeds the bound" in captured.err, argv
             assert "Traceback" not in captured.err
             assert elapsed < 0.5, argv
 
@@ -334,6 +347,7 @@ class TestIdentity:
             assert code == 3, argv
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+            assert "exceeds the bound" in captured.err, argv
             assert "Traceback" not in captured.err
             assert elapsed < 0.5, argv
 

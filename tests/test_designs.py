@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jshm import designs
 from jshm.designs import (
     DEFAULT_SEARCH_BUDGET,
     MAX_ADMISSIBLE_SIZES,
@@ -29,7 +30,6 @@ from jshm.designs import (
 )
 from jshm.exact import binom
 from jshm.johnson import (
-    MAX_ENUMERATED_SUBSETS,
     MAX_TABLE_K,
     MAX_TABLE_N,
     SchemeParams,
@@ -37,7 +37,13 @@ from jshm.johnson import (
     basis_vector,
 )
 from jshm.oracles import brute_verify_design
-from jshm.subsets import colex_tuples, make_family, star_family
+from jshm.subsets import (
+    MAX_COUNT_WORK,
+    MAX_ENUMERATED_SUBSETS,
+    colex_tuples,
+    make_family,
+    star_family,
+)
 
 from conftest import FANO_BLOCKS, STS9_BLOCKS
 
@@ -83,9 +89,27 @@ class TestVerifyDesign:
         assert binom(3000, 3) > MAX_ENUMERATED_SUBSETS
         with pytest.raises(SizeBudgetError):
             verify_design(make_family(3000, 3, []), 3)
-        # a search admits C(n,t) <= C(n,k) C(k,t) row entries, so the check of
-        # any design it finds is admitted too
-        assert MAX_SEARCH_ENTRIES <= MAX_ENUMERATED_SUBSETS
+        # a search admits C(n,t) <= C(n,k) C(k,t) row entries, and counts at
+        # most C(n,k) C(k,t) t-subsets of its blocks, so the check of any
+        # design it finds is admitted too
+        assert MAX_SEARCH_ENTRIES <= min(MAX_ENUMERATED_SUBSETS, MAX_COUNT_WORK)
+
+    def test_count_bound(self, monkeypatch, fano):
+        # |F| C(k,t) = 7 * 3 counted t-subsets: admitted at the bound, refused
+        # below it before any is counted
+        monkeypatch.setattr(designs, "MAX_COUNT_WORK", 21)
+        assert verify_design(fano, 2) == 1
+        monkeypatch.setattr(designs, "MAX_COUNT_WORK", 20)
+        with pytest.raises(SizeBudgetError, match="count bound"):
+            verify_design(fano, 2)
+        # refused before counting: the 8*10^6 t-subsets of four 1999-point
+        # blocks take 2.5 s to count
+        wide = make_family(2000, 1999, [[e for e in range(1, 2001) if e != x]
+                                        for x in range(1, 5)])
+        start = time.perf_counter()
+        with pytest.raises(SizeBudgetError, match="count bound"):
+            verify_design(wide, 2)
+        assert time.perf_counter() - start < 0.5
 
     def test_fano_minus_block_fails_with_witness(self, fano):
         broken = make_family(7, 3, fano.members[1:])
@@ -316,8 +340,10 @@ class TestSearchDesign:
                 out = search_design(n, k, t, budget)
             digest = None
             if out.design is not None:
-                blocks = json.dumps(out.design.family.blocks()).encode()
-                digest = hashlib.sha256(blocks).hexdigest()[:16]
+                blocks = out.design.family.blocks()
+                # the blocks read back from the walk are members in colex order
+                assert [list(m) for m in out.design.family.members] == blocks
+                digest = hashlib.sha256(json.dumps(blocks).encode()).hexdigest()[:16]
             assert (out.status, out.nodes, digest) == expected, (n, k, t, budget)
 
     def test_deeper_than_the_recursion_limit(self):
@@ -327,8 +353,8 @@ class TestSearchDesign:
 
     def test_traced_peak_of_a_search(self):
         # rows are tuples built from the decreasing subsets and only the
-        # chosen blocks are unranked: about 5.2 MB traced, 8.5 MB with a
-        # list of all k-subsets beside list rows
+        # chosen blocks are read back from a second walk: about 5.2 MB
+        # traced, 8.5 MB with a list of all k-subsets beside list rows
         tracemalloc.start()
         try:
             out = search_design(21, 5, 2)

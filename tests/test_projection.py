@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jshm import projection
 from jshm.johnson import (
     SchemeParams,
+    SizeBudgetError,
     dense,
     identity_vector,
     psd_report,
@@ -50,6 +52,18 @@ class TestPairDistribution:
         # the walk runs when 2^k > |F|, the shared-subset counts otherwise
         fam = data.draw(families(counted))
         assert pair_distribution(fam).counts == walked_distribution(fam)
+
+    @pytest.mark.parametrize("fam,work", [
+        (make_family(7, 3, [[1, 2, 3], [4, 5, 6], [1, 4, 7]]), 3 * 3),  # walk
+        (star_family(7, 3, ()), 35 * 2 ** 3),  # counts
+    ])
+    def test_count_bound(self, monkeypatch, fam, work):
+        # |F| min(|F|, 2^k) units: admitted at the bound, refused below it
+        monkeypatch.setattr(projection, "MAX_COUNT_WORK", work)
+        assert sum(pair_distribution(fam).counts) == fam.size ** 2
+        monkeypatch.setattr(projection, "MAX_COUNT_WORK", work - 1)
+        with pytest.raises(SizeBudgetError, match="count bound"):
+            pair_distribution(fam)
 
 
 def walked_distribution(fam):
@@ -167,6 +181,19 @@ class TestFamilyLemma:
             rep = family_lemma_report(fam, t)
             assert not rep.t_intersecting and not rep.support_ok
             assert rep.violating_pair == pair
+
+    def test_violating_pair_walk_bound(self, monkeypatch):
+        # the 28 blocks through 1 and 4 meet every block; the first violating
+        # pair, (1,2,3) and (4,5,6), is the first pair of row 28, after
+        # 29 + 28 + ... + 2 = 434 pairs.  The counts take 30 * 2^3 = 240 units.
+        blocks = [[1, 4, c] for c in range(2, 31) if c != 4] + [[1, 2, 3], [4, 5, 6]]
+        fam = make_family(30, 3, blocks)
+        monkeypatch.setattr(projection, "MAX_COUNT_WORK", 434)
+        rep = family_lemma_report(fam, 1)
+        assert rep.violating_pair == ((1, 2, 3), (4, 5, 6))
+        monkeypatch.setattr(projection, "MAX_COUNT_WORK", 433)
+        with pytest.raises(SizeBudgetError, match="violating pair"):
+            family_lemma_report(fam, 1)
 
     @pytest.mark.parametrize("counted", [False, True])
     @settings(max_examples=75)

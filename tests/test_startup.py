@@ -1,5 +1,6 @@
 """Start-up: each CLI command loads only the jshm modules it runs, and no
-command loads ``dataclasses``."""
+command loads ``dataclasses``; and the structure of the source: one raise of
+``SizeBudgetError``."""
 
 import ast
 import json
@@ -40,6 +41,35 @@ def _module_level_imports(body):
 def test_no_module_level_import(module, forbidden):
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
     assert not set(_module_level_imports(tree.body)) & forbidden
+
+
+def _raises_in(body, scope, name):
+    """(scope, line) of each ``raise name(...)`` or ``raise name``, scoped by
+    the function that holds it."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises_in(node.body, node.name, name)
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == name:
+                yield scope, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from _raises_in([child], scope, name)
+
+
+def test_one_size_budget_refusal():
+    # every bound is refused through subsets.refuse_above, one message form;
+    # and the search reads its blocks back from its walk, not by unranking
+    raises, functions = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        raises += [(path.stem, scope)
+                   for scope, _ in _raises_in(tree.body, None, "SizeBudgetError")]
+        functions |= {node.name for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert raises == [("subsets", "refuse_above")]
+    assert not [name for name in functions if "unrank" in name]
 
 
 def test_variant_choices_match_wilson():
