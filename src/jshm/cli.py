@@ -87,8 +87,8 @@ def _cmd_project(args) -> int:
     report = projection.family_lemma_report(fam, args.t)
     _emit(report.to_dict(),
           f"family of {fam.size} blocks: "
-          f"{'verified' if report.verified else 'not verified'} at t={args.t}")
-    return EXIT_OK if report.verified else EXIT_FAILED
+          f"{'verified' if report.t_intersecting else 'not verified'} at t={args.t}")
+    return EXIT_OK if report.t_intersecting else EXIT_FAILED
 
 
 def _cmd_design_verify(args) -> int:

@@ -51,8 +51,6 @@ _SIDES = {
 LHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "m")
 RHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "omega")
 
-_WITNESS_SCAN_LIMIT = 200
-
 # The symbolic sides (and so compare_symbolic and compare_pointwise) refuse
 # k > MAX_SYMBOLIC_K: rational-function cost grows steeply with k.  On a
 # 2-vCPU x86-64 host the worst admitted comparison, k = 24 against the
@@ -160,8 +158,10 @@ def compare_symbolic(k: int, t: int, lhs: str = "m",
 
 
 def _sample_nonzero(f: RationalFunction, k: int) -> tuple[int, Fraction]:
-    """First integer n >= 2k+1 that is not a pole and where f(n) != 0."""
-    for n in range(2 * k + 1, 2 * k + 1 + _WITNESS_SCAN_LIMIT):
+    """First integer n >= 2k+1 that is not a pole and where f(n) != 0; a nonzero
+    f has at most deg num zeros and deg den poles, so one of the first
+    deg num + deg den + 1 sizes is a witness."""
+    for n in range(2 * k + 1, 2 * k + 2 + f.num.degree + f.den.degree):
         try:
             value = f.evaluate(n)
         except PoleError:

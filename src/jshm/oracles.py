@@ -187,8 +187,6 @@ def compatibility(subsets: list[tuple[int, ...]], n: int, t: int) -> list[int]:
     k * t operations on V-bit masks instead of V pair intersections.
     """
     full = (1 << len(subsets)) - 1
-    if t == 0:
-        return [full ^ 1 << a for a in range(len(subsets))]
     through = [0] * (n + 1)
     for a, s in enumerate(subsets):
         for e in s:

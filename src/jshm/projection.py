@@ -17,7 +17,9 @@ member pairs, so the counts are used when 2^k <= |F| and the walk otherwise.
 
 The projection preserves both the trace and the sum of entries (take the
 defining orthogonality against I and against the all-ones matrix), so a
-family projects to trace |F| and entry sum |F|^2.
+family projects to trace |F| and entry sum |F|^2.  A family is t-intersecting
+exactly when d_r = 0 for every r > k - t, so the lemma's report reads the
+one count; only :func:`first_violating_pair` walks member pairs, to name one.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exact import Record, Report, binom, to_json
+from .exact import Record, Report, binom
 from .johnson import (
     BMVector,
     SchemeParams,
+    SelfCheckError,
     colex_masks,
     class_size,
     entry_sum,
@@ -112,63 +115,37 @@ def _per_one(total: Fraction, params: SchemeParams, r: int) -> Fraction:
 
 
 class FamilyLemmaReport(Report):
-    """Diagnostic check of the projection of a t-intersecting family.
+    """The projection of a family, read for the t-intersecting lemma.
 
-    When the family is t-intersecting its projection must be supported on
-    A_0..A_{k-t} with trace |F| and entry sum |F|^2; a family that is not
-    t-intersecting is reported (with a violating pair) rather than rejected.
+    ``t_intersecting`` and ``support_ok`` are one fact, read off the pair
+    count (module docstring); ``elsm`` is the entry sum.
     """
 
-    t: int
     t_intersecting: bool
-    violating_pair: tuple[tuple[int, ...], tuple[int, ...]] | None
     support_ok: bool
     trace: Fraction
-    entry_sum: Fraction
-    trace_ok: bool
-    entry_sum_ok: bool
+    elsm: Fraction
     coeffs: tuple[Fraction, ...]
-
-    @property
-    def verified(self) -> bool:
-        return self.t_intersecting and self.support_ok and self.trace_ok and self.entry_sum_ok
-
-    def to_dict(self) -> dict:  # verified and bound_from_design read fields left out here
-        return to_json({
-            "t_intersecting": self.t_intersecting,
-            "support_ok": self.support_ok,
-            "trace": self.trace,
-            "elsm": self.entry_sum,
-            "coeffs": self.coeffs,
-        })
 
 
 def family_lemma_report(fam: Family, t: int) -> FamilyLemmaReport:
+    """A projection missing trace |F| or entry sum |F|^2 raises SelfCheckError."""
     if not 0 <= t <= fam.k:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
     proj = project_family(fam)
-    # distinct members meet in fewer than t points exactly when some d_r
-    # with r > k - t is nonzero, so only a failed support check needs a walk
-    support_ok = all(proj.coeffs[r] == 0 for r in range(fam.k - t + 1, fam.k + 1))
-    violating = None if support_ok else _first_violating_pair(fam.members, t)
     tr = trace(proj)
     es = entry_sum(proj)
-    return FamilyLemmaReport(
-        t=t,
-        t_intersecting=violating is None,
-        violating_pair=violating,
-        support_ok=support_ok,
-        trace=tr,
-        entry_sum=es,
-        trace_ok=tr == fam.size,
-        entry_sum_ok=es == fam.size * fam.size,
-        coeffs=proj.coeffs,
-    )
+    if tr != fam.size or es != fam.size * fam.size:
+        raise SelfCheckError("the family projection misses its trace or entry sum")
+    support_ok = all(proj.coeffs[r] == 0 for r in range(fam.k - t + 1, fam.k + 1))
+    return FamilyLemmaReport(t_intersecting=support_ok, support_ok=support_ok,
+                             trace=tr, elsm=es, coeffs=proj.coeffs)
 
 
-def _first_violating_pair(members, t):
-    """The first member pair, in member order, meeting in fewer than t points;
-    more than MAX_COUNT_WORK pairs compared, summed per member, are refused."""
+def first_violating_pair(fam: Family, t: int):
+    """The first member pair, in member order, meeting in fewer than t points,
+    or None; more than MAX_COUNT_WORK pairs compared, summed per member, are refused."""
+    members = fam.members
     masks = [subset_mask(m) for m in members]
     compared = 0
     for idx, a in enumerate(masks):
@@ -178,3 +155,4 @@ def _first_violating_pair(members, t):
         compared += len(masks) - idx - 1
         refuse_above(compared, MAX_COUNT_WORK,
                      "pairs walked for a violating pair under the count bound")
+    return None

@@ -21,12 +21,13 @@ from .exact import Record, binom
 MAX_ENUMERATED_SUBSETS = 2_000_000
 
 # pair_distribution refuses more units of work, |F| * min(|F|, 2^k), than
-# this; verify_design more counted t-subsets, |F| * C(k,t); and the walk for
-# a violating pair more pairs compared.  Near the bound on a 2-vCPU x86-64
-# host: 5.4 s and 430 MB for the counts of 9765 random 10-subsets of 40,
-# 1.7 s for the walk of 3162 random 20-subsets, and 3.0 s and 220 MB to
-# verify 8*10^6 units.  The tests, scripts and benchmark need at most 29 120
-# units, and the check of a found design at most MAX_SEARCH_ENTRIES
+# this; verify_design more counted t-subsets, |F| * C(k,t); and
+# first_violating_pair, which only bound_from_design calls, more pairs
+# compared.  Near the bound on a 2-vCPU x86-64 host: 5.4 s and 430 MB for
+# the counts of 9765 random 10-subsets of 40, 1.7 s for the walk of 3162
+# random 20-subsets, and 3.0 s and 220 MB to verify 8*10^6 units.  The
+# tests, scripts and benchmark need at most 29 120 units, and the check of
+# a found design at most MAX_SEARCH_ENTRIES
 MAX_COUNT_WORK = 10_000_000
 
 

@@ -293,7 +293,7 @@ def bound_from_design(design: Design, fam: Family) -> DesignBoundReport:
     clique-coclique inequality.
     """
     # imported here so that the certificate commands load no design code
-    from .projection import family_lemma_report, project_family
+    from .projection import family_lemma_report, first_violating_pair, project_family
 
     n, k, t = design.n, design.k, design.t
     bound = binom(n - t, k - t)
@@ -307,7 +307,7 @@ def bound_from_design(design: Design, fam: Family) -> DesignBoundReport:
         return refused("design is not a Steiner system")
     lemma = family_lemma_report(fam, t)
     if not lemma.t_intersecting:
-        a, b = lemma.violating_pair
+        a, b = first_violating_pair(fam, t)
         return refused(f"family is not {t}-intersecting: blocks {list(a)} and {list(b)} "
                        "meet in too few points")
     params = SchemeParams(n, k)

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 import jshm
-from jshm import projection
+from jshm import identity, projection
 from jshm.cli import main
-from jshm.designs import verify_design
+from jshm.designs import SearchOutcome, verify_design
 from jshm.subsets import family_from_dict, family_to_dict
 
 from conftest import FANO_BLOCKS
@@ -193,6 +194,61 @@ class TestProject:
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "count bound" in captured.err and "exceeds the bound" in captured.err
+
+    def test_answer_needs_no_pair_walk(self, capsys, monkeypatch, tmp_path):
+        # the counts take 240 units; naming the first violating pair would
+        # walk 434 pairs, which project does not do
+        blocks = [[1, 4, c] for c in range(2, 31) if c != 4] + [[1, 2, 3], [4, 5, 6]]
+        path = write_family(tmp_path, 30, 3, blocks)
+        monkeypatch.setattr(projection, "MAX_COUNT_WORK", 433)
+        code = main(["project", "--file", path, "--t", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(captured.out)
+        assert payload["t_intersecting"] is False and payload["support_ok"] is False
+        assert payload["trace"] == "30" and payload["elsm"] == "900"
+        assert captured.err == "family of 30 blocks: not verified at t=1\n"
+
+
+class TestWitnessStatuses:
+    """The statuses of identity witness that no real search reaches at small n."""
+
+    def witness(self, capsys, *ns):
+        argv = ["identity", "witness", "--k", "3", "--t", "2"]
+        for n in ns:
+            argv += ["--n", str(n)]
+        code, payload, _ = run_cli(capsys, *argv)
+        return code, [(p["n"], p["status"], p["detail"], p["nodes"])
+                      for p in payload["points"]]
+
+    def test_every_point_not_found(self, capsys, monkeypatch):
+        monkeypatch.setattr(identity, "search_design",
+                            lambda n, k, t, budget: SearchOutcome("not-found", None, 17))
+        code, points = self.witness(capsys, 7, 9)
+        assert code == 1
+        assert points == [(n, "not-found", "exhaustive search found no design", 17)
+                          for n in (7, 9)]
+
+    def test_failed_projection_beside_unverified(self, capsys, monkeypatch):
+        search = identity.search_design
+        monkeypatch.setattr(identity, "search_design", lambda n, k, t, budget: (
+            search(n, k, t, budget) if n == 7
+            else SearchOutcome("budget-exhausted", None, budget)))
+        monkeypatch.setattr(identity, "design_projection_report",
+                            lambda design: SimpleNamespace(verified=False))
+        code, points = self.witness(capsys, 7, 9)
+        assert code == 1
+        assert points[0][:3] == (7, "failed", "design projection identity failed")
+        assert points[1][:3] == (9, "unverified", "search budget exhausted")
+
+    def test_failed_matrices(self, capsys, monkeypatch):
+        side = identity.numeric_side
+        monkeypatch.setattr(identity, "numeric_side", lambda name, n, k, t: (
+            side("omega_literal", n, k, t) if name == "m" else side(name, n, k, t)))
+        code, points = self.witness(capsys, 7)
+        assert code == 1
+        assert points[0][:3] == (
+            7, "failed", "design matrix differs from the corrected Wilson matrix")
 
 
 class TestDesign:

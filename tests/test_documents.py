@@ -99,7 +99,7 @@ def test_every_report_type_is_covered():
 
 # the reports whose document is not their fields, each with its reason
 # beside its to_dict
-OVERRIDES = {"Design", "FamilyLemmaReport"}
+OVERRIDES = {"Design"}
 
 
 def test_only_the_overrides_define_to_dict():

@@ -18,7 +18,7 @@ from jshm.identity import (
     numeric_side,
     symbolic_side,
 )
-from jshm.johnson import MAX_TABLE_N, SizeBudgetError
+from jshm.johnson import MAX_TABLE_N, SelfCheckError, SizeBudgetError
 from jshm.wilson import wilson_matrix, wilson_matrix_symbolic
 
 # sha256 of json.dumps([compare_symbolic(k, t, lhs, rhs).to_dict() ...],
@@ -71,6 +71,14 @@ class TestCompareSymbolic:
             r, n, value = rep.witness
             assert value != 0
             assert rep.h[r].evaluate(n) == value
+
+    def test_witness_scan_is_the_degree_count(self):
+        # zeros at 7 and 8 and a pole at 9 fill the first deg num + deg den
+        # sizes from 2k+1 = 7, so the witness is the last size scanned
+        f = (NU - 7) * (NU - 8) / (NU - 9)
+        assert identity._sample_nonzero(f, 3) == (10, Fraction(6))
+        with pytest.raises(SelfCheckError, match="no witness point"):
+            identity._sample_nonzero(f - f, 3)
 
     def test_degree_bound(self):
         for (k, t) in VERIFIED_PAIRS:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jshm import projection
 from jshm.johnson import (
     SchemeParams,
+    SelfCheckError,
     SizeBudgetError,
     dense,
     identity_vector,
@@ -16,6 +17,7 @@ from jshm.johnson import (
 )
 from jshm.projection import (
     family_lemma_report,
+    first_violating_pair,
     pair_distribution,
     project_dense,
     project_family,
@@ -148,27 +150,27 @@ class TestProjectDense:
 
 class TestFamilyLemma:
     def test_star(self):
-        rep = family_lemma_report(star_family(7, 3, (1, 2)), 2)
+        fam = star_family(7, 3, (1, 2))
+        rep = family_lemma_report(fam, 2)
         assert rep.t_intersecting and rep.support_ok
-        assert rep.trace == 5 and rep.entry_sum == 25
+        assert rep.trace == 5 and rep.elsm == 25
         assert rep.coeffs[2] == 0 and rep.coeffs[3] == 0
-        assert rep.verified
+        assert first_violating_pair(fam, 2) is None
 
     def test_fano_is_1_intersecting(self, fano):
         rep = family_lemma_report(fano, 1)
         assert rep.t_intersecting and rep.support_ok
-        assert rep.trace == 7 and rep.entry_sum == 49
+        assert rep.trace == 7 and rep.elsm == 49
 
     def test_disjoint_pair_flagged(self):
         fam = make_family(7, 3, [[1, 2, 3], [4, 5, 6]])
         rep = family_lemma_report(fam, 1)
-        assert not rep.t_intersecting
-        assert rep.violating_pair == ((1, 2, 3), (4, 5, 6))
-        assert not rep.verified
+        assert not rep.t_intersecting and not rep.support_ok
+        assert first_violating_pair(fam, 1) == ((1, 2, 3), (4, 5, 6))
 
     def test_violating_pair_with_counted_distribution(self):
         # |F| >= 2^k, so the support check reads the shared-subset counts; the
-        # first violating pair in member order is as the pair walk found it
+        # first violating pair in member order is as the pair walk finds it
         star = [list(m) for m in star_family(9, 4, (1,)).members]
         for n, k, blocks, t, pair in [
             (10, 3, [list(m) for m in star_family(10, 3, (1, 2)).members]
@@ -180,20 +182,31 @@ class TestFamilyLemma:
             assert fam.size >= 2 ** k
             rep = family_lemma_report(fam, t)
             assert not rep.t_intersecting and not rep.support_ok
-            assert rep.violating_pair == pair
+            assert first_violating_pair(fam, t) == pair
 
     def test_violating_pair_walk_bound(self, monkeypatch):
         # the 28 blocks through 1 and 4 meet every block; the first violating
         # pair, (1,2,3) and (4,5,6), is the first pair of row 28, after
-        # 29 + 28 + ... + 2 = 434 pairs.  The counts take 30 * 2^3 = 240 units.
+        # 29 + 28 + ... + 2 = 434 pairs.  The counts take 30 * 2^3 = 240 units,
+        # so the report needs no walk and is given under either bound.
         blocks = [[1, 4, c] for c in range(2, 31) if c != 4] + [[1, 2, 3], [4, 5, 6]]
         fam = make_family(30, 3, blocks)
         monkeypatch.setattr(projection, "MAX_COUNT_WORK", 434)
-        rep = family_lemma_report(fam, 1)
-        assert rep.violating_pair == ((1, 2, 3), (4, 5, 6))
+        assert first_violating_pair(fam, 1) == ((1, 2, 3), (4, 5, 6))
         monkeypatch.setattr(projection, "MAX_COUNT_WORK", 433)
         with pytest.raises(SizeBudgetError, match="violating pair"):
-            family_lemma_report(fam, 1)
+            first_violating_pair(fam, 1)
+        assert not family_lemma_report(fam, 1).t_intersecting
+
+    def test_self_check(self, monkeypatch, fano):
+        # a projection that missed its trace or entry sum is a program fault
+        monkeypatch.setattr(projection, "trace", lambda v: Fraction(6))
+        with pytest.raises(SelfCheckError, match="trace or entry sum"):
+            family_lemma_report(fano, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(projection, "entry_sum", lambda v: Fraction(7))
+        with pytest.raises(SelfCheckError, match="trace or entry sum"):
+            family_lemma_report(fano, 1)
 
     @pytest.mark.parametrize("counted", [False, True])
     @settings(max_examples=75)
@@ -204,8 +217,8 @@ class TestFamilyLemma:
         walked = next(((a, b) for i, a in enumerate(fam.members)
                        for b in fam.members[i + 1:]
                        if len(set(a) & set(b)) < t), None)
+        assert first_violating_pair(fam, t) == walked
         rep = family_lemma_report(fam, t)
-        assert rep.violating_pair == walked
         assert rep.t_intersecting == rep.support_ok == (walked is None)
 
     def test_report_dict_shape(self, fano):
