@@ -10,9 +10,12 @@ for the colex order of the enumerations.  Design verification by testing every
 t-subset against every block, O(C(n,t) |F|), is the reference for the
 counted ``designs.verify_design``.  The maximum t-intersecting family search
 is an exact branch-and-bound over the compatibility graph, with
-deterministic vertex order so witnesses are reproducible bit for bit.  Its
-greedy colouring records only the classes a branch can still use, those
-numbered at least kmin = |best| - |current| + 1.
+deterministic vertex order so witnesses are reproducible bit for bit.  Bit p
+of its masks is the k-subset of colex rank V - 1 - p, so its greedy
+colouring takes each next vertex, lowest colex rank first, as the top bit
+of the candidates (``bit_length``) at two V-bit mask operations per
+coloured vertex, and records only the classes a branch can still use,
+those numbered at least kmin = |best| - |current| + 1.
 """
 
 from __future__ import annotations
@@ -40,15 +43,23 @@ def float_spectrum(mat: list[list]) -> list[float]:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np  # deferred: only the float oracle needs it
 
-    order = len(mat)
-    for i in range(order):
-        if len(mat[i]) != order:
-            raise ValueError("matrix is not square")
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    # equal to its transpose means square and symmetric; list equality
+    # passes shared entry objects by identity
+    if list(map(list, zip(*mat))) != mat:
+        order = len(mat)
+        for i in range(order):
+            if len(mat[i]) != order:
+                raise ValueError("matrix is not square")
+            for j in range(i):
+                if mat[i][j] != mat[j][i]:
+                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
     try:
-        arr = np.array([[float(x) for x in row] for row in mat], dtype=float)
+        # each distinct entry object converted once; its id stays unique
+        # while ``mat`` holds it
+        distinct = {id(x): x for row in mat for x in row}
+        as_float = {key: float(x) for key, x in distinct.items()}
+        arr = np.array([list(map(as_float.__getitem__, map(id, row))) for row in mat],
+                       dtype=float)
     except OverflowError as exc:
         raise ValueError(f"matrix entry is not a finite float: {exc}") from exc
     if not np.isfinite(arr).all():
@@ -218,49 +229,59 @@ def max_family(n: int, k: int, t: int,
                budget: int = DEFAULT_CLIQUE_BUDGET) -> MaxFamilyResult:
     """Exact maximum clique on the t-compatibility graph of k-subsets.
 
-    Vertices are the k-subsets in colex order; two are compatible when they
-    meet in at least t points.  Branch and bound with a greedy-coloring
-    upper bound; the budget counts vertex expansions.  The vertex set and its
-    V masks of V bits are refused above DEFAULT_DENSE_BUDGET vertices.
+    Vertices are the k-subsets, two compatible when they meet in at least t
+    points, numbered in reverse colex order: bit p of a mask is the subset
+    of colex rank V - 1 - p, so the highest set bit is the lowest colex
+    rank.  Branch and bound with a greedy-coloring upper bound; the budget
+    counts vertex expansions.  The colouring takes each next vertex, lowest
+    colex rank first, as the top bit of its candidates, and pays two V-bit
+    mask operations for it.  The vertex set and its V masks of V bits are
+    refused above DEFAULT_DENSE_BUDGET vertices.
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
     refuse_above(binom(n, k), DEFAULT_DENSE_BUDGET, f"C({n},{k}) vertices under the dense budget")
-    subsets = colex_tuples(n, k)
-    v_count = len(subsets)
-    adj = compatibility(subsets, n, t)
-    # candidates that survive picking v into a colour class, as non-negative
+    # decreasing tuples in reverse colex order: desc[p] is bit p
+    desc = list(combinations(range(n, 0, -1), k))
+    v_count = len(desc)
+    adj = compatibility(desc, n, t)
+    bit = [1 << p for p in range(v_count)]
+    # candidates that survive picking p into a colour class, as non-negative
     # masks: ``&`` with a negative int is about twice as slow
     full = (1 << v_count) - 1
-    nonadj = [full ^ (adj[v] | 1 << v) for v in range(v_count)]
+    nonadj = [full ^ (a | b) for a, b in zip(adj, bit)]
 
     best: list[int] = []
     nodes = 0
     aborted = False
 
     def coloring(p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
-        # Greedy color classes over the candidate set, lowest index first;
-        # the color number of a vertex bounds any clique inside it and the
-        # vertices before it in the order.  Only classes >= kmin are
-        # recorded: the search would prune a vertex of a lower class before
-        # expanding it.  The lower classes are still built, so the later
-        # ones keep their vertices.
+        # Greedy color classes over the candidate set, lowest colex rank
+        # (top bit) first; the color number of a vertex bounds any clique
+        # inside it and the vertices before it in the order.  Only classes
+        # >= kmin are recorded: the search would prune a vertex of a lower
+        # class before expanding it.  The lower classes are still built, so
+        # the later ones keep their vertices.
         order: list[int] = []
         colors: list[int] = []
-        color = 0
+        color = 1
         remaining = p_mask
-        while remaining:
-            color += 1
+        while remaining and color < kmin:
             cand = remaining
-            record = color >= kmin
             while cand:
-                low = cand & -cand
-                v = low.bit_length() - 1
-                if record:
-                    order.append(v)
-                    colors.append(color)
-                remaining ^= low
-                cand &= nonadj[v]
+                p = cand.bit_length() - 1
+                remaining ^= bit[p]
+                cand &= nonadj[p]
+            color += 1
+        while remaining:
+            cand = remaining
+            while cand:
+                p = cand.bit_length() - 1
+                order.append(p)
+                colors.append(color)
+                remaining ^= bit[p]
+                cand &= nonadj[p]
+            color += 1
         return order, colors
 
     # Branch and bound with an explicit stack, so no clique is too large for
@@ -272,7 +293,7 @@ def max_family(n: int, k: int, t: int,
     # parent's candidates.
     current: list[int] = []
     stack: list[tuple] = []
-    p_mask = (1 << v_count) - 1
+    p_mask = full
     order, colors = coloring(p_mask, 1)
     idx = len(order)
     while True:
@@ -281,7 +302,7 @@ def max_family(n: int, k: int, t: int,
             if not stack:
                 break
             p_mask, order, colors, idx = stack.pop()
-            p_mask &= ~(1 << current.pop())
+            p_mask ^= bit[current.pop()]
             continue
         v = order[idx]
         nodes += 1
@@ -302,7 +323,8 @@ def max_family(n: int, k: int, t: int,
                 best = current.copy()
             current.pop()
 
-    blocks = tuple(subsets[v] for v in sorted(best))
+    # descending bits are ascending colex ranks
+    blocks = tuple(desc[p][::-1] for p in sorted(best, reverse=True))
     return MaxFamilyResult(
         n=n, k=k, t=t, size=len(blocks), blocks=blocks,
         optimal=not aborted, nodes=nodes,

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,12 +10,15 @@ import pytest
 import jshm
 from jshm.exact import binom
 from jshm.johnson import (
+    BMVector,
     SchemeParams,
     SizeBudgetError,
     all_ones_vector,
     basis_vector,
     dense,
+    eigenvalues,
     identity_vector,
+    multiplicities,
 )
 from jshm.oracles import brute_projection, compatibility, float_spectrum, max_family
 from jshm.projection import project_family
@@ -44,6 +48,23 @@ class TestFloatSpectrum:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             float_spectrum([[0, 1]])
+
+    def test_ragged_and_asymmetric_names_the_pair(self):
+        # the first pair met is asymmetric, before the short last row
+        with pytest.raises(ValueError, match=r"symmetric at \(1,0\)"):
+            float_spectrum([[0, 1, 0], [0, 0, 0], [0, 0]])
+
+    def test_distinct_equal_entries(self):
+        params = SchemeParams(6, 3)
+        v = BMVector(params, (Fraction(7, 3), Fraction(-1, 2), 0, Fraction(5, 4)))
+        shared = dense(v)
+        copies = [[Fraction(x.numerator, x.denominator) for x in row] for row in shared]
+        assert all(a is not b for a, b in zip(shared[0], copies[0]))
+        got = float_spectrum(copies)
+        assert got == float_spectrum(shared)
+        exact = sorted((float(theta) for theta, m in zip(eigenvalues(v), multiplicities(6, 3))
+                        for _ in range(m)), reverse=True)
+        assert got == pytest.approx(exact, abs=1e-8)
 
 
 # (n, k, t, budget) -> (size, nodes, optimal, first 16 hex digits of the
@@ -90,12 +111,15 @@ def test_compatibility_is_the_pairwise_definition():
     for n in range(1, 10):
         for k in range(n + 1):
             subsets = colex_tuples(n, k)
-            masks = [subset_mask(s) for s in subsets]
-            for t in range(k + 1):
-                expected = [sum(1 << b for b, mb in enumerate(masks)
-                                if b != a and (ma & mb).bit_count() >= t)
-                            for a, ma in enumerate(masks)]
-                assert compatibility(subsets, n, t) == expected, (n, k, t)
+            # max_family's order: decreasing tuples in reverse colex order
+            descending = [s[::-1] for s in reversed(subsets)]
+            for order in (subsets, descending):
+                masks = [subset_mask(s) for s in order]
+                for t in range(k + 1):
+                    expected = [sum(1 << b for b, mb in enumerate(masks)
+                                    if b != a and (ma & mb).bit_count() >= t)
+                                for a, ma in enumerate(masks)]
+                    assert compatibility(order, n, t) == expected, (n, k, t, order[:1])
 
 
 class TestMaxFamily:
@@ -108,6 +132,10 @@ class TestMaxFamily:
             blocks = json.dumps(res.blocks).encode()
             digest = hashlib.sha256(blocks).hexdigest()[:16]
             assert (res.size, res.nodes, res.optimal, digest) == expected, (n, k, t, budget)
+            # colex order: increasing tuples, increasing masks
+            masks = [subset_mask(b) for b in res.blocks]
+            assert all(list(b) == sorted(b) for b in res.blocks), (n, k, t, budget)
+            assert all(a < b for a, b in zip(masks, masks[1:])), (n, k, t, budget)
 
     def test_adjacency_cost_does_not_grow_with_shared_subsets(self):
         # 190 vertices, each with C(18,9) = 48 620 9-subsets: the pair walk
