@@ -18,12 +18,16 @@ sequences: each row is a tuple of its column indices, each column a list of
 its row indices preallocated at its size, and live-row flags and per-column
 live counts stand in for the linked nodes, with the same column choice and
 row order, so found designs and node counts are those of the classical
-linked version.  The rows are built from the decreasing k-subsets that
-``itertools.combinations`` yields, without a list of the subsets beside
-them, and the chosen blocks are read back from a second pass of the same
-walk.  Every enumeration here (search rows, verified t-subsets, admissible
-sizes) is refused through ``subsets.refuse_above`` above a fixed bound
-before it starts.
+linked version.  A byte per column, its live count capped at 2, or 3 while
+it is covered, lets ``bytearray.find`` make the choice: a column with no rows, or the
+first with one, is the one the minimum over all counts would pick, and that
+minimum is taken only when the fewest live rows number two or more.  The
+rows are built from the decreasing k-subsets that ``itertools.combinations``
+yields, without a list of the subsets beside them, and the chosen blocks
+are read back from a second pass of the same walk.  Every enumeration here
+(search rows, counted t-subsets, admissible sizes) is refused through
+``subsets.refuse_above`` above a fixed bound before it starts; verification
+walks only t-subsets it has counted, and one more.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .johnson import (MAX_TABLE_K, MAX_TABLE_N, BMVector, SchemeParams, entry_su
 from .projection import project_family
 from .subsets import (
     MAX_COUNT_WORK,
-    MAX_ENUMERATED_SUBSETS,
     Family,
     colex_tuples,
     family_to_dict,
@@ -83,12 +86,15 @@ class Design(Report):
 def verify_design(fam: Family, t: int) -> int:
     """Return the common cover count lambda, or raise with a witness subset.
 
-    Each block's C(k,t) t-subsets are counted once, then the C(n,t)
-    t-subsets are looked up in ``combinations`` order: O(|F| C(k,t) + C(n,t)).
-    lambda is the count of {1..t}, and the witness is the first t-subset
-    whose count differs from it.  The walk over the C(n,t) t-subsets is
-    refused with SizeBudgetError above ``subsets.MAX_ENUMERATED_SUBSETS``,
-    and the |F| C(k,t) counted t-subsets above ``subsets.MAX_COUNT_WORK``.
+    Each block's C(k,t) t-subsets are counted once, O(|F| C(k,t)), and
+    refused with SizeBudgetError above ``subsets.MAX_COUNT_WORK``.  lambda
+    is the count of {1..t}, and the witness is the first t-subset in
+    ``combinations`` order whose count differs from it, found from the
+    counts alone.  At lambda = 0 it is the least counted t-subset.  At
+    lambda > 0 the walk in that order passes only counted t-subsets before
+    it stops, so it takes at most |counts| + 1 steps, and it walks only the
+    first |F| k + 1 points: the least point g in no block is at most that,
+    {1..t-1, g} has count 0, and every t-subset before it lies in {1..g}.
     At t = 0 the only t-subset is the empty set, in every block, so
     lambda = |F| and the ground set, of any size, is not walked.
     """
@@ -96,14 +102,16 @@ def verify_design(fam: Family, t: int) -> int:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
     if t == 0:
         return fam.size
-    refuse_above(binom(fam.n, t), MAX_ENUMERATED_SUBSETS,
-                 f"C({fam.n},{t}) t-subsets under the enumeration cap")
     refuse_above(fam.size * binom(fam.k, t), MAX_COUNT_WORK,
                  "t-subsets of the blocks under the count bound")
     counts = Counter(chain.from_iterable(combinations(m, t) for m in fam.members))
-    subs = combinations(range(1, fam.n + 1), t)
-    lam = counts[next(subs)]  # t <= n, so {1..t} exists
-    for sub in subs:
+    lam = counts[tuple(range(1, t + 1))]  # t <= k <= n, so {1..t} exists
+    if lam == 0:
+        if counts:
+            witness = min(counts)
+            raise NotADesignError(witness, counts[witness], lam)
+        return lam
+    for sub in combinations(range(1, min(fam.n, fam.size * fam.k + 1) + 1), t):
         if counts[sub] != lam:
             raise NotADesignError(sub, counts[sub], lam)
     return lam
@@ -263,8 +271,14 @@ def _exact_cover(num_columns: int, rows: list[tuple[int, ...]], budget: int):
     index, and its rows are tried in ascending order, so the first solution
     is a deterministic function of the input.  ``nodes`` counts row
     expansions, including the first one past the budget.  A covered column
-    carries ``covered`` on top of its size, so it never wins the minimum,
-    and a minimum of at least ``covered`` means every column is covered.
+    carries ``covered`` on top of its size, so it never wins the minimum.
+    The byte map ``low`` holds each column's size capped at 2, or 3 while
+    it is covered, kept exact by cover and uncover (an uncovered column
+    restarts at 0 and the rows revived through it count it back up), so
+    the choice is a memchr over it: a 0 is a dead end, the first 1 is the column the
+    minimum would choose, no 0, 1 or 2 means every column is covered, and
+    only otherwise is the minimum taken over ``sizes``.  Each of these
+    answers is the minimum's, so the choices and node counts are too.
     Each column's list of rows is allocated at its size, counted first, and
     filled in row order: lists grown by appending hold about a tenth more.
     """
@@ -278,54 +292,69 @@ def _exact_cover(num_columns: int, rows: list[tuple[int, ...]], budget: int):
         for c in cols:
             col_rows[c][sizes[c]] = r
             sizes[c] += 1
+    low = bytearray(min(size, 2) for size in sizes)
     live = [True] * len(rows)
     covered = len(rows) + 1
 
-    def cover(cols):
-        """Cover the columns and return the live rows through them, now dead."""
+    def cover(cols, skip=-1):
+        """Cover the columns but ``skip`` and return the live rows through
+        them, now dead."""
         killed = []
         for c in cols:
+            if c == skip:
+                continue
             sizes[c] += covered
+            low[c] = 3
             for r in col_rows[c]:
                 if live[r]:
                     live[r] = False
                     killed.append(r)
                     for j in rows[r]:
-                        sizes[j] -= 1
+                        s = sizes[j] - 1
+                        sizes[j] = s
+                        if s < 2:
+                            low[j] = s
         return killed
 
-    def uncover(cols, killed):
+    def uncover(cols, killed, skip=-1):
         for c in cols:
-            sizes[c] -= covered
+            if c == skip:
+                continue
+            sizes[c] -= covered  # to 0: cover killed every live row through c
+            low[c] = 0
         for r in killed:
             live[r] = True
             for j in rows[r]:
-                sizes[j] += 1
+                s = sizes[j] + 1
+                sizes[j] = s
+                if s < 3:
+                    low[j] = s
 
     nodes = 0
-    # one level per chosen column: [[column], its candidate rows, index of the
-    # next candidate, the other columns of the current one, the rows they killed]
+    # one level per chosen column: [column, its candidate rows, index of the
+    # next candidate, the current candidate's columns, the rows they killed]
     stack = []
     while True:
-        fewest = min(sizes)
-        if fewest >= covered:
-            return "found", [level[1][level[2] - 1] for level in stack], nodes
-        if fewest:
-            chosen = [sizes.index(fewest)]
-            stack.append([chosen, cover(chosen), 0, [], []])
+        if low.find(0) < 0:  # else a dead end: backtrack without a choice
+            c = low.find(1)
+            if c < 0:
+                if low.find(2) < 0:
+                    return "found", [level[1][level[2] - 1] for level in stack], nodes
+                c = sizes.index(min(sizes))
+            stack.append([c, cover((c,)), 0, (), ()])
         while stack:  # advance to the next untried candidate, backtracking
             level = stack[-1]
-            chosen, candidates, i, others, killed = level
-            uncover(others, killed)
+            c, candidates, i, cols, killed = level
+            uncover(cols, killed, c)
             if i == len(candidates):
-                uncover(chosen, candidates)
+                uncover((c,), candidates)
                 stack.pop()
                 continue
             nodes += 1
             if nodes > budget:
                 return "budget-exhausted", None, nodes
-            others = [j for j in rows[candidates[i]] if j != chosen[0]]
-            level[2:] = i + 1, others, cover(others)
+            cols = rows[candidates[i]]
+            level[2:] = i + 1, cols, cover(cols, c)
             break
         else:
             return "not-found", None, nodes

@@ -8,9 +8,10 @@ numbers are counted over all k-subsets, the reference the tests hold the
 closed-form eigenvalue table against, and the colex rank is the reference
 for the colex order of the enumerations.  Design verification by testing every
 t-subset against every block, O(C(n,t) |F|), is the reference for the
-counted ``designs.verify_design``.  The maximum t-intersecting family search
-is an exact branch-and-bound over the compatibility graph, with
-deterministic vertex order so witnesses are reproducible bit for bit.  Bit p
+counted ``designs.verify_design``, and Algorithm X over a dict of row sets
+the reference for the search's ``designs._exact_cover``.  The maximum
+t-intersecting family search is an exact branch-and-bound over the
+compatibility graph, with deterministic vertex order so witnesses are reproducible bit for bit.  Bit p
 of its masks is the k-subset of colex rank V - 1 - p, so its greedy
 colouring takes each next vertex, lowest colex rank first, as the top bit
 of the candidates (``bit_length``) at two V-bit mask operations per
@@ -349,8 +350,10 @@ def brute_projection(fam: Family) -> BMVector:
 def brute_verify_design(fam: Family, t: int) -> int:
     """``designs.verify_design`` by testing every t-subset against every block.
 
-    O(C(n,t) |F|); the same lambda and witness as the counted path, and its
-    enumeration cap ``subsets.MAX_ENUMERATED_SUBSETS`` (not its count bound).
+    O(C(n,t) |F|); the same lambda and witness as the counted path.  The
+    walk is refused above the enumeration cap
+    ``subsets.MAX_ENUMERATED_SUBSETS``, the counted path above its count
+    bound only.
     """
     if not 0 <= t <= fam.k:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
@@ -366,3 +369,61 @@ def brute_verify_design(fam: Family, t: int) -> int:
         elif count != lam:
             raise NotADesignError(sub, count, lam)
     return lam
+
+
+def exact_cover(num_columns: int, rows: list[tuple[int, ...]], budget: int):
+    """``designs._exact_cover`` as Algorithm X over a dict of row sets.
+
+    Each live column maps to the set of its live rows; choosing a row pops
+    its columns and removes every row meeting them from the other columns.
+    The column chosen has the fewest rows, ties to the lowest index, and its
+    rows are tried in ascending order.  A node is a row expansion, counting
+    the first one past the budget.  Returns (status, chosen rows in the
+    order chosen, nodes); one recursion level per chosen row, so meant for
+    the small instances the tests draw.
+    """
+    columns = {c: set() for c in range(num_columns)}
+    for r, cols in enumerate(rows):
+        for c in cols:
+            columns[c].add(r)
+    chosen = []
+    nodes = 0
+
+    def select(r):
+        popped = []
+        for c in rows[r]:
+            for other in columns[c]:
+                for d in rows[other]:
+                    if d != c:
+                        columns[d].remove(other)
+            popped.append((c, columns.pop(c)))
+        return popped
+
+    def deselect(popped):
+        for c, rs in reversed(popped):
+            columns[c] = rs
+            for other in rs:
+                for d in rows[other]:
+                    if d != c:
+                        columns[d].add(other)
+
+    def search():
+        nonlocal nodes
+        if not columns:
+            return "found"
+        c = min(columns, key=lambda c: (len(columns[c]), c))
+        for r in sorted(columns[c]):
+            nodes += 1
+            if nodes > budget:
+                return "budget-exhausted"
+            chosen.append(r)
+            popped = select(r)
+            status = search()
+            if status != "not-found":
+                return status
+            deselect(popped)
+            chosen.pop()
+        return "not-found"
+
+    status = search()
+    return status, chosen if status == "found" else None, nodes

@@ -311,7 +311,7 @@ class TestDesign:
     def test_unbounded_inputs_are_refused(self, capsys, tmp_path):
         # the search ran out of memory enumerating rows, and the other three
         # ran without bound; now each exits 3 at once
-        path = write_family(tmp_path, 3000, 3, [])
+        path = write_family(tmp_path, 3000, 1500, [list(range(1, 1501))])
         for argv in (
             ["design", "search", "--n", "60", "--k", "10", "--t", "2"],
             ["design", "admissible", "--k", "3", "--t", "2",
@@ -333,12 +333,14 @@ class TestDesign:
 
     def test_verify_huge_ground_set(self, capsys, tmp_path):
         # at t = 0 the ground set of 10**30 points was built as a tuple and
-        # raised OverflowError; at t = 1 its C(n,1) points are refused
+        # raised OverflowError; at t = 1 its C(n,1) points were refused, and
+        # now the walk stops at the first point covered once, not twice
         path = write_family(tmp_path, 10**30, 2, [[1, 2], [1, 3]])
         code, payload, _ = run_cli(capsys, "design", "verify", "--file", path, "--t", "0")
         assert code == 0 and payload["lambda"] == 2
         code, payload, _ = run_cli(capsys, "design", "verify", "--file", path, "--t", "1")
-        assert code == 3 and payload is None
+        assert code == 1 and payload["lambda"] is None
+        assert payload["witness"] == {"subset": [2], "count": 1, "expected": 2}
 
 
 class TestIdentity:

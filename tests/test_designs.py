@@ -36,7 +36,7 @@ from jshm.johnson import (
     SizeBudgetError,
     basis_vector,
 )
-from jshm.oracles import brute_verify_design
+from jshm.oracles import brute_verify_design, exact_cover
 from jshm.subsets import (
     MAX_COUNT_WORK,
     MAX_ENUMERATED_SUBSETS,
@@ -73,6 +73,24 @@ PINNED_NOT_DESIGNS = [
 
 
 @st.composite
+def cover_instances(draw):
+    """(columns, rows, budget): random rows of distinct columns, sometimes
+    beside a planted exact cover, so that found, not-found and exhausted
+    outcomes, empty columns, no rows and ties at sizes 0 and 1 all occur."""
+    num_columns = draw(st.integers(0, 12))
+    cols = st.lists(st.integers(0, max(num_columns - 1, 0)), max_size=min(num_columns, 4),
+                    unique=True)
+    rows = draw(st.lists(cols, max_size=25)) if num_columns else []
+    if num_columns and draw(st.booleans()):
+        parts = draw(st.permutations(range(num_columns)))
+        cuts = sorted(draw(st.sets(st.integers(1, num_columns))) | {num_columns})
+        planted = [parts[a:b] for a, b in zip([0] + cuts, cuts)]
+        rows = draw(st.permutations(rows + planted))
+    budget = draw(st.sampled_from([0, 1, 3, 10, DEFAULT_SEARCH_BUDGET]))
+    return num_columns, [tuple(sorted(r)) for r in rows], budget
+
+
+@st.composite
 def block_families(draw):
     n = draw(st.integers(1, 9))
     k = draw(st.integers(1, min(n, 4)))
@@ -86,13 +104,24 @@ class TestVerifyDesign:
         assert verify_design(fano, 2) == 1
 
     def test_subset_walk_bound(self):
+        # C(n,t) above the enumeration cap was refused before the walk; the
+        # walk passes only counted t-subsets, so these answer at once
         assert binom(3000, 3) > MAX_ENUMERATED_SUBSETS
-        with pytest.raises(SizeBudgetError):
-            verify_design(make_family(3000, 3, []), 3)
-        # a search admits C(n,t) <= C(n,k) C(k,t) row entries, and counts at
-        # most C(n,k) C(k,t) t-subsets of its blocks, so the check of any
-        # design it finds is admitted too
-        assert MAX_SEARCH_ENTRIES <= min(MAX_ENUMERATED_SUBSETS, MAX_COUNT_WORK)
+        start = time.perf_counter()
+        assert verify_design(make_family(3000, 3, []), 3) == 0
+        for (n, blocks, t), expected in [
+            ((3000, [[1, 2, 3], [4, 5, 6]], 2), ((1, 4), 0, 1)),
+            ((3000, [[1, 2, 3], [4, 5, 6]], 1), ((7,), 0, 1)),  # |F| k + 1 points
+            ((3000, [[4, 5, 6], [7, 8, 9]], 2), ((4, 5), 1, 0)),  # least counted
+            ((10**30, [[1, 2, 3], [1, 2, 10**30]], 2), ((1, 3), 1, 2)),
+        ]:
+            with pytest.raises(NotADesignError) as exc:
+                verify_design(make_family(n, 3, blocks), t)
+            assert (exc.value.witness, exc.value.count, exc.value.expected) == expected
+        assert time.perf_counter() - start < 0.5
+        # a search counts at most C(n,k) C(k,t) t-subsets of its blocks, so
+        # the check of any design it finds is admitted too
+        assert MAX_SEARCH_ENTRIES <= MAX_COUNT_WORK
 
     def test_count_bound(self, monkeypatch, fano):
         # |F| C(k,t) = 7 * 3 counted t-subsets: admitted at the bound, refused
@@ -310,6 +339,7 @@ PINNED_SEARCHES = {
     (8, 3, 2, None): ("not-found", 78, None),
     (10, 3, 2, None): ("not-found", 632, None),
     (12, 4, 2, None): ("not-found", 6660, None),
+    (14, 4, 3, None): ("found", 53495, "a2ae93222ba8916f"),
     (9, 3, 2, 0): ("budget-exhausted", 1, None),
     (9, 3, 2, 1): ("budget-exhausted", 2, None),
     (9, 3, 2, 2): ("budget-exhausted", 3, None),
@@ -345,6 +375,13 @@ class TestSearchDesign:
                 assert [list(m) for m in out.design.family.members] == blocks
                 digest = hashlib.sha256(json.dumps(blocks).encode()).hexdigest()[:16]
             assert (out.status, out.nodes, digest) == expected, (n, k, t, budget)
+
+    @settings(max_examples=400)
+    @given(cover_instances())
+    def test_matches_the_dict_of_sets_search(self, instance):
+        # the byte map and covered offset choose as the fewest-rows column of
+        # a dict of row sets does: same outcome, rows and node count
+        assert _exact_cover(*instance) == exact_cover(*instance)
 
     def test_deeper_than_the_recursion_limit(self):
         # the complete 2-(50,2,1) design chooses all 1225 pairs, one level each
