@@ -11,24 +11,26 @@ t-subset against every block, O(C(n,t) |F|), is the reference for the
 counted ``designs.verify_design``, and Algorithm X over a dict of row sets
 the reference for the search's ``designs._exact_cover``.  The maximum
 t-intersecting family search is an exact branch-and-bound over the
-compatibility graph, with deterministic vertex order so witnesses are reproducible bit for bit.  Bit p
-of its masks is the k-subset of colex rank V - 1 - p, so its greedy
-colouring takes each next vertex, lowest colex rank first, as the top bit
-of the candidates (``bit_length``) at two V-bit mask operations per
-coloured vertex, and records only the classes a branch can still use,
-those numbered at least kmin = |best| - |current| + 1.
+compatibility graph, with deterministic vertex order so witnesses are
+reproducible bit for bit.  Bit p of its masks is the k-subset of colex rank
+V - 1 - p, so its greedy colouring takes each next vertex, lowest colex
+rank first, as the top bit of the candidates (``bit_length``) at two V-bit
+mask operations per coloured vertex, and records only the classes a branch
+can still use, those numbered at least kmin = |best| - |current| + 1.  A
+bounded table recalls the expansions of subtrees already searched to the
+end under the same candidates and kmin, so a repeated subtree is neither
+coloured nor searched again.
 """
 
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
-from .designs import NotADesignError
 from .exact import Report, binom
 from .johnson import DEFAULT_DENSE_BUDGET, BMVector, SchemeParams, colex_masks, entry_sum, schur
-from .projection import project_dense
 from .subsets import MAX_ENUMERATED_SUBSETS, Family, colex_tuples, refuse_above, subset_mask
 
 
@@ -187,6 +189,13 @@ def intersection_number(i: int, j: int, r: int, params: SchemeParams) -> int:
 
 
 DEFAULT_CLIQUE_BUDGET = 5_000_000
+# Bound on max_family's table of finished subtrees.  An entry keeps a
+# candidate mask of V bits alive, with its count and dict slot: at most
+# about 135 bytes at V = 252 and 770 bytes at V = 5000, the dense budget,
+# so a full table holds at most about 8.4 MB and 48 MB.  The searches of
+# the tests and the benchmark file at most 18 140, at (11,5,3), and
+# (13,5,3) files 43 492.
+MAX_FINISHED_SUBTREES = 1 << 16
 
 
 def compatibility(subsets: list[tuple[int, ...]], n: int, t: int) -> list[int]:
@@ -236,8 +245,13 @@ def max_family(n: int, k: int, t: int,
     rank.  Branch and bound with a greedy-coloring upper bound; the budget
     counts vertex expansions.  The colouring takes each next vertex, lowest
     colex rank first, as the top bit of its candidates, and pays two V-bit
-    mask operations for it.  The vertex set and its V masks of V bits are
-    refused above DEFAULT_DENSE_BUDGET vertices.
+    mask operations for it.  A subtree searched to the end without a larger
+    clique is filed under its candidates and kmin, up to
+    MAX_FINISHED_SUBTREES of them, and a repeat of it adds its expansions
+    to the count without a search: nodes, the witness and optimal are
+    those of the search without the table, also when the budget runs out
+    inside a recalled subtree.  The vertex set and its V masks of V bits
+    are refused above DEFAULT_DENSE_BUDGET vertices.
     """
     if not 0 <= t <= k <= n:
         raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
@@ -251,10 +265,19 @@ def max_family(n: int, k: int, t: int,
     # masks: ``&`` with a negative int is about twice as slow
     full = (1 << v_count) - 1
     nonadj = [full ^ (a | b) for a, b in zip(adj, bit)]
+    # the colouring indexes by bit_length, p + 1, and records shared
+    # position ints, and shared colour ints past its first recorded class,
+    # so each level of the stack holds at most one int of its own
+    bit_at = [0, *bit]
+    nonadj_at = [0, *nonadj]
+    position = list(range(-1, v_count))
+    number = list(range(v_count + 2))
 
     best: list[int] = []
     nodes = 0
     aborted = False
+    finished: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    filed = 0
 
     def coloring(p_mask: int, kmin: int) -> tuple[list[int], list[int]]:
         # Greedy color classes over the candidate set, lowest colex rank
@@ -270,28 +293,38 @@ def max_family(n: int, k: int, t: int,
         while remaining and color < kmin:
             cand = remaining
             while cand:
-                p = cand.bit_length() - 1
-                remaining ^= bit[p]
-                cand &= nonadj[p]
+                b = cand.bit_length()
+                remaining ^= bit_at[b]
+                cand &= nonadj_at[b]
             color += 1
         while remaining:
             cand = remaining
             while cand:
-                p = cand.bit_length() - 1
-                order.append(p)
+                b = cand.bit_length()
+                order.append(position[b])
                 colors.append(color)
-                remaining ^= bit[p]
-                cand &= nonadj[p]
-            color += 1
+                remaining ^= bit_at[b]
+                cand &= nonadj_at[b]
+            color = number[color + 1]
         return order, colors
 
     # Branch and bound with an explicit stack, so no clique is too large for
     # the recursion limit.  The node being expanded holds its candidate mask,
     # its colouring and the index of the vertex tried last; ``stack`` keeps
-    # those of its ancestors, one per vertex of ``current``.  Vertices are
-    # tried from the highest colour down; a node ends when its next colour
-    # cannot beat |best|, and the vertex that opened it then leaves the
-    # parent's candidates.
+    # those of its ancestors, one per vertex of ``current``, each with the
+    # table and candidates of the child it opened and the counts when it
+    # opened it.  Vertices are tried from the highest colour down; a node
+    # ends when its next colour cannot beat |best|, and the vertex that
+    # opened it then leaves the parent's candidates.
+    #
+    # While |best| is unchanged, a node's subtree depends only on its
+    # candidates and kmin = |best| - |current| + 1, the colour a vertex needs
+    # to be tried: every colouring, prune and leaf below it is read relative
+    # to these.  So a node that ends without changing |best| files its
+    # expansions under its candidates in ``finished[kmin]``, and a later
+    # child with the same pair adds them to ``nodes`` and ends at once, as
+    # the search of its subtree would: without changing |best|, or past the
+    # budget inside it.
     current: list[int] = []
     stack: list[tuple] = []
     p_mask = full
@@ -302,7 +335,10 @@ def max_family(n: int, k: int, t: int,
         if idx < 0 or len(current) + colors[idx] <= len(best):
             if not stack:
                 break
-            p_mask, order, colors, idx = stack.pop()
+            p_mask, order, colors, idx, table, sub, opened_at, size = stack.pop()
+            if len(best) == size and filed < MAX_FINISHED_SUBTREES:
+                table[sub] = nodes - opened_at
+                filed += 1
             p_mask ^= bit[current.pop()]
             continue
         v = order[idx]
@@ -313,16 +349,26 @@ def max_family(n: int, k: int, t: int,
         current.append(v)
         sub = p_mask & adj[v]
         if sub:
-            stack.append((p_mask, order, colors, idx))
-            p_mask = sub
-            order, colors = coloring(p_mask, len(best) - len(current) + 1)
-            idx = len(order)
-        else:
+            kmin = len(best) - len(current) + 1
+            table = finished[kmin]
+            inside = table.get(sub)
+            if inside is None:
+                stack.append((p_mask, order, colors, idx, table, sub, nodes, len(best)))
+                p_mask = sub
+                order, colors = coloring(p_mask, kmin)
+                idx = len(order)
+                continue
+            nodes += inside
+            if nodes > budget:
+                nodes = budget + 1
+                aborted = True
+                break
+            p_mask ^= bit[v]
+        elif len(current) > len(best):
             # a leaf: v has no neighbour among the candidates, so leaving
             # them changes no later branch
-            if len(current) > len(best):
-                best = current.copy()
-            current.pop()
+            best = current.copy()
+        current.pop()
 
     # descending bits are ascending colex ranks
     blocks = tuple(desc[p][::-1] for p in sorted(best, reverse=True))
@@ -338,6 +384,8 @@ def brute_projection(fam: Family) -> BMVector:
     Builds the rank-one indicator matrix explicitly and projects it entry
     by entry; must agree with the pair-distribution shortcut.
     """
+    from .projection import project_dense  # only this oracle projects
+
     params = SchemeParams(fam.n, fam.k)
     refuse_above(params.order, DEFAULT_DENSE_BUDGET,
                  f"order of J({fam.n},{fam.k}) under the dense budget")
@@ -355,6 +403,8 @@ def brute_verify_design(fam: Family, t: int) -> int:
     ``subsets.MAX_ENUMERATED_SUBSETS``, the counted path above its count
     bound only.
     """
+    from .designs import NotADesignError  # only this oracle verifies designs
+
     if not 0 <= t <= fam.k:
         raise ValueError(f"strength t={t} out of range [0, {fam.k}]")
     refuse_above(binom(fam.n, t), MAX_ENUMERATED_SUBSETS,

@@ -581,6 +581,10 @@ README_ARGV = [
 # point is verified, which no README command reaches
 FAILED_ARGV = ["identity pointwise --k 3 --t 2 --rhs literal --n-from 7 --n-to 20",
                "identity witness --k 3 --t 2 --n 8 --n 10"]
+# an instance where max_family recalls finished subtrees, whole and with
+# the budget running out inside the search
+TABLE_ARGV = ["oracle max-family --n 10 --k 4 --t 2",
+              "oracle max-family --n 10 --k 4 --t 2 --budget 2000"]
 FILE_ARGV = [f"{command} --file @{name} --t {t}"
              for name in PINNED_DOCS for command in ("project", "design verify")
              for t in range(4)]
@@ -753,6 +757,10 @@ PINNED = {
         (1, "0c1e2d84e9ad0e43", "witness statuses: n=8:inadmissible, n=10:inadmissible"),
     "oracle max-family --n 7 --k 3 --t 2":
         (0, "5689e03fd3ea53ad", "max 2-intersecting family in J(7,3): size 5 (optimal)"),
+    "oracle max-family --n 10 --k 4 --t 2":
+        (0, "29a765538dd8b14f", "max 2-intersecting family in J(10,4): size 28 (optimal)"),
+    "oracle max-family --n 10 --k 4 --t 2 --budget 2000":
+        (3, "88164429ec14cbfa", "max 2-intersecting family in J(10,4): size 28 (budget hit)"),
     "oracle spectrum --n 5 --k 2 --coeffs 0,0,1":
         (0, "8413e572b97d5876", "float spectrum of a 10x10 matrix"),
     "project --file @apart --t 0":
@@ -933,7 +941,7 @@ def pinned_output(argv: str, tmp_path) -> tuple[int, str, str]:
 
 
 def test_pinned_table_covers_the_readme_and_the_documents():
-    assert set(PINNED) == set(README_ARGV + FAILED_ARGV + FILE_ARGV)
+    assert set(PINNED) == set(README_ARGV + FAILED_ARGV + TABLE_ARGV + FILE_ARGV)
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import jshm
+from jshm import oracles
 from jshm.exact import binom
 from jshm.johnson import (
     BMVector,
@@ -122,6 +123,11 @@ def test_compatibility_is_the_pairwise_definition():
                     assert compatibility(order, n, t) == expected, (n, k, t, order[:1])
 
 
+def _outcome(res):
+    digest = hashlib.sha256(json.dumps(res.blocks).encode()).hexdigest()[:16]
+    return res.size, res.nodes, res.optimal, digest
+
+
 class TestMaxFamily:
     def test_pinned_outcomes(self):
         for (n, k, t, budget), expected in PINNED_MAX_FAMILIES.items():
@@ -129,13 +135,40 @@ class TestMaxFamily:
                 res = max_family(n, k, t)
             else:
                 res = max_family(n, k, t, budget)
-            blocks = json.dumps(res.blocks).encode()
-            digest = hashlib.sha256(blocks).hexdigest()[:16]
-            assert (res.size, res.nodes, res.optimal, digest) == expected, (n, k, t, budget)
+            assert _outcome(res) == expected, (n, k, t, budget)
             # colex order: increasing tuples, increasing masks
             masks = [subset_mask(b) for b in res.blocks]
             assert all(list(b) == sorted(b) for b in res.blocks), (n, k, t, budget)
             assert all(a < b for a, b in zip(masks, masks[1:])), (n, k, t, budget)
+
+    def test_pinned_outcomes_with_a_tiny_table(self, monkeypatch):
+        # a full table stops filing subtrees and changes nothing else
+        monkeypatch.setattr(oracles, "MAX_FINISHED_SUBTREES", 3)
+        for (n, k, t, budget), expected in PINNED_MAX_FAMILIES.items():
+            res = max_family(n, k, t) if budget is None else max_family(n, k, t, budget)
+            assert _outcome(res) == expected, (n, k, t, budget)
+
+    def test_table_matches_the_plain_search_at_every_budget(self, monkeypatch):
+        # budgets spread over the whole search of (10,4,2), where 604
+        # subtrees are recalled and 12 of these 41 budgets run out inside
+        # one; a table of bound 0 is the plain search
+        total = max_family(10, 4, 2).nodes
+        budgets = sorted({total * i // 39 for i in range(40)} | {total - 1, total})
+        with_table = [max_family(10, 4, 2, b) for b in budgets]
+        monkeypatch.setattr(oracles, "MAX_FINISHED_SUBTREES", 0)
+        for budget, res in zip(budgets, with_table):
+            plain = max_family(10, 4, 2, budget)
+            assert (res.size, res.nodes, res.optimal, res.blocks) == (
+                plain.size, plain.nodes, plain.optimal, plain.blocks), budget
+            assert res.optimal == (budget >= total), budget
+
+    def test_recalled_subtrees_keep_a_long_search_short(self):
+        # 320 826 expansions, most of them inside recalled subtrees; the
+        # plain search takes about 20 times as long
+        start = time.perf_counter()
+        result = max_family(16, 4, 2)
+        assert time.perf_counter() - start < 5.0
+        assert _outcome(result) == (91, 320826, True, "bf89df60645e9e1b")
 
     def test_adjacency_cost_does_not_grow_with_shared_subsets(self):
         # 190 vertices, each with C(18,9) = 48 620 9-subsets: the pair walk

@@ -37,6 +37,7 @@ def _module_level_imports(body):
 @pytest.mark.parametrize("module,forbidden", [
     ("cli", {"designs", "identity", "oracles", "projection", "wilson"}),
     ("wilson", {"designs", "projection"}),
+    ("oracles", {"designs", "projection"}),
 ])
 def test_no_module_level_import(module, forbidden):
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
@@ -92,7 +93,7 @@ FAMILIES = {
         ["design", "search", "--n", "9", "--k", "3", "--t", "2"],
         ["design", "admissible", "--k", "3", "--t", "2", "--n-max", "20"],
     ]),
-    "oracle": (DESIGN | {"oracles"}, [
+    "oracle": (BASE | {"oracles"}, [
         ["oracle", "max-family", "--n", "7", "--k", "3", "--t", "2"],
         ["oracle", "spectrum", "--n", "5", "--k", "2", "--coeffs", "0,0,1"],
     ]),
