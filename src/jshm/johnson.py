@@ -7,19 +7,21 @@ the identity and the A_r sum to the all-ones matrix).  An algebra element
 is stored as its coefficient vector on this basis (:class:`BMVector`);
 dense materialization exists only as an oracle path.
 
-The exact eigenvalue table is the closed form of Delsarte's Eberlein
-polynomials, built without enumerating any subset, and the construction
-aborts if any of the classical identities (dimension sum, row sums, zero
-class traces, the A_1 eigenvalues) fails, so a passing construction is
-itself a consistency check.  Counted intersection numbers live in
-:mod:`jshm.oracles` as the reference the tests hold the table against.
+Every spectrum comes from Wilson's lemma, written once over a binomial
+provider ``binom_at(shift, b)`` = C(nu + shift, b): W_a, the vector with
+C(r, a) on A_r, has eigenvalue (-1)^j C(k-j, a-j) C(nu-a-j, k-j) on the
+eigenspace V_j, so the spectrum of an element in the W basis costs O(k^2),
+at a size or over Q(nu), enumerating no subset.  The eigenvalue table aborts
+if a classical identity fails.  The tests' references, the Eberlein
+polynomials and counted intersection numbers, are in :mod:`jshm.oracles`.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .exact import Record, binom
+from .exact import Record, binom, binom_at_size
 from .subsets import SizeBudgetError, colex_tuples, refuse_above, subset_mask
 
 # dense and the dense oracles (inclusion and disjointness matrices,
@@ -176,6 +178,23 @@ def multiplicities(n: int, k: int) -> tuple[int, ...]:
     return tuple(binom(n, j) - binom(n, j - 1) for j in range(k + 1))
 
 
+def lemma_eigenvalue(binom_at, k: int, a: int, j: int):
+    """Eigenvalue of W_a (``wilson_basis_vector(a)``) on V_j by Wilson's lemma:
+    (-1)^j C(k-j, a-j) C(nu-a-j, k-j), over the binomial provider."""
+    return (-1) ** j * binom(k - j, a - j) * binom_at(-a - j, k - j)
+
+
+def lemma_spectrum(binom_at, w, top: int) -> tuple:
+    """theta_0..theta_top of sum_a w_a W_a, k = len(w) - 1: theta_j sums
+    w_a times W_a's eigenvalue on V_j over the nonzero w_a, a >= j."""
+    theta = [0 * binom_at(0, 0)] * (top + 1)  # zeros of the provider's type
+    for a, c in enumerate(w):
+        if c != 0:
+            for j in range(min(a, top) + 1):
+                theta[j] += c * lemma_eigenvalue(binom_at, len(w) - 1, a, j)
+    return tuple(theta)
+
+
 class EigenSystem(Record):
     """Exact eigenvalue table of J(n,k).
 
@@ -189,53 +208,41 @@ class EigenSystem(Record):
 
 
 def eigensystem(params: SchemeParams) -> EigenSystem:
-    """Build and self-verify the eigenvalue table of J(n,k).
-
-    Requires k <= n-k (for larger k some classes are empty and the table
-    below does not apply).  Entry P[j][i] is the Eberlein polynomial
-    sum_h (-1)^h C(j,h) C(k-j,i-h) C(n-k-j,i-h), evaluated in integers at
-    O(k^3) cost; nothing is enumerated.  Before returning, the eigenspace
-    dimensions must sum to C(n,k), each row must sum to C(n,k) on the
-    trivial eigenspace and 0 elsewhere, every class but A_0 must have zero
-    trace, and column 1 must equal (k-j)(n-k-j) - j.  The table bound is
-    checked by SchemeParams.
-    """
+    """Build and self-verify the eigenvalue table of J(n,k), k <= n-k: column
+    i is the spectrum of A_i, whose W coefficients are (-1)^(a-i) C(a, i), in
+    integers.  The eigenspace dimensions must sum to C(n,k), row j must sum
+    to C(n,k) if j = 0 and to 0 otherwise, every class but A_0 must have zero
+    trace, and column 1 must equal (k-j)(n-k-j) - j."""
     n, k = params.n, params.k
     if k > n - k:
         raise ValueError(f"eigensystem requires k <= n-k, got k={k}, n={n}")
-
-    table = []
-    for j in range(k + 1):
-        w = [binom(k - j, a) * binom(n - k - j, a) for a in range(k + 1)]
-        table.append([sum((-1) ** h * binom(j, h) * w[i - h] for h in range(min(i, j) + 1))
-                      for i in range(k + 1)])
-
+    binom_at = functools.cache(lambda shift, b: binom(n + shift, b))
+    table = list(zip(*(lemma_spectrum(binom_at, [(-1) ** (a - i) * binom(a, i)
+                                                 for a in range(k + 1)], k)
+                       for i in range(k + 1))))
     m = multiplicities(n, k)
-
     order = params.order
     if sum(m) != order:
         raise SelfCheckError("eigenspace dimensions do not sum to the order")
     for j in range(k + 1):
-        want = order if j == 0 else 0
-        if sum(table[j]) != want:
+        if sum(table[j]) != (order if j == 0 else 0):
             raise SelfCheckError(f"row {j} of the eigenvalue table sums wrongly")
         if table[j][1] != (k - j) * (n - k - j) - j:
             raise SelfCheckError(f"A_1 eigenvalue on eigenspace {j} is wrong")
     for i in range(1, k + 1):
         if sum(m[j] * table[j][i] for j in range(k + 1)) != 0:
             raise SelfCheckError(f"class {i} has nonzero trace")
-
-    P = tuple(tuple(Fraction(x) for x in row) for row in table)
-    return EigenSystem(params, P, m)
+    return EigenSystem(params, tuple(tuple(map(Fraction, row)) for row in table), m)
 
 
 def eigenvalues(v: BMVector) -> tuple[Fraction, ...]:
-    """Exact eigenvalues theta_0..theta_k of v, one per eigenspace."""
-    es = eigensystem(v.params)
-    return tuple(
-        sum(c * es.P[j][i] for i, c in enumerate(v.coeffs))
-        for j in range(v.params.num_classes)
-    )
+    """Exact eigenvalues of v on V_0..V_s, s = min(k, n-k), whose dimensions
+    are ``multiplicities(n, s)``: Wilson's lemma at size n on v in the W
+    basis, w_a = sum_{r <= a} (-1)^(a-r) C(a, r) c_r (W_a is 0 for a > s)."""
+    n, k = v.params.n, v.params.k
+    w = [sum((-1) ** (a - r) * binom(a, r) * v.coeffs[r] for r in range(a + 1))
+         for a in range(k + 1)]
+    return lemma_spectrum(binom_at_size(n), w, min(k, n - k))
 
 
 class PSDReport(Record):

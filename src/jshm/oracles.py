@@ -1,11 +1,12 @@
 """Independent brute-force ground truth.
 
 Floating point lives here and only here: the float spectrum corroborates
-the exact eigenvalue tables but never feeds a certificate.  Matrix entries,
+the exact spectra but never feeds a certificate.  The Eberlein polynomials
+are the tests' reference for the spectra of Wilson's lemma.  Matrix entries,
 inner products, the inclusion and disjointness matrices and their dense
 products check the algebra's coefficient form entry by entry.  Intersection
-numbers are counted over all k-subsets, the reference the tests hold the
-closed-form eigenvalue table against, and the colex rank is the reference
+numbers are counted over all k-subsets, a second reference for the
+eigenvalue table, and the colex rank is the reference
 for the colex order of the enumerations.  Design verification by testing every
 t-subset against every block, O(C(n,t) |F|), is the reference for the
 counted ``designs.verify_design``, and Algorithm X over a dict of row sets
@@ -186,6 +187,20 @@ def intersection_number(i: int, j: int, r: int, params: SchemeParams) -> int:
         if k - (g & alpha).bit_count() == i and k - (g & beta).bit_count() == j:
             count += 1
     return count
+
+
+def eberlein_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Eigenvalue table of J(n,k), k <= n-k, from the Eberlein polynomials:
+    entry [j][i], the eigenvalue of A_i on V_j, is sum_h (-1)^h C(j,h)
+    C(k-j,i-h) C(n-k-j,i-h), in integers at O(k^3) cost."""
+    if not 1 <= k <= n - k:
+        raise ValueError(f"the Eberlein table requires 1 <= k <= n-k, got k={k}, n={n}")
+    table = []
+    for j in range(k + 1):
+        w = [binom(k - j, a) * binom(n - k - j, a) for a in range(k + 1)]
+        table.append(tuple(sum((-1) ** h * binom(j, h) * w[i - h] for h in range(min(i, j) + 1))
+                           for i in range(k + 1)))
+    return tuple(table)
 
 
 DEFAULT_CLIQUE_BUDGET = 5_000_000

@@ -20,13 +20,12 @@ A_{k-t}, and its entry-sum/trace ratio is C(n,t)/C(k,t); by the clique-
 coclique bound these force every t-intersecting family to have size at most
 C(n-t,k-t).
 
-The certificate's spectrum comes from Wilson's lemma, not from the Eberlein
-table of :mod:`jshm.johnson`: W_a, the vector with C(r, a) on A_r, has
-eigenvalue (-1)^j C(k-j, a-j) C(n-a-j, k-j) on V_j, and Omega's terms are
-put over one common denominator, so the spectrum is k+1 integers over it.
-Two self-checks raise SelfCheckError: the spectrum must give the trace
-C(n,k) of I + Omega, and theta_0 must equal the entry-sum/trace ratio
-computed from the class sizes.  The table is the tests' oracle for it.
+The certificate's spectrum comes from ``johnson.lemma_spectrum``, Wilson's
+lemma: Omega is already in the W basis, and over one common denominator its
+spectrum is k+1 integers.  Two self-checks raise SelfCheckError: the
+spectrum must give the trace C(n,k) of I + Omega, and theta_0 must equal the
+entry-sum/trace ratio from the class sizes.  The tests hold the spectrum
+against ``oracles.eberlein_table``.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .johnson import (
     SchemeParams,
     SelfCheckError,
     entry_sum,
+    lemma_spectrum,
     multiplicities,
     plus_identity,
     psd_report,
@@ -103,28 +103,18 @@ def _omega_coeffs(binom_at, k, t, variant):
     return coeffs
 
 
-def wilson_eigenvalue(n: int, k: int, a: int, j: int) -> int:
-    """Eigenvalue of W_a (``johnson.wilson_basis_vector(a)``) on V_j in J(n,k),
-    by Wilson's lemma: (-1)^j C(k-j, a-j) C(n-a-j, k-j)."""
-    return (-1) ** j * binom(k - j, a - j) * binom(n - a - j, k - j)
-
-
 def _certificate_spectrum(n, k, t, variant) -> tuple[Fraction, ...]:
-    """Eigenvalues of I + Omega(n,k,t) on V_0..V_k from Wilson's lemma.
-
-    Omega's terms are put over one common denominator D, the lcm of their
-    C(n-k-t+d, k-t), so each theta_j is an integer numerator over D.  Omega
-    has no A_0 part, so the trace sum_j m_j theta_j of I + Omega must be
-    C(n,k), m_j being the eigenspace dimensions; a mismatch raises
-    SelfCheckError.
-    """
+    """Eigenvalues of I + Omega(n,k,t) on V_0..V_k by ``lemma_spectrum``:
+    over D, the lcm of the terms' C(n-k-t+d, k-t), Omega has integer W
+    coefficients, so each theta_j is an integer over D.  Omega has no A_0
+    part, so sum_j m_j theta_j must be the trace C(n,k) of I + Omega, m_j
+    being the eigenspace dimensions, or SelfCheckError is raised."""
     terms = [(s, binom(n + h, k - t), a) for s, h, a in _omega_terms(k, t, variant)]
     den = math.lcm(*(d for _, d, _ in terms))
-    nums = [den] * (k + 1)
+    w = [0] * (k + 1)
     for s, d, a in terms:
-        c = s * (den // d)
-        for j in range(a + 1):  # C(k-j, a-j) vanishes beyond j = a
-            nums[j] += c * wilson_eigenvalue(n, k, a, j)
+        w[a] = s * (den // d)
+    nums = [den + x for x in lemma_spectrum(lambda h, b: binom(n + h, b), w, k)]
     if sum(m * x for m, x in zip(multiplicities(n, k), nums)) != den * binom(n, k):
         raise SelfCheckError(f"the spectrum of I + Omega({n},{k},{t}) misses its trace")
     return tuple(Fraction(x, den) for x in nums)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from jshm.designs import as_design, search_design
 from jshm.johnson import BMVector, SchemeParams
+from jshm.oracles import eberlein_table
 from jshm.subsets import Family, colex_tuples, make_family, star_family
 
 FANO_BLOCKS = [
@@ -54,6 +56,16 @@ def random_vector(params: SchemeParams, rng: random.Random) -> BMVector:
         tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
               for _ in range(params.num_classes)),
     )
+
+
+_table = functools.cache(eberlein_table)
+
+
+def eberlein_spectrum(v: BMVector) -> tuple:
+    """theta_0..theta_k of v from the oracle's Eberlein table,
+    sum_i c_i P[j][i]: the reference for the spectra of Wilson's lemma."""
+    return tuple(sum(c * row[i] for i, c in enumerate(v.coeffs))
+                 for row in _table(v.params.n, v.params.k))
 
 
 def random_families(n: int, k: int, count: int, seed: int) -> list[Family]:

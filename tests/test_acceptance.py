@@ -42,7 +42,7 @@ from jshm.wilson import (
     wilson_matrix,
 )
 
-from conftest import projection_corpus
+from conftest import eberlein_spectrum, projection_corpus
 
 FLOAT_TOL = 1e-8
 
@@ -67,6 +67,7 @@ def test_c01_eigen_machinery():
             if n <= 8:
                 for r in range(k + 1):
                     v = basis_vector(es.params, r)
+                    assert eigenvalues(v) == eberlein_spectrum(v), (n, k, r)
                     exact = sorted(
                         (float(th) for j, th in enumerate(eigenvalues(v))
                          for _ in range(es.m[j])),

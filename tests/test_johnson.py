@@ -5,6 +5,8 @@ import pytest
 
 from jshm.exact import binom
 from jshm.johnson import (
+    MAX_TABLE_K,
+    MAX_TABLE_N,
     BMVector,
     SchemeParams,
     SizeBudgetError,
@@ -17,6 +19,7 @@ from jshm.johnson import (
     eigenvalues,
     entry_sum,
     identity_vector,
+    multiplicities,
     psd_report,
     schur,
     trace,
@@ -25,6 +28,7 @@ from jshm.johnson import (
 from jshm.oracles import (
     colex_rank,
     disjointness_matrix,
+    eberlein_table,
     entry,
     float_spectrum,
     inclusion_matrix,
@@ -35,7 +39,7 @@ from jshm.oracles import (
 )
 from jshm.subsets import colex_tuples
 
-from conftest import random_vector
+from conftest import eberlein_spectrum, random_vector
 
 
 class TestEntry:
@@ -286,21 +290,48 @@ class TestEigenSystem:
         with pytest.raises(ValueError, match="1 <= k <= n"):
             SchemeParams(3, 70)
 
+    def test_against_the_eberlein_table(self):
+        # the spectra of the classes by Wilson's lemma are Delsarte's table
+        for n in range(2, 31):
+            for k in range(1, n // 2 + 1):
+                assert eigensystem(SchemeParams(n, k)).P == eberlein_table(n, k), (n, k)
+        n, k = MAX_TABLE_N - 1, MAX_TABLE_K
+        assert eigensystem(SchemeParams(n, k)).P == eberlein_table(n, k)
+
     def test_random_vectors_match_float_oracle(self):
         rng = random.Random(88)
         for (n, k) in [(6, 3), (7, 3), (8, 4)]:
             p = SchemeParams(n, k)
-            es = eigensystem(p)
+            m = multiplicities(n, k)
             for _ in range(3):
                 v = random_vector(p, rng)
+                assert eigenvalues(v) == eberlein_spectrum(v)
                 exact = sorted(
                     (float(th) for j, th in enumerate(eigenvalues(v))
-                     for _ in range(es.m[j])),
+                     for _ in range(m[j])),
                     reverse=True,
                 )
                 approx = float_spectrum(dense(v))
                 assert len(exact) == p.order
                 assert all(abs(a - b) < 1e-8 for a, b in zip(exact, approx))
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (6, 4), (7, 5)])
+    def test_beyond_half_matches_float_oracle(self, n, k):
+        # 2k > n: the spectrum is theta_0..theta_{n-k}, on the eigenspaces
+        # of J(n, n-k), and the classes beyond n - k are empty
+        rng = random.Random(1000 * n + k)
+        p = SchemeParams(n, k)
+        m = multiplicities(n, n - k)
+        for _ in range(5):
+            v = random_vector(p, rng)
+            spectrum = eigenvalues(v)
+            assert len(spectrum) == n - k + 1
+            exact = sorted((float(th) for th, mult in zip(spectrum, m) for _ in range(mult)),
+                           reverse=True)
+            approx = float_spectrum(dense(v))
+            assert len(exact) == p.order
+            assert all(abs(a - b) < 1e-8 for a, b in zip(exact, approx)), (n, k)
+            assert psd_report(v).spectrum == spectrum
 
 
 class TestBMEigenvalues:

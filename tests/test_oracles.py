@@ -17,15 +17,20 @@ from jshm.johnson import (
     all_ones_vector,
     basis_vector,
     dense,
-    eigenvalues,
     identity_vector,
     multiplicities,
 )
-from jshm.oracles import brute_projection, compatibility, float_spectrum, max_family
+from jshm.oracles import (
+    brute_projection,
+    compatibility,
+    eberlein_table,
+    float_spectrum,
+    max_family,
+)
 from jshm.projection import project_family
 from jshm.subsets import colex_tuples, make_family, subset_mask
 
-from conftest import projection_corpus
+from conftest import eberlein_spectrum, projection_corpus
 
 
 class TestFloatSpectrum:
@@ -63,9 +68,19 @@ class TestFloatSpectrum:
         assert all(a is not b for a, b in zip(shared[0], copies[0]))
         got = float_spectrum(copies)
         assert got == float_spectrum(shared)
-        exact = sorted((float(theta) for theta, m in zip(eigenvalues(v), multiplicities(6, 3))
+        exact = sorted((float(theta) for theta, m in zip(eberlein_spectrum(v), multiplicities(6, 3))
                         for _ in range(m)), reverse=True)
         assert got == pytest.approx(exact, abs=1e-8)
+
+
+class TestEberleinTable:
+    def test_petersen(self):
+        # J(5,2): A_1 is the triangular graph, A_2 the Petersen graph
+        assert eberlein_table(5, 2) == ((1, 6, 3), (1, 1, -2), (1, -2, 1))
+
+    def test_rejects_k_beyond_half(self):
+        with pytest.raises(ValueError, match="k <= n-k"):
+            eberlein_table(5, 3)
 
 
 # (n, k, t, budget) -> (size, nodes, optimal, first 16 hex digits of the

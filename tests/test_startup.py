@@ -44,6 +44,35 @@ def test_no_module_level_import(module, forbidden):
     assert not set(_module_level_imports(tree.body)) & forbidden
 
 
+def _imported_modules(tree):
+    """Every jshm module a module imports anywhere, functions included:
+    relative imports, ``from jshm import x``, ``from jshm.x import ...``
+    and ``import jshm.x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:
+                module = f"jshm.{module}".rstrip(".")
+            if module == "jshm":
+                yield from (alias.name for alias in node.names)
+            elif module.startswith("jshm."):
+                yield module[len("jshm."):]
+        elif isinstance(node, ast.Import):
+            yield from (alias.name[len("jshm."):] for alias in node.names
+                        if alias.name.startswith("jshm."))
+
+
+def test_oracles_never_on_the_main_route():
+    # the brute-force references, the Eberlein table among them, are
+    # imported by the oracle commands of cli and by nothing else; cli's
+    # imports sit inside functions, so finding them shows the walk enters
+    # function bodies
+    importers = sorted(path.stem for path in SOURCE.glob("*.py")
+                       if "oracles" in set(_imported_modules(
+                           ast.parse(path.read_text(encoding="utf-8")))))
+    assert importers == ["cli"]
+
+
 def _raises_in(body, scope, name):
     """(scope, line) of each ``raise name(...)`` or ``raise name``, scoped by
     the function that holds it."""

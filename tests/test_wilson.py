@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from jshm import projection, wilson
+from jshm import johnson, projection, wilson
 from jshm.designs import as_design, partition_design
-from jshm.exact import binom
+from jshm.exact import binom, binom_rf
 from jshm.johnson import (
     MAX_TABLE_K,
     MAX_TABLE_N,
@@ -14,9 +15,10 @@ from jshm.johnson import (
     SizeBudgetError,
     all_ones_vector,
     basis_vector,
-    eigensystem,
-    eigenvalues,
     identity_vector,
+    lemma_eigenvalue,
+    lemma_spectrum,
+    multiplicities,
     schur,
     wilson_basis_vector,
 )
@@ -37,12 +39,11 @@ from jshm.wilson import (
     ekr_certificate,
     sum_trace_ratio,
     support_ok,
-    wilson_eigenvalue,
     wilson_matrix,
     wilson_matrix_symbolic,
 )
 
-from conftest import STS9_BLOCKS
+from conftest import STS9_BLOCKS, eberlein_spectrum
 
 
 def certificate_grid():
@@ -213,28 +214,33 @@ class TestCliqueCoclique:
             '"schur_multiple_of_identity": true, "tight": true}')
 
 
+def integers_at(n):
+    """The integer binomial provider at size n: (shift, b) -> C(n + shift, b)."""
+    return lambda shift, b: binom(n + shift, b)
+
+
 class TestWilsonLemma:
-    """W_a's eigenvalue on V_j, (-1)^j C(k-j, a-j) C(n-a-j, k-j), which the
-    certificate's spectrum is built from."""
+    """W_a's eigenvalue on V_j, (-1)^j C(k-j, a-j) C(n-a-j, k-j), the one
+    spectral route of johnson; the Eberlein table of oracles is its oracle."""
 
     def test_against_the_eigenvalue_table(self):
         for n in range(2, 23):
             for k in range(1, n // 2 + 1):
                 p = SchemeParams(n, k)
                 for a in range(k + 1):
-                    table = eigenvalues(wilson_basis_vector(a, p))
-                    assert tuple(wilson_eigenvalue(n, k, a, j)
+                    table = eberlein_spectrum(wilson_basis_vector(a, p))
+                    assert tuple(lemma_eigenvalue(integers_at(n), k, a, j)
                                  for j in range(k + 1)) == table, (n, k, a)
 
     def test_against_the_dense_product(self):
         # W_a is transpose(inclusion) * disjointness (test_dense_product_orientation)
         for (n, k) in [(7, 3), (8, 4)]:
             p = SchemeParams(n, k)
-            m = eigensystem(p).m
+            m = multiplicities(n, k)
             for a in range(k + 1):
                 prod = mat_mul(mat_transpose(inclusion_matrix(a, p)),
                                disjointness_matrix(a, p))
-                want = sorted((wilson_eigenvalue(n, k, a, j)
+                want = sorted((lemma_eigenvalue(integers_at(n), k, a, j)
                                for j in range(k + 1) for _ in range(m[j])), reverse=True)
                 got = float_spectrum(prod)
                 assert len(got) == len(want) == p.order
@@ -248,7 +254,7 @@ CORNERS = [(1000, 40, 20), (10**6, 64, 30), (200, 64, 32),
 
 class TestCertificateSpectrum:
     """ekr_certificate takes its spectrum from Wilson's lemma; the Eberlein
-    table is its oracle."""
+    table of oracles is its oracle."""
 
     def test_grid_against_the_table(self):
         for k in range(2, 9):
@@ -256,21 +262,36 @@ class TestCertificateSpectrum:
                 for t in range(1, k):
                     for variant in VARIANTS:
                         cert = ekr_certificate(n, k, t, variant)
-                        assert cert.spectrum == eigenvalues(
+                        assert cert.spectrum == eberlein_spectrum(
                             certificate_matrix(n, k, t, variant)), (n, k, t, variant)
 
     @pytest.mark.parametrize("n,k,t", CORNERS)
     def test_corner_against_the_table(self, n, k, t):
         for variant in VARIANTS:
             cert = ekr_certificate(n, k, t, variant)
-            assert cert.spectrum == eigenvalues(certificate_matrix(n, k, t, variant))
+            assert cert.spectrum == eberlein_spectrum(certificate_matrix(n, k, t, variant))
+
+    def test_symbolic_route(self):
+        # theta_j of I + Omega(nu,k,t) over Q(nu): Omega's W coefficients
+        # s / C(nu+h, k-t), then the route over binom_rf, at three sizes each
+        for k in range(2, 9):
+            for t in range(1, k):
+                for variant in VARIANTS:
+                    w = [0] * (k + 1)
+                    for s, h, a in wilson._omega_terms(k, t, variant):
+                        w[a] = s / binom_rf(h, k - t)
+                    theta = [1 + x for x in lemma_spectrum(binom_rf, w, k)]
+                    for n in (2 * k, 2 * k + 3, 10**6 + 7):
+                        cert = ekr_certificate(n, k, t, variant)
+                        assert tuple(x.evaluate(n) for x in theta) == cert.spectrum, (
+                            n, k, t, variant)
 
     @pytest.mark.parametrize("j", range(5))
     def test_a_wrong_lemma_eigenvalue_is_caught(self, j, monkeypatch):
         # off by one for W_k (the term i = 0, present for every t) on V_j alone
-        lemma = wilson.wilson_eigenvalue
-        monkeypatch.setattr(wilson, "wilson_eigenvalue", lambda n, k, a, i:
-                            lemma(n, k, a, i) + (a == k and i == j))
+        lemma = johnson.lemma_eigenvalue
+        monkeypatch.setattr(johnson, "lemma_eigenvalue", lambda binom_at, k, a, i:
+                            lemma(binom_at, k, a, i) + (a == k and i == j))
         with pytest.raises(SelfCheckError):
             ekr_certificate(12, 4, 2)
 
@@ -345,6 +366,15 @@ class TestBoundFromDesign:
     def test_sts9_star_tight(self, sts9_design):
         rep = bound_from_design(sts9_design, star_family(9, 3, (1, 2)))
         assert rep.premises_ok and rep.bound == 7 and rep.tight
+
+    def test_complete_design_beyond_half(self):
+        # all 3-subsets of 5 points are a Steiner 3-(5,3,1) system, and 2k > n
+        design = as_design(make_family(5, 3, list(combinations(range(1, 6), 3))), 3)
+        assert design.lam == 1
+        rep = bound_from_design(design, make_family(5, 3, [[1, 2, 3]]))
+        assert rep.premises_ok and rep.bound == 1
+        assert rep.within_bound and rep.tight
+        assert rep.clique_coclique.tight
 
     def test_non_intersecting_family_diagnosed(self, fano_design):
         fam = make_family(7, 3, [[1, 2, 3], [4, 5, 6]])
