@@ -382,10 +382,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        f = object.__new__(RationalFunction)  # negation keeps the canonical form
-        object.__setattr__(f, "num", -self.num)
-        object.__setattr__(f, "den", self.den)
-        return f
+        return _rf(-self.num, self.den)  # negation keeps the canonical form
 
     def __sub__(self, other) -> "RationalFunction":
         other = _as_rf(other)
@@ -400,6 +397,8 @@ class RationalFunction:
         return other + (-self)
 
     def __mul__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)) and other:
+            return _rf(self.num.scale(other), self.den)  # so does a nonzero scalar
         other = _as_rf(other)
         if other is None:
             return NotImplemented
@@ -430,6 +429,14 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({rf_to_str(self)!r})"
+
+
+def _rf(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """The rational function num / den, from parts already in canonical form."""
+    f = object.__new__(RationalFunction)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
 
 
 def _as_rf(x) -> RationalFunction | None:
@@ -562,3 +569,8 @@ def binom_rf(shift: int, b: int) -> RationalFunction:
 def binom_at_size(n: int):
     """Binomial provider (shift, b) -> Fraction(C(n + shift, b)), at size n."""
     return lambda shift, b: Fraction(binom(n + shift, b))
+
+
+def binom_at_int(n: int):
+    """Binomial provider (shift, b) -> C(n + shift, b) as an int, at size n."""
+    return lambda shift, b: binom(n + shift, b)

@@ -11,8 +11,12 @@ A pointwise comparator re-derives the verdict from exact evaluations at
 integer ground-set sizes: once both sides agree at more points than the
 degree of the cleared numerators (2k+1 suffices), polynomial vanishing
 forces symbolic equality.  Both routes share one transcription of M and
-Omega, so this tests the binomial providers; the formulas themselves are
-checked by :func:`design_witness_check`, M = Omega and perfbench/checks.py.
+of Omega's terms: the numeric M is evaluated over ``exact.binom_at_size``
+and the numeric Omega is the integer evaluation of ``wilson._omega_terms``
+over one common denominator, while the symbolic sides use
+``exact.binom_rf``, so this tests the two evaluations; the formulas
+themselves are checked by :func:`design_witness_check`, M = Omega and
+perfbench/checks.py.
 
 Each symbolic side is built once per (k, t, variant) and kept for the life
 of the process: the six side pairs of one (k, t) and the pointwise
@@ -205,7 +209,9 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
     The range must start at 2k (below that the coefficient formulas hit
     poles or empty classes) and contain at least 2k+1 integers; agreement at
     2k+1 pole-free points exceeds the cleared-numerator degree bound and so
-    certifies the identity.  The verdict is cross-checked against
+    certifies the identity.  The numeric Omega is the integer evaluation of
+    ``wilson._omega_terms`` over one common denominator, the symbolic one
+    uses ``exact.binom_rf``.  The verdict is cross-checked against
     :func:`compare_symbolic` and a disagreement aborts loudly.  Before any
     point is evaluated, k above MAX_SYMBOLIC_K, more than
     MAX_POINTWISE_POINTS sizes and n_to >= 2**64 are refused with SizeBudgetError.

@@ -11,17 +11,19 @@ Every spectrum comes from Wilson's lemma, written once over a binomial
 provider ``binom_at(shift, b)`` = C(nu + shift, b): W_a, the vector with
 C(r, a) on A_r, has eigenvalue (-1)^j C(k-j, a-j) C(nu-a-j, k-j) on the
 eigenspace V_j, so the spectrum of an element in the W basis costs O(k^2),
-at a size or over Q(nu), enumerating no subset.  The eigenvalue table aborts
-if a classical identity fails.  The tests' references, the Eberlein
+at a size or over Q(nu), enumerating no subset.  At a size the arithmetic
+is in integers: an element is brought to one common denominator, and
+``w_to_a`` is the change of basis back from W to A.  The eigenvalue table
+aborts if a classical identity fails.  The tests' references, the Eberlein
 polynomials and counted intersection numbers, are in :mod:`jshm.oracles`.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from fractions import Fraction
 
-from .exact import Record, binom, binom_at_size
+from .exact import Record, binom, binom_at_int
 from .subsets import SizeBudgetError, colex_tuples, refuse_above, subset_mask
 
 # dense and the dense oracles (inclusion and disjointness matrices,
@@ -62,13 +64,18 @@ class SchemeParams(Record):
         return self.k + 1
 
 
+def valency(params: SchemeParams, r: int) -> int:
+    """Number of ones in each row of A_r: C(k,r) * C(n-k,r)."""
+    return binom(params.k, r) * binom(params.n - params.k, r)
+
+
 def class_size(params: SchemeParams, r: int) -> int:
     """Number of ones of A_r: C(n,k) * C(k,r) * C(n-k,r).
 
     This equals the inner product of A_r with itself, since the classes are
     01-matrices with disjoint supports.
     """
-    return params.order * binom(params.k, r) * binom(params.n - params.k, r)
+    return params.order * valency(params, r)
 
 
 class BMVector(Record):
@@ -154,9 +161,14 @@ def trace(v: BMVector):
     return v.coeffs[0] * v.params.order
 
 
+def row_sum(v: BMVector):
+    """Sum of the entries of any one row of v: sum_r c_r times A_r's valency."""
+    return sum(c * valency(v.params, r) for r, c in enumerate(v.coeffs))
+
+
 def entry_sum(v: BMVector):
     """Sum of all matrix entries (inner product with the all-ones matrix)."""
-    return sum(c * class_size(v.params, r) for r, c in enumerate(v.coeffs))
+    return v.params.order * row_sum(v)
 
 
 def wilson_basis_vector(i: int, params: SchemeParams) -> BMVector:
@@ -171,6 +183,15 @@ def wilson_basis_vector(i: int, params: SchemeParams) -> BMVector:
     return BMVector(
         params, tuple(Fraction(binom(r, i)) for r in range(params.num_classes))
     )
+
+
+def w_to_a(w) -> list:
+    """Coefficients c_r = sum_{a <= r} C(r, a) w_a on A_0..A_k of
+    sum_a w_a W_a, over any scalar type (a zero takes the type of w_k): the
+    inverse of the change of basis in ``eigenvalues``."""
+    zero = 0 * w[-1]
+    terms = [(a, x) for a, x in enumerate(w) if x != 0]
+    return [sum((binom(r, a) * x for a, x in terms if a <= r), zero) for r in range(len(w))]
 
 
 def multiplicities(n: int, k: int) -> tuple[int, ...]:
@@ -208,18 +229,23 @@ class EigenSystem(Record):
 
 
 def eigensystem(params: SchemeParams) -> EigenSystem:
-    """Build and self-verify the eigenvalue table of J(n,k), k <= n-k: column
-    i is the spectrum of A_i, whose W coefficients are (-1)^(a-i) C(a, i), in
-    integers.  The eigenspace dimensions must sum to C(n,k), row j must sum
-    to C(n,k) if j = 0 and to 0 otherwise, every class but A_0 must have zero
-    trace, and column 1 must equal (k-j)(n-k-j) - j."""
+    """Build and self-verify the eigenvalue table of J(n,k), k <= n-k, in
+    integers: A_i = sum_a (-1)^(a-i) C(a, i) W_a, so column i combines the
+    spectra of W_0..W_k, each taken once from Wilson's lemma.  The eigenspace
+    dimensions must sum to C(n,k), row j must sum to C(n,k) if j = 0 and to 0
+    otherwise, every class but A_0 must have zero trace, and column 1 must
+    equal (k-j)(n-k-j) - j."""
     n, k = params.n, params.k
     if k > n - k:
         raise ValueError(f"eigensystem requires k <= n-k, got k={k}, n={n}")
-    binom_at = functools.cache(lambda shift, b: binom(n + shift, b))
-    table = list(zip(*(lemma_spectrum(binom_at, [(-1) ** (a - i) * binom(a, i)
-                                                 for a in range(k + 1)], k)
-                       for i in range(k + 1))))
+    binom_at = binom_at_int(n)
+    table = [[0] * (k + 1) for _ in range(k + 1)]
+    for a in range(k + 1):
+        spectrum = [lemma_eigenvalue(binom_at, k, a, j) for j in range(a + 1)]  # 0 beyond a
+        for i in range(a + 1):
+            c = (-1) ** (a - i) * binom(a, i)
+            for j, x in enumerate(spectrum):
+                table[j][i] += c * x
     m = multiplicities(n, k)
     order = params.order
     if sum(m) != order:
@@ -237,12 +263,17 @@ def eigensystem(params: SchemeParams) -> EigenSystem:
 
 def eigenvalues(v: BMVector) -> tuple[Fraction, ...]:
     """Exact eigenvalues of v on V_0..V_s, s = min(k, n-k), whose dimensions
-    are ``multiplicities(n, s)``: Wilson's lemma at size n on v in the W
-    basis, w_a = sum_{r <= a} (-1)^(a-r) C(a, r) c_r (W_a is 0 for a > s)."""
+    are ``multiplicities(n, s)``: over D, the lcm of the coefficients'
+    denominators, v has integer coefficients c_r, and Wilson's lemma at size
+    n on v in the W basis, w_a = sum_{r <= a} (-1)^(a-r) C(a, r) c_r (W_a is
+    0 for a > s), gives each eigenvalue as an integer over D."""
     n, k = v.params.n, v.params.k
-    w = [sum((-1) ** (a - r) * binom(a, r) * v.coeffs[r] for r in range(a + 1))
+    den = math.lcm(*(x.denominator for x in v.coeffs))
+    c = [x.numerator * (den // x.denominator) for x in v.coeffs]
+    w = [sum((-1) ** (a - r) * binom(a, r) * c[r] for r in range(a + 1))
          for a in range(k + 1)]
-    return lemma_spectrum(binom_at_size(n), w, min(k, n - k))
+    return tuple(Fraction(x, den)
+                 for x in lemma_spectrum(binom_at_int(n), w, min(k, n - k)))
 
 
 class PSDReport(Record):

@@ -11,8 +11,10 @@ Two variants of Omega are implemented side by side:
 
 Only the corrected variant agrees with the design-projection matrix (the
 identity module demonstrates the mismatch of the literal one mechanically),
-so ``corrected`` is the default everywhere.  Omega is written once, over a
-binomial provider, for both its numeric and its symbolic form.
+so ``corrected`` is the default everywhere.  Omega's terms are written once
+(``_omega_terms``): the numeric Omega evaluates them in integers over one
+common denominator, the symbolic one over ``exact.binom_rf``, and both go
+to the A basis through ``johnson.w_to_a``.
 
 A certificate for (n,k,t) verifies, with exact arithmetic throughout: the
 matrix is positive semidefinite, its off-diagonal support avoids A_1..
@@ -20,12 +22,16 @@ A_{k-t}, and its entry-sum/trace ratio is C(n,t)/C(k,t); by the clique-
 coclique bound these force every t-intersecting family to have size at most
 C(n-t,k-t).
 
-The certificate's spectrum comes from ``johnson.lemma_spectrum``, Wilson's
-lemma: Omega is already in the W basis, and over one common denominator its
-spectrum is k+1 integers.  Two self-checks raise SelfCheckError: the
-spectrum must give the trace C(n,k) of I + Omega, and theta_0 must equal the
-entry-sum/trace ratio from the class sizes.  The tests hold the spectrum
-against ``oracles.eberlein_table``.
+A certificate is one integer vector over one denominator: over D, the lcm
+of Omega's term denominators, Omega's W coefficients are integers w_a, which
+give the numerators of I + Omega on A_0..A_k (``johnson.w_to_a``), its
+spectrum (``johnson.lemma_spectrum``, Wilson's lemma: k+1 integers) and its
+entry-sum/trace ratio, so every verdict is a sign or a cross-multiplication
+of integers, and Fractions appear only in the document.  Two self-checks
+raise SelfCheckError: the spectrum must give the trace C(n,k) of I + Omega,
+and theta_0 must equal the entry-sum/trace ratio from the class valencies.
+The tests hold the spectrum against ``oracles.eberlein_table`` and the
+coefficients against the symbolic Omega over ``exact.binom_rf``.
 """
 
 from __future__ import annotations
@@ -34,19 +40,20 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact import RationalFunction, Report, binom, binom_at_size, binom_rf, rat_to_str
+from .exact import RationalFunction, Report, binom, binom_at_int, binom_rf, rat_to_str
 from .johnson import (
     BMVector,
     SchemeParams,
     SelfCheckError,
-    entry_sum,
     lemma_spectrum,
     multiplicities,
     plus_identity,
     psd_report,
     psd_verdict,
+    row_sum,
     schur,
     trace,
+    w_to_a,
 )
 from .subsets import Family
 
@@ -66,7 +73,9 @@ def wilson_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVecto
     _check_variant(variant)
     if not 1 <= t <= k <= n - k:
         raise ValueError(f"need 1 <= t <= k <= n-k, got t={t}, k={k}, n={n}")
-    return BMVector(SchemeParams(n, k), tuple(_omega_coeffs(binom_at_size(n), k, t, variant)))
+    params = SchemeParams(n, k)  # refuses the table bound before any big-integer work
+    den, w = _omega_numerators(n, k, t, variant)
+    return BMVector(params, tuple(Fraction(c, den) for c in w_to_a(w)))
 
 
 def certificate_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVector:
@@ -80,7 +89,10 @@ def wilson_matrix_symbolic(k: int, t: int, variant: str = "corrected") -> list[R
     _check_variant(variant)
     if not 1 <= t <= k:
         raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
-    return _omega_coeffs(binom_rf, k, t, variant)
+    w = [0] * (k + 1)
+    for s, h, a in _omega_terms(k, t, variant):
+        w[a] = s / binom_rf(h, k - t)
+    return w_to_a(w)
 
 
 def _omega_terms(k, t, variant):
@@ -93,31 +105,15 @@ def _omega_terms(k, t, variant):
                -k - t + (1 if variant == "literal" else i), k - i)
 
 
-def _omega_coeffs(binom_at, k, t, variant):
-    """Coefficients of Omega on A_0..A_k over the binomial provider."""
-    coeffs = [0 * binom_at(0, 0)] * (k + 1)  # zeros of the provider's type
-    for s, h, a in _omega_terms(k, t, variant):
-        den = binom_at(h, k - t)
-        for r in range(a, k + 1):  # C(r, a) vanishes below r = a
-            coeffs[r] = coeffs[r] + s * binom(r, a) / den
-    return coeffs
-
-
-def _certificate_spectrum(n, k, t, variant) -> tuple[Fraction, ...]:
-    """Eigenvalues of I + Omega(n,k,t) on V_0..V_k by ``lemma_spectrum``:
-    over D, the lcm of the terms' C(n-k-t+d, k-t), Omega has integer W
-    coefficients, so each theta_j is an integer over D.  Omega has no A_0
-    part, so sum_j m_j theta_j must be the trace C(n,k) of I + Omega, m_j
-    being the eigenspace dimensions, or SelfCheckError is raised."""
+def _omega_numerators(n, k, t, variant) -> tuple[int, list[int]]:
+    """(D, w): D is the lcm of the terms' C(n+h, k-t), and w_a = s D / C(n+h,
+    k-t) are the integer W coefficients of D * Omega(n,k,t)."""
     terms = [(s, binom(n + h, k - t), a) for s, h, a in _omega_terms(k, t, variant)]
     den = math.lcm(*(d for _, d, _ in terms))
     w = [0] * (k + 1)
     for s, d, a in terms:
         w[a] = s * (den // d)
-    nums = [den + x for x in lemma_spectrum(lambda h, b: binom(n + h, b), w, k)]
-    if sum(m * x for m, x in zip(multiplicities(n, k), nums)) != den * binom(n, k):
-        raise SelfCheckError(f"the spectrum of I + Omega({n},{k},{t}) misses its trace")
-    return tuple(Fraction(x, den) for x in nums)
+    return den, w
 
 
 def support_ok(v: BMVector, t: int) -> bool:
@@ -127,10 +123,10 @@ def support_ok(v: BMVector, t: int) -> bool:
 
 
 def sum_trace_ratio(v: BMVector) -> Fraction:
-    tr = trace(v)
-    if tr == 0:
+    """Entry sum over trace, which is the row sum over the diagonal entry c_0."""
+    if v.coeffs[0] == 0:
         raise ZeroDivisionError("ratio undefined: zero trace")
-    return entry_sum(v) / tr
+    return row_sum(v) / v.coeffs[0]
 
 
 class CliqueCocliqueReport(Report):
@@ -212,19 +208,29 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         raise ValueError(f"need 1 <= t < k, got t={t}, k={k}")
     if k > n - k:
         raise ValueError(f"need k <= n-k, got k={k}, n={n}")
-    # SchemeParams refuses the table bound before any big-integer work
-    nabla = certificate_matrix(n, k, t, variant)
-    rep = psd_verdict(_certificate_spectrum(n, k, t, variant))
-    sup = support_ok(nabla, t)
-    ratio = sum_trace_ratio(nabla)
-    if rep.spectrum[0] != ratio:
+    _check_variant(variant)
+    params = SchemeParams(n, k)  # refuses the table bound before any big-integer work
+    den, w = _omega_numerators(n, k, t, variant)
+    nums = w_to_a(w)
+    nums[0] += den  # I; Omega has no A_0 part
+    nabla = BMVector(params, tuple(nums))  # D * (I + Omega)
+    spectrum = [den + x for x in lemma_spectrum(binom_at_int(n), w, k)]
+    if sum(m * x for m, x in zip(multiplicities(n, k), spectrum)) != trace(nabla):
+        raise SelfCheckError(f"the spectrum of I + Omega({n},{k},{t}) misses its trace")
+    row = row_sum(nabla)  # D times the entry-sum/trace ratio, as c_0 = D
+    if spectrum[0] != row:
         raise SelfCheckError(f"theta_0 of I + Omega({n},{k},{t}) is not its "
                              "entry-sum/trace ratio")
-    target = Fraction(binom(n, t), binom(k, t))
-    ratio_ok = ratio == target
+    rep = psd_verdict(spectrum)
+    sup = support_ok(nabla, t)
+    ratio_ok = row * binom(k, t) == den * binom(n, t)
     bound = binom(n - t, k - t)
     regime_ok = n >= (t + 1) * (k - t + 1)
     valid = rep.psd and sup and ratio_ok and regime_ok
+    # the document's rationals
+    spectrum = tuple(Fraction(x, den) for x in spectrum)
+    min_eigenvalue = spectrum[rep.argmin]
+    target = Fraction(binom(n, t), binom(k, t))
     notes = [
         "ratio target is C(n,t)/C(k,t) = C(n,k)/C(n-t,k-t) = "
         f"{rat_to_str(target)}; the variant C(n,t)/C(n-t,k-t) = "
@@ -235,7 +241,7 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         notes.append(
             f"out of regime: n = {n} < (t+1)(k-t+1) = {(t + 1) * (k - t + 1)}"
             + (
-                f"; PSD fails with eigenvalue {rat_to_str(rep.min_eigenvalue)}"
+                f"; PSD fails with eigenvalue {rat_to_str(min_eigenvalue)}"
                 f" on eigenspace {rep.argmin}"
                 if not rep.psd
                 else ""
@@ -246,12 +252,12 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         k=k,
         t=t,
         variant=variant,
-        coeffs=nabla.coeffs,
-        spectrum=rep.spectrum,
+        coeffs=tuple(Fraction(c, den) for c in nums),
+        spectrum=spectrum,
         psd=rep.psd,
-        min_eigenvalue=rep.min_eigenvalue,
+        min_eigenvalue=min_eigenvalue,
         support_ok=sup,
-        ratio=ratio,
+        ratio=Fraction(row, den),
         ratio_ok=ratio_ok,
         bound=bound,
         regime_ok=regime_ok,

@@ -172,9 +172,11 @@ class TestCanonicalForm:
             assert (f.num.coeffs, f.den.coeffs) == _reference_reduction(n, d)
 
     @settings(max_examples=40)
-    @given(rational_functions(), rational_functions())
-    def test_arithmetic_results_are_canonical(self, f, g):
-        results = [f + g, f - g, f * g]
+    @given(rational_functions(), rational_functions(), mixed_scalars)
+    def test_arithmetic_results_are_canonical(self, f, g, c):
+        # a scalar factor takes a path of its own, without a reduction
+        assert f * c == c * f == f * RationalFunction.const(c)
+        results = [f + g, f - g, f * g, f * c]
         if not g.is_zero():
             results.append(f / g)
         for h in results:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jshm.exact import binom
+from jshm.exact import NU, RationalFunction, binom
 from jshm.johnson import (
     MAX_TABLE_K,
     MAX_TABLE_N,
@@ -21,8 +21,10 @@ from jshm.johnson import (
     identity_vector,
     multiplicities,
     psd_report,
+    row_sum,
     schur,
     trace,
+    w_to_a,
     wilson_basis_vector,
 )
 from jshm.oracles import (
@@ -159,6 +161,13 @@ class TestInnerTraceSum:
         assert entry_sum(all_ones_vector(p)) == 1225
         assert entry_sum(basis_vector(p, 2)) == 630
 
+    def test_row_sum_against_dense(self):
+        rng = random.Random(71)
+        for (n, k) in [(7, 3), (8, 4)]:
+            v = random_vector(SchemeParams(n, k), rng)
+            rows = {sum(row) for row in dense(v)}
+            assert rows == {row_sum(v)}, (n, k)
+
 
 class TestSubsetMatrices:
     def test_row_of_ones(self):
@@ -181,6 +190,23 @@ class TestSubsetMatrices:
         p = SchemeParams(7, 3)
         assert wilson_basis_vector(0, p).coeffs == all_ones_vector(p).coeffs
         assert wilson_basis_vector(3, p).coeffs == basis_vector(p, 3).coeffs
+
+    def test_w_to_a(self):
+        # W_a back from its unit W vector, and the inverse of the change of
+        # basis that eigenvalues writes out
+        p = SchemeParams(9, 4)
+        for a in range(5):
+            assert w_to_a([int(i == a) for i in range(5)]) == list(
+                wilson_basis_vector(a, p).coeffs)
+        rng = random.Random(17)
+        for _ in range(5):
+            c = random_vector(p, rng).coeffs
+            w = [sum((-1) ** (a - r) * binom(a, r) * c[r] for r in range(a + 1))
+                 for a in range(5)]
+            assert w_to_a(w) == list(c)
+        got = w_to_a([0, 0, 1 / NU, 3 / (NU - 1)])
+        assert all(isinstance(x, RationalFunction) for x in got)
+        assert got == [0, 0, 1 / NU, 3 / NU + 3 / (NU - 1)]
 
     def test_dense_product_orientation(self):
         # transpose(W_2) * Wbar_2 must equal the k-indexed coefficient form
@@ -342,6 +368,12 @@ class TestBMEigenvalues:
     def test_all_ones(self):
         p = SchemeParams(7, 3)
         assert eigenvalues(all_ones_vector(p)) == (35, 0, 0, 0)
+
+    def test_integer_coefficients(self):
+        # an int is its own numerator over the denominator 1
+        v = BMVector(SchemeParams(9, 4), (3, -1, 0, 2, 5))
+        assert eigenvalues(v) == eberlein_spectrum(v)
+        assert all(type(x) is Fraction for x in eigenvalues(v))
 
     def test_johnson_graph_j52(self):
         assert eigenvalues(basis_vector(SchemeParams(5, 2), 1)) == (6, 1, -2)

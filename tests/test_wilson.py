@@ -87,12 +87,21 @@ class TestWilsonMatrix:
         assert top.params == SchemeParams(MAX_TABLE_N - 1, MAX_TABLE_K)
 
     def test_symbolic_matches_numeric(self):
-        for variant in ("literal", "corrected"):
-            for (k, t) in [(k, t) for k in range(2, 8) for t in range(1, k)]:
-                sym = wilson_matrix_symbolic(k, t, variant)
-                for n in range(2 * k, 18):
-                    num = wilson_matrix(n, k, t, variant)
-                    assert tuple(f.evaluate(n) for f in sym) == num.coeffs
+        # the symbolic Omega takes its term denominators from binom_rf, not
+        # from the integer W vector over one common denominator: every t,
+        # both variants, every 2k <= n <= 25 for k <= 8, and three sizes each
+        # for k = 12, 16, 24
+        for k in [*range(2, 9), 12, 16, 24]:
+            sizes = range(2 * k, 26) if k <= 8 else (2 * k, 3 * k + 1, 10**6 + 7)
+            for t in range(1, k + 1):
+                for variant in VARIANTS:
+                    sym = wilson_matrix_symbolic(k, t, variant)
+                    for n in sizes:
+                        want = tuple(f.evaluate(n) for f in sym)
+                        assert wilson_matrix(n, k, t, variant).coeffs == want, (n, k, t)
+                        if t < k:
+                            assert ekr_certificate(n, k, t, variant).coeffs == (
+                                want[0] + 1, *want[1:]), (n, k, t, variant)
 
 
 class TestCertificateMatrix:
@@ -296,11 +305,40 @@ class TestCertificateSpectrum:
             ekr_certificate(12, 4, 2)
 
     def test_a_wrong_ratio_is_caught(self, monkeypatch):
-        # theta_0 of I + Omega is its entry-sum/trace ratio
-        ratio = wilson.sum_trace_ratio
-        monkeypatch.setattr(wilson, "sum_trace_ratio", lambda v: ratio(v) + 1)
+        # theta_0 of I + Omega is its entry-sum/trace ratio, read over D as
+        # the row sum of D * (I + Omega)
+        row = wilson.row_sum
+        monkeypatch.setattr(wilson, "row_sum", lambda v: row(v) + 1)
         with pytest.raises(SelfCheckError):
             ekr_certificate(12, 4, 2)
+
+    def test_a_wrong_identity_numerator_is_caught(self, monkeypatch):
+        # the trace is read from the A_0 numerator of D * (I + Omega), so a
+        # numerator off by one there misses the spectrum's trace
+        to_a = wilson.w_to_a
+        monkeypatch.setattr(wilson, "w_to_a", lambda w: [to_a(w)[0] + 1, *to_a(w)[1:]])
+        with pytest.raises(SelfCheckError, match="trace"):
+            ekr_certificate(12, 4, 2)
+
+    @pytest.mark.parametrize("a", [4, 3, 2, None])
+    def test_a_wrong_common_denominator_is_caught(self, a, monkeypatch):
+        # w_a = s D / d off by one on one term (D itself when a is None).
+        # The result is still an element of the algebra, and for every
+        # integer w its spectrum gives its trace and its theta_0 is its row
+        # sum, so neither self-check can see the error; the ratio test does
+        numerators = wilson._omega_numerators
+
+        def mutant(n, k, t, variant):
+            den, w = numerators(n, k, t, variant)
+            if a is None:
+                return den + 1, w
+            w[a] += 1
+            return den, w
+
+        assert ekr_certificate(12, 4, 3).valid
+        monkeypatch.setattr(wilson, "_omega_numerators", mutant)
+        cert = ekr_certificate(12, 4, 3)
+        assert not cert.ratio_ok and not cert.valid
 
 
 class TestEKRCertificate:
