@@ -5,13 +5,15 @@ A t-(n,k,lambda) design is a family of k-subsets ("blocks") covering every
 t-subset of points exactly lambda times.  For lambda = 1 (Steiner systems)
 the classical counting formulas give the number of blocks through any i-set,
 
-    block_count(n,k,t,i) = C(n-i, k-i) / C(n-t, k-t),
+    block_count(n,k,t,i) = C(n-i, t-i) / C(k-i, t-i) = C(n-i, k-i) / C(n-t, k-t),
 
 and the projection of the design's pair matrix onto the Bose-Mesner algebra
 is (|D| / C(n,k)) * (I + M(n,k,t)), where the matrix M is assembled from the
 alternating excess sums below.  M is well defined whether or not a design
-exists.  Each formula is written once over a binomial provider, numeric
-(``exact.binom_at_size(n)``) or symbolic in nu (``exact.binom_rf``).
+exists.  The block counts and excess sums are written once, in ring
+operations over a binomial provider, numeric (``exact.binom_at_int(n)``) or
+symbolic in nu (``exact.binom_rf``), as numerators over one integer E; each
+caller divides once, so M makes one quotient per coefficient.
 
 The search is Knuth's Algorithm X (*Dancing Links*, 2000) over plain
 sequences: each row is a tuple of its column indices, each column a list of
@@ -32,11 +34,12 @@ walks only t-subsets it has counted, and one more.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, compress
 
-from .exact import RationalFunction, Record, Report, binom, binom_at_size, binom_rf, to_json
+from .exact import RationalFunction, Record, Report, binom, binom_at_int, binom_rf, to_json
 from .johnson import (MAX_TABLE_K, MAX_TABLE_N, BMVector, SchemeParams, entry_sum,
                       plus_identity, trace)
 from .projection import project_family
@@ -130,15 +133,17 @@ def partition_design(n: int, k: int) -> Design:
 
 
 def block_count(n: int, k: int, t: int, i: int) -> Fraction:
-    """lambda_i = C(n-i, k-i) / C(n-t, k-t), blocks through a fixed i-set."""
+    """lambda_i = C(n-i, t-i) / C(k-i, t-i), blocks through a fixed i-set."""
     _check_formula_params(n, k, t, i, "i")
-    return _block_count(binom_at_size(n), k, t, i)
+    e, lam, _ = _excess_numerators(binom_at_int(n), k, t)
+    return Fraction(lam[i], e)
 
 
 def excess_sum(n: int, k: int, t: int, s: int) -> Fraction:
     """Alternating sum over i of C(i,s) C(k,i) (lambda_i - 1), i = s..t."""
     _check_formula_params(n, k, t, s, "s")
-    return _excess_sums(binom_at_size(n), k, t)[s]
+    e, _, g = _excess_numerators(binom_at_int(n), k, t)
+    return Fraction(g[s], e)
 
 
 def _check_formula_params(n, k, t, idx, name):
@@ -149,41 +154,37 @@ def _check_formula_params(n, k, t, idx, name):
 
 
 def design_matrix(n: int, k: int, t: int) -> BMVector:
-    """M(n,k,t): coefficient excess_sum(s) / (C(n-k,k-s) C(k,s)) on A_{k-s}.
-
-    Supported on the classes A_{k-t}..A_k only (and the A_{k-t} coefficient
-    itself vanishes because lambda_t = 1 kills the s = t excess).
-    """
+    """M(n,k,t): excess_sum(s) / (C(n-k,k-s) C(k,s)) on A_{k-s} for s = 0..t, and
+    0 elsewhere; the A_{k-t} coefficient vanishes too, as lambda_t = 1."""
     if not 0 <= t < k:
         raise ValueError(f"need 0 <= t < k, got t={t}, k={k}")
     params = SchemeParams(n, k)
     if k > n - k:
         raise ValueError(f"out of regime: C({n - k},{k}) = 0 (need k <= n-k)")
-    return BMVector(params, tuple(_design_coeffs(binom_at_size(n), k, t)))
+    e, _, g = _excess_numerators(binom_at_int(n), k, t)
+    return BMVector(params, (Fraction(0),) * (k - t) + tuple(
+        Fraction(g[k - r], e * binom(n - k, r) * binom(k, r)) for r in range(k - t, k + 1)))
 
 
 def design_matrix_symbolic(k: int, t: int) -> list[RationalFunction]:
     """Coefficients of M(nu,k,t) on A_0..A_k as rational functions of nu."""
     if not 0 <= t < k:
         raise ValueError(f"need 0 <= t < k, got t={t}, k={k}")
-    return _design_coeffs(binom_rf, k, t)
+    e, _, g = _excess_numerators(binom_rf, k, t)
+    return [RationalFunction.const(0)] * (k - t) + [
+        g[k - r] / (binom_rf(-k, r) * (e * binom(k, r))) for r in range(k - t, k + 1)]
 
 
-def _block_count(binom_at, k, t, i):
-    return binom_at(-i, k - i) / binom_at(-t, k - t)
-
-
-def _excess_sums(binom_at, k, t):
-    excess = [_block_count(binom_at, k, t, i) - 1 for i in range(t + 1)]
-    return [sum((-1) ** (i - s) * binom(i, s) * binom(k, i) * excess[i]
-                for i in range(s, t + 1)) for s in range(t + 1)]
-
-
-def _design_coeffs(binom_at, k, t):
-    coeffs = [0 * binom_at(0, 0)] * (k + 1)  # zeros of the provider's type
-    for s, gamma in enumerate(_excess_sums(binom_at, k, t)):
-        coeffs[k - s] = gamma / (binom_at(-k, k - s) * binom(k, s))
-    return coeffs
+def _excess_numerators(binom_at, k, t):
+    """(E, l, g) over the provider, in ring operations only, for i, s = 0..t:
+    E = lcm of the C(k-i, t-i), which is free of nu, l_i = E lambda_i =
+    C(nu-i, t-i) E / C(k-i, t-i) and g_s = E excess_sum(s)."""
+    e = math.lcm(*(binom(k - i, t - i) for i in range(t + 1)))
+    lam = [binom_at(-i, t - i) * (e // binom(k - i, t - i)) for i in range(t + 1)]
+    excess = [x - e for x in lam]
+    g = [sum((-1) ** (i - s) * binom(i, s) * binom(k, i) * excess[i]
+             for i in range(s, t + 1)) for s in range(t + 1)]
+    return e, lam, g
 
 
 class DesignProjectionReport(Report):

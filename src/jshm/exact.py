@@ -19,6 +19,10 @@ subclass's ``__init__`` once, so that no module imports ``dataclasses`` at
 start-up.  ``Report``, the record whose JSON document is its fields, is
 one, and ``to_json`` writes every document.
 
+A binomial provider, ``binom_rf`` or ``binom_at_int(n)``, maps (shift, b)
+to C(nu + shift, b); formulas use it with ring operations only, so the
+numeric ones stay in integers, and each caller divides once.
+
 Everything here is immutable and pure; ``binom_rf`` is memoised for that
 reason.
 """
@@ -564,11 +568,6 @@ def binom_poly(shift: int, b: int) -> Polynomial:
 def binom_rf(shift: int, b: int) -> RationalFunction:
     """:func:`binom_poly` packaged as a rational function."""
     return RationalFunction(binom_poly(shift, b))
-
-
-def binom_at_size(n: int):
-    """Binomial provider (shift, b) -> Fraction(C(n + shift, b)), at size n."""
-    return lambda shift, b: Fraction(binom(n + shift, b))
 
 
 def binom_at_int(n: int):

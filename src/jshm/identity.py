@@ -10,13 +10,13 @@ form, so "equal" means every h_r is the zero rational function.
 A pointwise comparator re-derives the verdict from exact evaluations at
 integer ground-set sizes: once both sides agree at more points than the
 degree of the cleared numerators (2k+1 suffices), polynomial vanishing
-forces symbolic equality.  Both routes share one transcription of M and
-of Omega's terms: the numeric M is evaluated over ``exact.binom_at_size``
-and the numeric Omega is the integer evaluation of ``wilson._omega_terms``
-over one common denominator, while the symbolic sides use
-``exact.binom_rf``, so this tests the two evaluations; the formulas
-themselves are checked by :func:`design_witness_check`, M = Omega and
-perfbench/checks.py.
+forces symbolic equality.  Both routes share one transcription of M's and
+of Omega's terms, in ring operations over one common denominator: the
+numeric sides evaluate ``designs._excess_numerators`` and
+``wilson._omega_terms`` in integers over ``exact.binom_at_int``, the
+symbolic sides over ``exact.binom_rf``, so this tests the two evaluations;
+the formulas themselves are checked by :func:`design_witness_check`,
+M = Omega and perfbench/checks.py.
 
 Each symbolic side is built once per (k, t, variant) and kept for the life
 of the process: the six side pairs of one (k, t) and the pointwise
@@ -41,7 +41,7 @@ from .designs import (
 )
 from .exact import PoleError, RationalFunction, Report
 from .johnson import MAX_TABLE_N, BMVector, SelfCheckError, plus_identity
-from .subsets import refuse_above
+from .subsets import SizeBudgetError, refuse_above
 from .wilson import wilson_matrix, wilson_matrix_symbolic
 
 # side -> (builder, Wilson variant, adds I on A_0)
@@ -209,9 +209,10 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
     The range must start at 2k (below that the coefficient formulas hit
     poles or empty classes) and contain at least 2k+1 integers; agreement at
     2k+1 pole-free points exceeds the cleared-numerator degree bound and so
-    certifies the identity.  The numeric Omega is the integer evaluation of
-    ``wilson._omega_terms`` over one common denominator, the symbolic one
-    uses ``exact.binom_rf``.  The verdict is cross-checked against
+    certifies the identity.  The numeric M and Omega are the integer
+    evaluations of ``designs._excess_numerators`` and ``wilson._omega_terms``
+    over one common denominator each, the symbolic ones use
+    ``exact.binom_rf``.  The verdict is cross-checked against
     :func:`compare_symbolic` and a disagreement aborts loudly.  Before any
     point is evaluated, k above MAX_SYMBOLIC_K, more than
     MAX_POINTWISE_POINTS sizes and n_to >= 2**64 are refused with SizeBudgetError.
@@ -272,43 +273,37 @@ def design_witness_check(k: int, t: int, ns: list[int],
     identity equals both the design matrix and the corrected Wilson matrix.
 
     Inadmissible sizes are skipped with a reason; budget exhaustion marks a
-    point unverified, never failed.
+    point unverified, never failed, and so does a size bound that refuses
+    the point (SizeBudgetError), with its message as the detail.
     """
     if not 1 <= t < k:
         raise ValueError(f"need 1 <= t < k, got t={t}, k={k}")
     points = []
     for n in ns:
-        if n < 2 * k:
-            points.append(WitnessPoint(n, "inadmissible",
-                                       f"n = {n} below 2k = {2 * k}", None))
-            continue
-        if not admissible(n, k, t):
-            points.append(WitnessPoint(n, "inadmissible",
-                                       "divisibility conditions fail", None))
-            continue
-        outcome = search_design(n, k, t, budget)
-        if outcome.status == "budget-exhausted":
-            points.append(WitnessPoint(n, "unverified",
-                                       "search budget exhausted", outcome.nodes))
-            continue
-        if outcome.status == "not-found":
-            points.append(WitnessPoint(n, "not-found",
-                                       "exhaustive search found no design",
-                                       outcome.nodes))
-            continue
-        design = outcome.design
-        proj = design_projection_report(design)
-        if not proj.verified:
-            points.append(WitnessPoint(n, "failed",
-                                       "design projection identity failed",
-                                       outcome.nodes))
-        elif numeric_side("m", n, k, t) != numeric_side("omega_corrected", n, k, t):
-            points.append(WitnessPoint(n, "failed",
-                                       "design matrix differs from the corrected "
-                                       "Wilson matrix", outcome.nodes))
-        else:
-            points.append(WitnessPoint(
-                n, "verified",
-                f"{design.size}-block design found; projection, design matrix "
-                "and Wilson matrix all agree", outcome.nodes))
+        try:
+            points.append(_witness_point(n, k, t, budget))
+        except SizeBudgetError as exc:
+            points.append(WitnessPoint(n, "unverified", str(exc), None))
     return WitnessReport(k=k, t=t, points=tuple(points))
+
+
+def _witness_point(n: int, k: int, t: int, budget: int) -> WitnessPoint:
+    if n < 2 * k:
+        return WitnessPoint(n, "inadmissible", f"n = {n} below 2k = {2 * k}", None)
+    if not admissible(n, k, t):
+        return WitnessPoint(n, "inadmissible", "divisibility conditions fail", None)
+    outcome = search_design(n, k, t, budget)
+    if outcome.status == "budget-exhausted":
+        return WitnessPoint(n, "unverified", "search budget exhausted", outcome.nodes)
+    if outcome.status == "not-found":
+        return WitnessPoint(n, "not-found", "exhaustive search found no design",
+                            outcome.nodes)
+    if not design_projection_report(outcome.design).verified:
+        return WitnessPoint(n, "failed", "design projection identity failed",
+                            outcome.nodes)
+    if numeric_side("m", n, k, t) != numeric_side("omega_corrected", n, k, t):
+        return WitnessPoint(n, "failed", "design matrix differs from the corrected "
+                            "Wilson matrix", outcome.nodes)
+    return WitnessPoint(n, "verified", f"{outcome.design.size}-block design found; "
+                        "projection, design matrix and Wilson matrix all agree",
+                        outcome.nodes)

@@ -241,6 +241,15 @@ class TestWitnessStatuses:
         assert points[0][:3] == (7, "failed", "design projection identity failed")
         assert points[1][:3] == (9, "unverified", "search budget exhausted")
 
+    def test_size_bound_marks_one_point_unverified(self, capsys):
+        code, points = self.witness(capsys, 7, 201)
+        assert code == 3
+        assert points == [
+            (7, "verified", "7-block design found; projection, design matrix "
+             "and Wilson matrix all agree", 7),
+            (201, "unverified", "row entries C(201,3) * C(3,2) under the search "
+             "bound: 3999900 exceeds the bound 1000000", None)]
+
     def test_failed_matrices(self, capsys, monkeypatch):
         side = identity.numeric_side
         monkeypatch.setattr(identity, "numeric_side", lambda name, n, k, t: (

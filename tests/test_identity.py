@@ -151,6 +151,12 @@ class TestSymbolicSides:
                                   ("wilson_matrix_symbolic", 5, 2, "corrected"),
                                   ("wilson_matrix_symbolic", 5, 2, "literal")]
 
+    @pytest.mark.parametrize("k", [16, 20, MAX_SYMBOLIC_K])
+    def test_m_equals_omega_at_large_k(self, k):
+        # the digests stop at k = 12; M = Omega for every t up to the bound
+        assert all(compare_symbolic(k, t, "m", "omega_corrected").equal
+                   for t in range(1, k))
+
     def test_k_bound(self):
         assert compare_symbolic(MAX_SYMBOLIC_K, 1, "m", "omega_corrected").equal
         with pytest.raises(SizeBudgetError):
