@@ -17,17 +17,22 @@ caller divides once, so M makes one quotient per coefficient.
 
 The search is Knuth's Algorithm X (*Dancing Links*, 2000) over plain
 sequences: each row is a tuple of its column indices, each column a list of
-its row indices preallocated at its size, and live-row flags and per-column
-live counts stand in for the linked nodes, with the same column choice and
-row order, so found designs and node counts are those of the classical
-linked version.  A byte per column, its live count capped at 2, or 3 while
-it is covered, lets ``bytearray.find`` make the choice: a column with no rows, or the
-first with one, is the one the minimum over all counts would pick, and that
-minimum is taken only when the fewest live rows number two or more.  The
-rows are built from the decreasing k-subsets that ``itertools.combinations``
-yields, without a list of the subsets beside them, and the chosen blocks
-are read back from a second pass of the same walk.  Every enumeration here
-(search rows, counted t-subsets, admissible sizes) is refused through
+its row indices, and live-row flags and per-column live counts stand in for
+the linked nodes, with the same column choice and row order, so found
+designs and node counts are those of the classical linked version.  Where
+every column has fewer than 255 rows and rows * columns is small, the
+counts are the bytes of one int and each row an int with a 1 in its
+columns' bytes, so killing a row is one subtraction and a level undoes
+itself with one addition; elsewhere they are a list beside a byte map of
+them capped at 2.  Either way ``find`` over bytes makes the choice: a
+column with no rows, or the first with the fewest, is the one the minimum
+over all counts would pick, and the list kernel takes that minimum only
+when the fewest live rows number two or more.  For k = t the one design,
+every k-subset, is taken with lambda = 1 and no count.  The rows are built
+from the decreasing k-subsets that ``itertools.combinations`` yields,
+without a list of the subsets beside them, and the chosen blocks are read
+back from a second pass of the same walk.  Every enumeration here (search
+rows, counted t-subsets, admissible sizes) is refused through
 ``subsets.refuse_above`` above a fixed bound before it starts; verification
 walks only t-subsets it has counted, and one more.
 """
@@ -265,34 +270,126 @@ def admissible_range(k: int, t: int, n_max: int) -> list[int]:
 # Exact-cover search (Algorithm X)
 
 
+# rows * columns up to which _exact_cover may take the packed kernel, whose
+# row ints then take about 4 MiB at most.  (21,5,2) and (25,5,2), whose row
+# ints would take 4.0 and 14.1 MB and whose columns have 969 and 1771 rows,
+# take the list kernel.
+MAX_PACKED_CELLS = 1 << 22
+
+
 def _exact_cover(num_columns: int, rows: list[tuple[int, ...]], budget: int):
-    """Knuth's Algorithm X over plain sequences: (status, chosen rows, nodes).
+    """Knuth's Algorithm X: (status, chosen rows, nodes).
 
     The column with the fewest live rows is chosen, ties to the lowest
     index, and its rows are tried in ascending order, so the first solution
     is a deterministic function of the input.  ``nodes`` counts row
-    expansions, including the first one past the budget.  A covered column
-    carries ``covered`` on top of its size, so it never wins the minimum.
-    The byte map ``low`` holds each column's size capped at 2, or 3 while
-    it is covered, kept exact by cover and uncover (an uncovered column
-    restarts at 0 and the rows revived through it count it back up), so
-    the choice is a memchr over it: a 0 is a dead end, the first 1 is the column the
-    minimum would choose, no 0, 1 or 2 means every column is covered, and
-    only otherwise is the minimum taken over ``sizes``.  Each of these
-    answers is the minimum's, so the choices and node counts are too.
-    Each column's list of rows is allocated at its size, counted first, and
-    filled in row order: lists grown by appending hold about a tenth more.
+    expansions, including the first one past the budget.  The column index
+    is built in one pass of appends; the instance then goes to one of two
+    kernels that make the same choices, so the same rows and node counts:
+    ``_packed_cover`` when every column has fewer than 255 rows and rows *
+    columns is at most MAX_PACKED_CELLS, ``_list_cover`` otherwise.
     """
-    sizes = [0] * num_columns
-    for cols in rows:
-        for c in cols:
-            sizes[c] += 1
-    col_rows = [[0] * size for size in sizes]
-    sizes = [0] * num_columns  # counts up to the same sizes as the lists fill
+    col_rows = [[] for _ in range(num_columns)]
+    append = [rs.append for rs in col_rows]
     for r, cols in enumerate(rows):
         for c in cols:
-            col_rows[c][sizes[c]] = r
-            sizes[c] += 1
+            append[c](r)
+    if (len(rows) * num_columns <= MAX_PACKED_CELLS
+            and max(map(len, col_rows), default=0) < 255):
+        return _packed_cover(rows, col_rows, budget)
+    return _list_cover(rows, col_rows, budget)
+
+
+def _packed_cover(rows, col_rows, budget):
+    """Algorithm X with every column's live-row count in one byte of one int.
+
+    Byte c of ``counts`` is the number of live rows through column c, or 255
+    while c is covered.  Each row has an int with a 1 in the byte of each of
+    its columns, so killing it is one subtraction.  A level covers its
+    columns as one net delta, their live rows' ints less 255 in each covered
+    byte, and undoes itself with that delta and the ``live`` flags alone.
+    The choice reads the bytes once per node: a 0 is a dead end, else the
+    first byte of the least value, found by ``find`` for 1, 2, ... in turn,
+    is the column the minimum would choose, and all 255 is a cover.
+    """
+    num_columns = len(col_rows)
+    unit = bytearray(num_columns)
+    ints = []
+    for cols in rows:
+        for c in cols:
+            unit[c] = 1
+        ints.append(int.from_bytes(unit, "little"))
+        for c in cols:
+            unit[c] = 0
+    counts = int.from_bytes(bytes(map(len, col_rows)), "little")
+    live = [True] * len(rows)
+    nodes = 0
+    # one level per chosen column: [column, its candidate rows, the delta that
+    # covers it, 255 in its byte, index of the next candidate, the rows the
+    # current candidate killed, the delta that covers its other columns]
+    stack = []
+    while True:
+        sizes = counts.to_bytes(num_columns, "little")
+        if sizes.find(0) < 0:  # else a dead end: backtrack without a choice
+            for fewest in range(1, 255):  # the first column of the fewest rows
+                c = sizes.find(fewest)
+                if c >= 0:
+                    break
+            else:  # every column is covered
+                return "found", [level[1][level[4] - 1] for level in stack], nodes
+            candidates = [r for r in col_rows[c] if live[r]]
+            for r in candidates:
+                live[r] = False
+            full = 255 << (c << 3)
+            delta = sum(map(ints.__getitem__, candidates)) - full
+            counts -= delta
+            stack.append([c, candidates, delta, full, 0, (), 0])
+        while stack:  # advance to the next untried candidate, backtracking
+            level = stack[-1]
+            c, candidates, cdelta, full, i, killed, delta = level
+            counts += delta
+            for r in killed:
+                live[r] = True
+            if i == len(candidates):
+                counts += cdelta
+                for r in candidates:
+                    live[r] = True
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > budget:
+                return "budget-exhausted", None, nodes
+            r = candidates[i]
+            delta = full - 255 * ints[r]  # less 255 in the bytes of r's columns but c
+            killed = []
+            for j in rows[r]:
+                if j != c:
+                    for x in col_rows[j]:
+                        if live[x]:
+                            live[x] = False
+                            killed.append(x)
+                            delta += ints[x]
+            counts -= delta
+            level[4:] = i + 1, killed, delta
+            break
+        else:
+            return "not-found", None, nodes
+
+
+def _list_cover(rows, col_rows, budget):
+    """Algorithm X over plain lists, for columns of any number of rows.
+
+    A covered column carries ``covered`` on top of its size, so it never
+    wins the minimum.  The byte map ``low`` holds each column's size capped
+    at 2, or 3 while it is covered, kept exact by cover and uncover (an
+    uncovered column restarts at 0 and the rows revived through it count it
+    back up), so the choice is a memchr over it: a 0 is a dead end, the
+    first 1 is the column the minimum would choose, no 0, 1 or 2 means every
+    column is covered, and only otherwise is the minimum taken over
+    ``sizes``.  Each of these answers is the minimum's, so the choices and
+    node counts are too.
+    """
+    sizes = list(map(len, col_rows))
     low = bytearray(min(size, 2) for size in sizes)
     live = [True] * len(rows)
     covered = len(rows) + 1
@@ -373,9 +470,9 @@ DEFAULT_SEARCH_BUDGET = 5_000_000
 
 # search_design refuses more than MAX_SEARCH_ENTRIES row entries
 # C(n,k) * C(k,t) before it enumerates a subset.  Measured peak RSS near
-# the bound: 39 MB at (28,5,2) up to the first node, 81 MB at
-# (1000,2,1), and 239 MB at (71,4,4), whose design is all 971 635 of its
-# 4-subsets; there the Counter of verify_design sets the peak.
+# the bound: 41 MB at (28,5,2) up to the first node, 81 MB at
+# (1000,2,1), and 160 MB at (71,4,4), whose design is all 971 635 of its
+# 4-subsets, held as tuples in a Family and taken with lambda = 1 uncounted.
 MAX_SEARCH_ENTRIES = 1_000_000
 
 
@@ -401,28 +498,29 @@ def search_design(n: int, k: int, t: int,
         nodes = binom(n, k)
         if nodes > budget:
             return SearchOutcome("budget-exhausted", None, max(budget, 0) + 1)
-        blocks = colex_tuples(n, k)
-    else:
-        # rows and columns in colex order, built from the decreasing tuples
-        # that ``combinations`` yields in reverse colex order from the
-        # decreasing ground set: position i of a walk is colex rank C(n,k)-1-i
-        num_columns = binom(n, t)
-        t_index = {sub: num_columns - 1 - i
-                   for i, sub in enumerate(combinations(range(n, 0, -1), t))}
-        column = t_index.__getitem__
-        rows = [tuple(map(column, combinations(block, t)))
-                for block in combinations(range(n, 0, -1), k)]
-        rows.reverse()
-        status, chosen, nodes = _exact_cover(num_columns, rows, budget)
-        del rows
-        if status != "found":
-            return SearchOutcome(status, None, nodes)
-        # only the chosen blocks are built as subsets, by a second walk
-        picked = bytearray(binom(n, k))
-        for r in chosen:
-            picked[-1 - r] = 1
-        blocks = [b[::-1] for b in compress(combinations(range(n, 0, -1), k), picked)]
-        blocks.reverse()
+        # every t-subset is one block, so lambda = 1 with no count to take
+        design = Design(Family(n, k, tuple(colex_tuples(n, k))), t, 1)
+        return SearchOutcome("found", design, nodes)
+    # rows and columns in colex order, built from the decreasing tuples
+    # that ``combinations`` yields in reverse colex order from the
+    # decreasing ground set: position i of a walk is colex rank C(n,k)-1-i
+    num_columns = binom(n, t)
+    t_index = {sub: num_columns - 1 - i
+               for i, sub in enumerate(combinations(range(n, 0, -1), t))}
+    column = t_index.__getitem__
+    rows = [tuple(map(column, combinations(block, t)))
+            for block in combinations(range(n, 0, -1), k)]
+    rows.reverse()
+    status, chosen, nodes = _exact_cover(num_columns, rows, budget)
+    del rows
+    if status != "found":
+        return SearchOutcome(status, None, nodes)
+    # only the chosen blocks are built as subsets, by a second walk
+    picked = bytearray(binom(n, k))
+    for r in chosen:
+        picked[-1 - r] = 1
+    blocks = [b[::-1] for b in compress(combinations(range(n, 0, -1), k), picked)]
+    blocks.reverse()
     design = as_design(Family(n, k, tuple(blocks)), t)  # colex tuples are sorted
     if design.lam != 1:
         raise RuntimeError("search produced a family that is not a Steiner system")

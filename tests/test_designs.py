@@ -13,9 +13,12 @@ from jshm import designs
 from jshm.designs import (
     DEFAULT_SEARCH_BUDGET,
     MAX_ADMISSIBLE_SIZES,
+    MAX_PACKED_CELLS,
     MAX_SEARCH_ENTRIES,
     NotADesignError,
     _exact_cover,
+    _list_cover,
+    _packed_cover,
     admissible,
     admissible_range,
     as_design,
@@ -386,9 +389,59 @@ class TestSearchDesign:
     @settings(max_examples=400)
     @given(cover_instances())
     def test_matches_the_dict_of_sets_search(self, instance):
-        # the byte map and covered offset choose as the fewest-rows column of
-        # a dict of row sets does: same outcome, rows and node count
-        assert _exact_cover(*instance) == exact_cover(*instance)
+        # the packed counts, and the byte map and covered offset of the list
+        # kernel, choose as the fewest-rows column of a dict of row sets
+        # does: same outcome, rows and node count
+        num_columns, rows, budget = instance
+        expected = exact_cover(*instance)
+        col_rows = [[r for r, cols in enumerate(rows) if c in cols]
+                    for c in range(num_columns)]
+        assert _exact_cover(*instance) == expected
+        for kernel in (_packed_cover, _list_cover):
+            assert kernel(rows, col_rows, budget) == expected
+
+    @pytest.mark.parametrize("column_rows", [254, 255])
+    def test_dispatch_on_the_rows_of_a_column(self, monkeypatch, column_rows):
+        # column 0 lies in column_rows rows, the last of which also covers
+        # column 1; a count of 255 would read as covered, so the list kernel
+        # takes it
+        rows = [(0,)] * (column_rows - 1) + [(0, 1)]
+        ran = self._spy_kernels(monkeypatch)
+        got = _exact_cover(2, rows, DEFAULT_SEARCH_BUDGET)
+        assert got == ("found", [column_rows - 1], 1) == exact_cover(2, rows, DEFAULT_SEARCH_BUDGET)
+        assert ran == ["packed" if column_rows < 255 else "list"]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_dispatch_on_the_cells(self, monkeypatch, extra):
+        # 2048 columns; row 0 covers columns 0 and 1, the others one column
+        # each, from column 1 - extra on: rows * columns is MAX_PACKED_CELLS,
+        # or one column more.  The one-row columns go first, in order, and
+        # row 0 last, unless column 0 has one row (extra = 0) and goes first.
+        num_columns = 2048
+        rows = [(0, 1)] + [(c,) for c in range(1 - extra, num_columns)]
+        assert len(rows) * num_columns == MAX_PACKED_CELLS + extra * num_columns
+        chosen = list(range(3, num_columns + 1)) + [0] if extra else \
+            [0] + list(range(2, num_columns))
+        expected = ("found", chosen, num_columns - 1)
+        ran = self._spy_kernels(monkeypatch)
+        assert _exact_cover(num_columns, rows, DEFAULT_SEARCH_BUDGET) == expected
+        assert ran == ["list" if extra else "packed"]
+        col_rows = [[] for _ in range(num_columns)]
+        for r, cols in enumerate(rows):
+            for c in cols:
+                col_rows[c].append(r)
+        for kernel in (_packed_cover, _list_cover):
+            assert kernel(rows, col_rows, DEFAULT_SEARCH_BUDGET) == expected
+
+    @staticmethod
+    def _spy_kernels(monkeypatch):
+        ran = []
+        for name, kernel in (("packed", _packed_cover), ("list", _list_cover)):
+            def spy(*args, name=name, kernel=kernel):
+                ran.append(name)
+                return kernel(*args)
+            monkeypatch.setattr(designs, f"_{name}_cover", spy)
+        return ran
 
     def test_deeper_than_the_recursion_limit(self):
         # the complete 2-(50,2,1) design chooses all 1225 pairs, one level each
@@ -429,6 +482,13 @@ class TestSearchDesign:
                     got = None if out.design is None else list(out.design.family.members)
                     assert (out.status, out.nodes, got) == (status, nodes, blocks), \
                         (n, k, budget)
+
+    def test_k_equals_t_design_is_steiner(self):
+        # lambda = 1 is taken, not counted: the walked oracle agrees
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                design = search_design(n, k, k).design
+                assert design.lam == brute_verify_design(design.family, k) == 1, (n, k)
 
     def test_k_equals_t_is_not_searched(self):
         # a search node took the minimum over all C(n,t) columns: 2.2 s on 2 vCPUs
