@@ -486,7 +486,9 @@ def search_design(n: int, k: int, t: int,
     distinguishes an exhausted search space ("not-found") from an exhausted
     budget.  For k = t the one design, every k-subset, is taken without a
     search, with the outcome and node count the search would report.  More
-    than MAX_SEARCH_ENTRIES row entries are refused with SizeBudgetError.
+    than MAX_SEARCH_ENTRIES row entries C(n,k) * C(k,t) are refused with
+    SizeBudgetError, and for t < k so are more than MAX_SEARCH_ENTRIES
+    entries C(n,t) * t of the column index.
     """
     if not 0 < t <= k <= n:
         raise ValueError(f"need 0 < t <= k <= n, got t={t}, k={k}, n={n}")
@@ -501,10 +503,15 @@ def search_design(n: int, k: int, t: int,
         # every t-subset is one block, so lambda = 1 with no count to take
         design = Design(Family(n, k, tuple(colex_tuples(n, k))), t, 1)
         return SearchOutcome("found", design, nodes)
+    # the column index holds C(n,t) t-tuples, which the row bound does not
+    # bound when t is near n: C(200,199) * C(199,198) is 39 800 row entries
+    # over 19 900 tuples of 198 points
+    num_columns = binom(n, t)
+    refuse_above(num_columns * t, MAX_SEARCH_ENTRIES,
+                 f"t-subset index entries C({n},{t}) * {t} under the search bound")
     # rows and columns in colex order, built from the decreasing tuples
     # that ``combinations`` yields in reverse colex order from the
     # decreasing ground set: position i of a walk is colex rank C(n,k)-1-i
-    num_columns = binom(n, t)
     t_index = {sub: num_columns - 1 - i
                for i, sub in enumerate(combinations(range(n, 0, -1), t))}
     column = t_index.__getitem__

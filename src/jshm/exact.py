@@ -1,17 +1,18 @@
-"""Exact scalar arithmetic: rationals, polynomials, rational functions.
+"""Exact scalar arithmetic: rationals and rational functions.
 
-Rationals are ``fractions.Fraction``.  A polynomial in one indeterminate,
-written ``nu`` (the ground-set size when identities are checked
-symbolically), is stored as dense ascending integer coefficients over one
-positive common denominator, in lowest terms, so its arithmetic runs on
-Python ints; ``coeffs`` builds the Fraction tuple only when it is read.
-A rational function is reduced once, when it is built (``_lowest_terms``):
-the primitive parts of numerator and denominator are divided by their gcd
-over Z, taken by the primitive remainder sequence and skipped when either
-part is constant, and the result is scaled so that gcd(num, den) = 1 and
-den is monic over Q.  That canonical form makes equality plain structural
-comparison.  One integer pseudo-division, ``_pdivmod``, serves the
-remainder sequence and the exact quotients.
+Rationals are ``fractions.Fraction``.  A rational function of one
+indeterminate, written ``nu`` (the ground-set size when identities are
+checked symbolically), is one integer form: ``num`` and ``den`` are dense
+ascending ``int`` tuples, coprime in Z[nu] (contents included), with a
+positive leading coefficient of ``den``.  By Gauss's lemma that form is
+unique, so equality is plain structural comparison, and it is built once
+per result by ``_reduced``: the contents are split off, the primitive parts
+are divided by their gcd over Z (the primitive remainder sequence, skipped
+when either part is constant), the two contents by theirs, and the sign is
+taken from the denominator.  One integer pseudo-division, ``_pdivmod``,
+serves the remainder sequence and the exact quotients.  Text divides by the
+leading coefficient of ``den``, so it reads as num/den with den monic over
+Q.
 
 ``Record`` is the base of every jshm record type: its fields are the class
 annotations, none with a default, and ``__init_subclass__`` writes each
@@ -83,31 +84,6 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _poly(nums: tuple[int, ...], den: int) -> "Polynomial":
-    """The polynomial nums / den, from parts already in canonical form."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "_num", nums)
-    object.__setattr__(p, "_den", den)
-    return p
-
-
-def _canonical(nums: list[int], den: int) -> "Polynomial":
-    """The polynomial nums / den for any nonzero den: trailing zeros trimmed,
-    the denominator made positive and coprime to the coefficients."""
-    while nums and not nums[-1]:
-        nums.pop()
-    if not nums:
-        return _poly((), 1)
-    if den < 0:
-        den = -den
-        nums = [-c for c in nums]
-    g = math.gcd(den, *nums)
-    if g != 1:
-        den //= g
-        nums = [c // g for c in nums]
-    return _poly(tuple(nums), den)
-
-
 def _split(c) -> tuple[int, tuple[int, ...]]:
     """(content, primitive part) of nonzero integer coefficients, the
     content being their positive gcd."""
@@ -161,207 +137,96 @@ def _zgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return (1,)
 
 
-class Polynomial:
-    """Dense univariate polynomial over the rationals, ascending degree.
+def _padd(a, b) -> list[int]:
+    """a + b of ascending integer coefficients, untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
 
-    Stored as integer coefficients over one positive denominator, in lowest
-    terms; ``coeffs`` builds the Fraction tuple when it is read.  The zero
-    polynomial has an empty coefficient tuple and degree -1.
+
+def _pmul(a, b) -> list[int]:
+    """a * b of trimmed ascending integer coefficients."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _reduced(a: list[int], b) -> "RationalFunction":
+    """a / b in canonical form, for integer coefficients a (trailing zeros
+    allowed) and trimmed nonzero b.
+
+    With contents ca, cb and primitive parts pa, pb, a / b is
+    (ca / cb) * pa / pb; the primitive gcd of pa and pb divides both exactly
+    over Z, and is skipped when either is constant.
     """
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        fs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fs))
-        p = _canonical([f.numerator * (den // f.denominator) for f in fs], den)
-        object.__setattr__(self, "_num", p._num)
-        object.__setattr__(self, "_den", p._den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def const(cls, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
-        return _canonical([c.numerator], c.denominator)
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        return _poly((0, 1), 1)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._num)
-
-    @property
-    def degree(self) -> int:
-        return len(self._num) - 1
-
-    def is_zero(self) -> bool:
-        return not self._num
-
-    def __eq__(self, other) -> bool:
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self._num == other._num and self._den == other._den
-
-    def __hash__(self) -> int:
-        # a constant equals its scalar, so it hashes as that scalar
-        return hash(self.evaluate(0) if self.degree < 1 else (self._num, self._den))
-
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        (a, da), (b, db) = (self._num, self._den), (other._num, other._den)
-        if len(a) < len(b):
-            (a, da), (b, db) = (b, db), (a, da)
-        g = math.gcd(da, db)
-        out = [x * (db // g) for x in a]
-        for i, y in enumerate(b):
-            out[i] += y * (da // g)
-        return _canonical(out, da * (db // g))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return _poly(tuple(-c for c in self._num), self._den)
-
-    def __sub__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._num, other._num
-        if not a or not b:
-            return _poly((), 1)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return _canonical(out, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
-        return _canonical([x * c.numerator for x in self._num], self._den * c.denominator)
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        """Horner evaluation at a rational point."""
-        acc = 0
-        for c in reversed(self._num):
-            acc = acc * x + c
-        return Fraction(acc) / self._den
-
-    def __repr__(self) -> str:
-        return f"Polynomial({poly_to_str(self)!r})"
-
-
-_ONE = Polynomial.const(1)
-
-
-def _as_poly(x) -> Polynomial | None:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Polynomial.const(x)
-    return None
-
-
-def poly_to_str(p: Polynomial) -> str:
-    """Render descending-degree, e.g. "nu^2 - 5*nu + 6"."""
-    if p.is_zero():
-        return "0"
-    coeffs = p.coeffs
-    parts = []
-    for d in range(p.degree, -1, -1):
-        c = coeffs[d]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if d == 0:
-            body = rat_to_str(mag)
-        else:
-            var = "nu" if d == 1 else f"nu^{d}"
-            body = var if mag == 1 else f"{rat_to_str(mag)}*{var}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def _lowest_terms(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """num / den (den nonzero) with gcd(num, den) = 1 and den monic.
-
-    With contents ca, cb and primitive parts a, b, num / den is
-    (ca den._den) / (cb num._den) * a / b; the primitive gcd of a and b
-    divides both exactly over Z, and is skipped when either is constant.
-    """
-    if num.is_zero():
-        return num, _ONE
-    (ca, a), (cb, b) = _split(num._num), _split(den._num)
+    while a and not a[-1]:
+        a.pop()
+    if not a:
+        return _ZERO
+    (ca, a), (cb, b) = _split(a), _split(b)
     if len(a) > 1 and len(b) > 1:
         g = _zgcd(a, b)
         if len(g) > 1:
-            a, b = _pdivmod(a, g)[0], tuple(_pdivmod(b, g)[0])
-    lead = b[-1]
-    num = _canonical([x * ca * den._den for x in a], cb * num._den * lead)
-    if lead < 0:
-        b, lead = tuple(-x for x in b), -lead
-    return num, _poly(b, lead)
+            a, b = _pdivmod(a, g)[0], _pdivmod(b, g)[0]
+    g = math.gcd(ca, cb)
+    ca, cb = ca // g, cb // g
+    if b[-1] < 0:
+        ca, cb = -ca, -cb
+    return _rf(tuple(x * ca for x in a), tuple(x * cb for x in b))
+
+
+def _horner(c, x):
+    """The polynomial with ascending coefficients c at x."""
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
 
 
 class RationalFunction:
-    """Quotient of two polynomials, kept in canonical reduced form.
+    """num / den in Z[nu], kept in the canonical form of :func:`_reduced`.
 
-    Canonical means gcd(num, den) = 1 and the denominator is monic, so two
-    equal rational functions are structurally identical and ``==`` decides
-    equality.
+    Canonical means that the ascending int tuples num and den are coprime,
+    contents included, and lc(den) > 0, so two equal rational functions are
+    structurally identical and ``==`` decides equality.  Zero is () / (1,).
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = _ONE if den is None else _as_poly(den)
-        if num is None or den is None:
-            raise TypeError("RationalFunction expects polynomial or scalar parts")
-        if den.is_zero():
+    def __init__(self, num: Iterable[Scalar], den: Iterable[Scalar] = (1,)):
+        """num / den from ascending coefficients, ints or Fractions."""
+        num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
+        while den and not den[-1]:
+            den.pop()
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        num, den = _lowest_terms(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        lcm = math.lcm(*(c.denominator for c in num + den))
+        f = _reduced([c.numerator * (lcm // c.denominator) for c in num],
+                     [c.numerator * (lcm // c.denominator) for c in den])
+        object.__setattr__(self, "num", f.num)
+        object.__setattr__(self, "den", f.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def const(cls, c: Scalar) -> "RationalFunction":
-        return cls(Polynomial.const(c))
+        c = Fraction(c)
+        return _rf((c.numerator,), (c.denominator,)) if c else _ZERO
 
     @classmethod
     def variable(cls) -> "RationalFunction":
-        return cls(Polynomial.variable())
+        return _rf((0, 1), (1,))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
     def __eq__(self, other) -> bool:
         other = _as_rf(other)
@@ -370,23 +235,25 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        # with denominator 1 it equals its numerator, so it hashes as that
-        return hash(self.num) if self.den == _ONE else hash((self.num, self.den))
+        # a constant equals its scalar, so it hashes as that scalar
+        if len(self.num) < 2 and len(self.den) == 1:
+            return hash(self.evaluate(0))
+        return hash((self.num, self.den))
 
     def __add__(self, other) -> "RationalFunction":
         other = _as_rf(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
+        if b == d:
+            return _reduced(_padd(a, c), b)
+        return _reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return _rf(-self.num, self.den)  # negation keeps the canonical form
+        # negation keeps the canonical form
+        return _rf(tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = _as_rf(other)
@@ -402,11 +269,16 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)) and other:
-            return _rf(self.num.scale(other), self.den)  # so does a nonzero scalar
+            # a nonzero scalar p/q changes only the contents: num and den
+            # stay coprime up to an integer, which one gcd divides out
+            p, q = other.numerator, other.denominator
+            num, den = [x * p for x in self.num], [x * q for x in self.den]
+            g = math.gcd(*num, *den)
+            return _rf(tuple(x // g for x in num), tuple(x // g for x in den))
         other = _as_rf(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _reduced(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -416,7 +288,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _reduced(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other) -> "RationalFunction":
         other = _as_rf(other)
@@ -426,16 +298,16 @@ class RationalFunction:
 
     def evaluate(self, n: Scalar) -> Fraction:
         """Exact value at n; raises :class:`PoleError` at denominator roots."""
-        d = self.den.evaluate(n)
+        d = _horner(self.den, n)
         if d == 0:
             raise PoleError(f"pole at nu = {n}")
-        return self.num.evaluate(n) / d
+        return Fraction(_horner(self.num, n), d)
 
     def __repr__(self) -> str:
         return f"RationalFunction({rf_to_str(self)!r})"
 
 
-def _rf(num: Polynomial, den: Polynomial) -> RationalFunction:
+def _rf(num: tuple[int, ...], den: tuple[int, ...]) -> RationalFunction:
     """The rational function num / den, from parts already in canonical form."""
     f = object.__new__(RationalFunction)
     object.__setattr__(f, "num", num)
@@ -443,22 +315,49 @@ def _rf(num: Polynomial, den: Polynomial) -> RationalFunction:
     return f
 
 
+_ZERO = _rf((), (1,))
+
+
 def _as_rf(x) -> RationalFunction | None:
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, (int, Fraction)):
         return RationalFunction.const(x)
-    if isinstance(x, Polynomial):
-        return RationalFunction(x)
     return None
 
 
+def _poly_to_str(coeffs: tuple[int, ...], lead: int) -> str:
+    """Render coeffs / lead descending-degree, e.g. "nu^2 - 5*nu + 6"."""
+    parts = []
+    for d in range(len(coeffs) - 1, -1, -1):
+        c = Fraction(coeffs[d], lead)
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if d == 0:
+            body = rat_to_str(mag)
+        else:
+            var = "nu" if d == 1 else f"nu^{d}"
+            body = var if mag == 1 else f"{rat_to_str(mag)}*{var}"
+        parts.append((sign, body))
+    if not parts:
+        return "0"
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
 def rf_to_str(f: RationalFunction) -> str:
-    """Render "num/den" ("num" alone for polynomial denominator 1)."""
-    num = poly_to_str(f.num)
-    if f.den == _ONE:
+    """Render "(num)/(den)" with den monic over Q, or "num" alone when den
+    is constant."""
+    lead = f.den[-1]
+    num = _poly_to_str(f.num, lead)
+    if len(f.den) == 1:
         return num
-    return f"({num})/({poly_to_str(f.den)})"
+    return f"({num})/({_poly_to_str(f.den, lead)})"
 
 
 def to_json(value):
@@ -549,25 +448,20 @@ class Report(Record):
 NU = RationalFunction.variable()
 
 
-def binom_poly(shift: int, b: int) -> Polynomial:
-    """The degree-b polynomial C(nu + shift, b) = prod(nu + shift - j) / b!.
+@functools.lru_cache(maxsize=4096)
+def binom_rf(shift: int, b: int) -> RationalFunction:
+    """C(nu + shift, b) = prod(nu + shift - j) / b!, a polynomial of degree b.
 
     Evaluating at an integer n with n + shift >= b reproduces
     ``binom(n + shift, b)``; below that range it reproduces the vanishing
     convention because the falling product hits zero.
     """
     if b < 0:
-        raise ValueError(f"binom_poly: negative subset size {b}")
-    p = _ONE
-    for j in range(b):
-        p = p * Polynomial((shift - j, 1))
-    return p.scale(Fraction(1, math.factorial(b)))
-
-
-@functools.lru_cache(maxsize=4096)
-def binom_rf(shift: int, b: int) -> RationalFunction:
-    """:func:`binom_poly` packaged as a rational function."""
-    return RationalFunction(binom_poly(shift, b))
+        raise ValueError(f"binom_rf: negative subset size {b}")
+    falling = [1]
+    for j in range(b):  # times (nu + shift - j)
+        falling = _padd([0] + falling, [(shift - j) * c for c in falling])
+    return _reduced(falling, (math.factorial(b),))
 
 
 def binom_at_int(n: int):

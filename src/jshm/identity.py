@@ -147,9 +147,10 @@ def compare_symbolic(k: int, t: int, lhs: str = "m",
     right = symbolic_side(rhs, k, t)
     h = tuple(a - b for a, b in zip(left, right))
     for r, f in enumerate(h):
-        if f.num.degree > 2 * k:
+        degree = len(f.num) - 1
+        if degree > 2 * k:
             raise SelfCheckError(
-                f"difference at class {r} has numerator degree {f.num.degree} > 2k"
+                f"difference at class {r} has numerator degree {degree} > 2k"
             )
     witness = None
     for r, f in enumerate(h):
@@ -165,7 +166,8 @@ def _sample_nonzero(f: RationalFunction, k: int) -> tuple[int, Fraction]:
     """First integer n >= 2k+1 that is not a pole and where f(n) != 0; a nonzero
     f has at most deg num zeros and deg den poles, so one of the first
     deg num + deg den + 1 sizes is a witness."""
-    for n in range(2 * k + 1, 2 * k + 2 + f.num.degree + f.den.degree):
+    deg_num, deg_den = len(f.num) - 1, len(f.den) - 1
+    for n in range(2 * k + 1, 2 * k + 2 + deg_num + deg_den):
         try:
             value = f.evaluate(n)
         except PoleError:

@@ -323,6 +323,7 @@ class TestDesign:
         path = write_family(tmp_path, 3000, 1500, [list(range(1, 1501))])
         for argv in (
             ["design", "search", "--n", "60", "--k", "10", "--t", "2"],
+            ["design", "search", "--n", "1000", "--k", "999", "--t", "998"],
             ["design", "admissible", "--k", "3", "--t", "2",
              "--n-max", "10000000000"],
             ["design", "admissible", "--k", "1000000", "--t", "999999",

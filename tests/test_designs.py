@@ -468,6 +468,19 @@ class TestSearchDesign:
         with pytest.raises(SizeBudgetError):
             search_design(30, 5, 2)
 
+    def test_column_index_bound(self):
+        # 999 000 row entries pass the row bound, but the column index would
+        # hold C(1000,998) = 499 500 tuples of 998 points, about 4 GB
+        assert binom(1000, 999) * binom(999, 998) <= MAX_SEARCH_ENTRIES
+        start = time.perf_counter()
+        with pytest.raises(SizeBudgetError, match="t-subset index"):
+            search_design(1000, 999, 998)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(SizeBudgetError, match="t-subset index"):
+            search_design(200, 199, 198)
+        # k = t builds no index, so its worst case stays admitted
+        assert search_design(71, 4, 4, 0).status == "budget-exhausted"
+
     def test_k_equals_t_matches_the_search(self):
         # for k = t the outcome is taken without running the search
         for n in range(1, 10):

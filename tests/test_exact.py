@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,10 @@ from jshm.exact import (
     MAX_DECIMAL_EXPONENT,
     NU,
     PoleError,
-    Polynomial,
     RationalFunction,
     Record,
     binom,
-    binom_poly,
     binom_rf,
-    poly_to_str,
     rat_from_str,
     rat_to_str,
     rf_to_str,
@@ -47,23 +45,25 @@ class TestBinom:
 
 
 class TestBinomPoly:
+    """The binomial polynomial C(nu + shift, b), as ``binom_rf`` builds it."""
+
     def test_single_factor(self):
-        assert binom_poly(0, 1) == Polynomial((0, 1))
+        assert binom_rf(0, 1) == RationalFunction((0, 1)) == NU
 
     def test_constant(self):
-        assert binom_poly(0, 0) == Polynomial((1,))
+        assert binom_rf(0, 0) == RationalFunction((1,)) == 1
 
     def test_shifted_quadratic(self):
         # (nu-2)(nu-3)/2: checked by evaluation at three points
-        p = binom_poly(-2, 2)
+        p = binom_rf(-2, 2)
         for x in (0, 1, 10):
             assert p.evaluate(x) == Fraction((x - 2) * (x - 3), 2)
-        assert p == Polynomial((3, Fraction(-5, 2), Fraction(1, 2)))
+        assert p == RationalFunction((3, Fraction(-5, 2), Fraction(1, 2)))
 
     @given(st.integers(-10, 10), st.integers(0, 8), st.integers(-5, 40))
     def test_matches_integer_binomial(self, shift, b, n):
         if n + shift >= b:
-            assert binom_poly(shift, b).evaluate(n) == binom(n + shift, b)
+            assert binom_rf(shift, b).evaluate(n) == binom(n + shift, b)
 
     def test_evaluation_matches_binom_example(self):
         f = binom_rf(-2, 2)
@@ -76,37 +76,54 @@ small_fractions = st.fractions(
 
 
 def polynomials(max_degree=3):
-    return st.lists(small_fractions, max_size=max_degree + 1).map(Polynomial)
+    """Ascending coefficient lists, trailing zeros allowed."""
+    return st.lists(small_fractions, max_size=max_degree + 1)
 
 
 def rational_functions():
     return st.tuples(
-        polynomials(), polynomials().filter(lambda p: not p.is_zero())
+        polynomials(), polynomials().filter(any)
     ).map(lambda nd: RationalFunction(*nd))
+
+
+def _mul(a, b):
+    """Product of ascending coefficient sequences over Q."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _add(a, b):
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
 
 
 class TestRationalFunctionArithmetic:
     def test_sub_self_is_zero(self):
-        f = RationalFunction(binom_poly(-1, 2), binom_poly(0, 1))
+        f = binom_rf(-1, 2) / binom_rf(0, 1)
         assert (f - f).is_zero()
 
     def test_mul_inverse_reduces(self):
         assert NU * (1 / NU) == RationalFunction.const(1)
 
     def test_factored_difference_is_zero(self):
-        f = RationalFunction(Polynomial((-1, 0, 1)), Polynomial((-1, 1)))
+        f = RationalFunction((-1, 0, 1), (-1, 1))
         assert f - (NU + 1) == RationalFunction.const(0)
 
     def test_division_by_zero_function(self):
         with pytest.raises(ZeroDivisionError):
             NU / RationalFunction.const(0)
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction((1,), (0, 0))
 
     def test_canonical_form_of_distinct_constructions(self):
         # nu/1 * (nu+1)/(nu) built two ways
         a = (NU * (NU + 1)) / NU
         b = NU + 1
         assert a == b
-        assert a.den == Polynomial((1,))
+        assert a.den == (1,)
 
     @settings(max_examples=60)
     @given(rational_functions(), rational_functions(), rational_functions())
@@ -128,73 +145,85 @@ mixed_scalars = st.one_of(st.integers(-5, 5), st.booleans(), small_fractions)
 
 
 def mixed_polynomials(max_degree=3):
-    return st.lists(mixed_scalars, max_size=max_degree + 1).map(Polynomial)
+    return st.lists(mixed_scalars, max_size=max_degree + 1)
 
 
 def _reference_reduction(num, den):
     """Canonical (num, den) coefficients by Euclid over Q (the oracle): both
     divided by their monic gcd, then scaled so that den is monic."""
-    g = euclid_gcd(num.coeffs, den.coeffs)
-    num, den = euclid_divmod(num.coeffs, g)[0], euclid_divmod(den.coeffs, g)[0]
+    g = euclid_gcd(num, den)
+    num, den = euclid_divmod(num, g)[0], euclid_divmod(den, g)[0]
     return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
 
 
-def _assert_exact(p):
-    assert all(type(c) is Fraction for c in p.coeffs), p.coeffs
+def _monic(f):
+    """(num, den) of f divided by lc(den), the form of the oracle."""
+    lead = f.den[-1]
+    return (tuple(Fraction(c, lead) for c in f.num),
+            tuple(Fraction(c, lead) for c in f.den))
+
+
+def _assert_canonical(f):
+    """Int tuples, trimmed, coprime in Z[nu] (contents too), lc(den) > 0."""
+    assert type(f.num) is tuple and type(f.den) is tuple
+    assert all(type(c) is int for c in f.num + f.den), (f.num, f.den)
+    assert f.den[-1] > 0 and (not f.num or f.num[-1])
+    if f.is_zero():
+        assert f.den == (1,)
+    else:
+        assert math.gcd(*f.num, *f.den) == 1
+        assert euclid_gcd(f.num, f.den) == (1,)
 
 
 class TestCanonicalForm:
-    @given(st.lists(mixed_scalars, max_size=5), mixed_polynomials())
-    def test_coefficients_are_exact_fractions(self, coeffs, q):
-        p = Polynomial(coeffs)
-        _assert_exact(p)
-        assert p.coeffs == Polynomial([Fraction(c) for c in coeffs]).coeffs
-        for r in (p + q, p - q, p * q, -p, p.scale(3),
-                  Polynomial.const(coeffs[0] if coeffs else 0)):
-            _assert_exact(r)
-
     @settings(max_examples=80)
     @given(mixed_polynomials(), mixed_polynomials(),
-           mixed_polynomials(2).filter(lambda p: not p.is_zero()))
+           mixed_polynomials(2).filter(any))
     def test_rational_function_is_canonical(self, num, den, common):
-        if den.is_zero():
-            den = Polynomial.const(1)
+        if not any(den):
+            den = [1]
         # a shared factor forces a gcd of positive degree when common has one
-        for n, d in ((num, den), (num * common, den * common)):
+        for n, d in ((num, den), (_mul(num, common), _mul(den, common))):
             f = RationalFunction(n, d)
-            _assert_exact(f.num)
-            _assert_exact(f.den)
-            assert f.den.coeffs[-1] == 1
-            if f.num.is_zero():
-                assert f.den == Polynomial.const(1)
-            else:
-                assert euclid_gcd(f.num.coeffs, f.den.coeffs) == (1,)
-            assert (f.num.coeffs, f.den.coeffs) == _reference_reduction(n, d)
+            _assert_canonical(f)
+            assert _monic(f) == _reference_reduction(n, d)
+        c = num[0] if num else 0
+        assert RationalFunction.const(c) == RationalFunction([c])
+        _assert_canonical(RationalFunction.const(c))
 
     @settings(max_examples=40)
     @given(rational_functions(), rational_functions(), mixed_scalars)
     def test_arithmetic_results_are_canonical(self, f, g, c):
         # a scalar factor takes a path of its own, without a reduction
         assert f * c == c * f == f * RationalFunction.const(c)
-        results = [f + g, f - g, f * g, f * c]
+        # each result against the oracle's reduction of its unreduced parts
+        results = [
+            (f + g, _add(_mul(f.num, g.den), _mul(g.num, f.den)), _mul(f.den, g.den)),
+            (f - g, _add(_mul(f.num, g.den), _mul([-x for x in g.num], f.den)),
+             _mul(f.den, g.den)),
+            (f * g, _mul(f.num, g.num), _mul(f.den, g.den)),
+            (f * c, [x * c for x in f.num], f.den),
+            (-f, [-x for x in f.num], f.den),
+        ]
         if not g.is_zero():
-            results.append(f / g)
-        for h in results:
-            assert (h.num.coeffs, h.den.coeffs) == _reference_reduction(h.num, h.den)
+            results.append((f / g, _mul(f.num, g.den), _mul(f.den, g.num)))
+        for h, num, den in results:
+            _assert_canonical(h)
+            assert _monic(h) == _reference_reduction(num, den)
 
     def test_binom_rf_is_shared_and_immutable(self):
         assert binom_rf(-3, 2) is binom_rf(-3, 2)
         with pytest.raises(AttributeError):
-            binom_rf(-3, 2).num = Polynomial()
-
-    def test_polynomial_is_immutable(self):
-        # the memoised binom_rf(-3, 2) shares its numerator with every caller
-        with pytest.raises(AttributeError, match="Polynomial is immutable"):
-            binom_rf(-3, 2).num.coeffs = ()
+            binom_rf(-3, 2).num = ()
+        # the memoised value shares its parts with every caller
+        assert type(binom_rf(-3, 2).num) is tuple
 
 
 def _negative_leading(p):
-    return -p if not p.is_zero() and p.coeffs[-1] > 0 else p
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return [-c for c in p] if p and p[-1] > 0 else p
 
 
 # products of up to five linear factors with rational roots and scales, the
@@ -202,7 +231,7 @@ def _negative_leading(p):
 linear_products = st.lists(
     st.tuples(small_fractions, small_fractions.filter(bool)), max_size=5
 ).map(lambda fs: functools.reduce(
-    lambda p, f: p * Polynomial(f), fs, Polynomial.const(1)))
+    lambda p, f: _mul(p, f), fs, [Fraction(1)]))
 
 
 class TestAgainstEuclid:
@@ -213,29 +242,33 @@ class TestAgainstEuclid:
     def test_gcd(self, a, b, common):
         # reduction divides out the primitive gcd over Z, so it must agree
         # with the Euclid reduction over Q
-        for x, y in ((a, b), (a * common, b * common),
-                     (_negative_leading(a * common), _negative_leading(b * common)),
-                     (_negative_leading(a) * common, b)):
-            if not y.is_zero():
+        for x, y in ((a, b), (_mul(a, common), _mul(b, common)),
+                     (_negative_leading(_mul(a, common)), _negative_leading(_mul(b, common))),
+                     (_mul(_negative_leading(a), common), b)):
+            if any(y):
                 f = RationalFunction(x, y)
-                assert (f.num.coeffs, f.den.coeffs) == _reference_reduction(x, y)
+                _assert_canonical(f)
+                assert _monic(f) == _reference_reduction(x, y)
 
 
 class TestHash:
     @given(st.one_of(st.integers(-5, 5), small_fractions))
     def test_a_constant_hashes_as_its_scalar(self, c):
-        for x in (Polynomial.const(c), RationalFunction.const(c)):
+        for x in (RationalFunction.const(c), RationalFunction([c], [1])):
             assert x == c
             assert hash(x) == hash(c) == hash(Fraction(c))
-        assert len({RationalFunction.const(c), Polynomial.const(c), c}) == 1
+        assert len({RationalFunction.const(c), RationalFunction([2 * c], [2]), c}) == 1
 
     def test_equal_values_hash_equal(self):
-        p = binom_poly(-2, 3)
-        assert RationalFunction(p) == p and hash(RationalFunction(p)) == hash(p)
+        p = binom_rf(-2, 3)
+        assert hash(p) == hash(RationalFunction((-4, Fraction(13, 3), Fraction(-3, 2),
+                                                 Fraction(1, 6))))
         a, b = (NU * (NU + 1)) / NU, NU + 1
         assert a == b and hash(a) == hash(b)
-        f = RationalFunction(p, binom_poly(-3, 2))
-        assert hash(f) == hash(RationalFunction(p * 6, binom_poly(-3, 2) * 6))
+        # C(nu-2, 3) / C(nu-3, 2) = (nu - 2) / 3, built from two other scalings
+        f = p / binom_rf(-3, 2)
+        g = RationalFunction((-24, 26, -9, 1), (36, -21, 3))
+        assert f == g and hash(f) == hash(g)
 
 
 class TestEvaluation:
@@ -279,13 +312,15 @@ class TestSerialization:
             rat_from_str(s)
 
     def test_poly_string(self):
-        assert poly_to_str(binom_poly(-2, 2)) == "1/2*nu^2 - 5/2*nu + 3"
-        assert poly_to_str(Polynomial()) == "0"
+        assert rf_to_str(binom_rf(-2, 2)) == "1/2*nu^2 - 5/2*nu + 3"
+        assert rf_to_str(RationalFunction(())) == "0"
 
     def test_rf_string(self):
         f = 1 / (NU - 4)
         assert rf_to_str(f) == "(1)/(nu - 4)"
         assert rf_to_str(NU + 1) == "nu + 1"
+        # den is printed monic over Q
+        assert rf_to_str(RationalFunction((1,), (2, 4))) == "(1/4)/(nu + 1/2)"
 
 
 class Point(Record):

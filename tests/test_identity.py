@@ -6,7 +6,7 @@ import pytest
 
 from jshm import identity
 from jshm.designs import design_matrix, design_matrix_symbolic
-from jshm.exact import NU
+from jshm.exact import NU, rf_to_str
 from jshm.identity import (
     LHS_CHOICES,
     MAX_POINTWISE_POINTS,
@@ -29,6 +29,10 @@ SYMBOLIC_REPORTS_SHA256 = "22d47eb39ce93e18c7b08a8194fb49856ccc20ec2286790e1c906
 # over Z and of Euclid over Q differ most; recorded with Euclid over Q
 LARGE_K_SYMBOLIC_REPORTS_SHA256 = (
     "ff5af8571644a45b8ff9b2ce88aa34309e9cc530524215a7bad30039dae5ea9a")
+# sha256 (first 16 hex digits) of json.dumps of the rf_to_str texts of the
+# sides M, literal Omega and corrected Omega over k in (16, 20, 24), all t;
+# recorded with each of num and den a Polynomial over its own denominator
+LARGEST_K_SIDES_SHA256 = "5d67b622797d314e"
 
 VERIFIED_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
 
@@ -84,7 +88,7 @@ class TestCompareSymbolic:
         for (k, t) in VERIFIED_PAIRS:
             rep = compare_symbolic(k, t, "m", "omega_literal")
             for f in rep.h:
-                assert f.num.degree <= 2 * k
+                assert len(f.num) - 1 <= 2 * k
 
     def test_invalid_sides(self):
         with pytest.raises(ValueError):
@@ -113,6 +117,13 @@ class TestSymbolicSides:
 
     def test_large_k_reports_are_pinned(self):
         assert _symbolic_reports_digest(range(8, 13)) == LARGE_K_SYMBOLIC_REPORTS_SHA256
+
+    def test_largest_k_sides_are_pinned(self):
+        docs = [[rf_to_str(f) for f in symbolic_side(side, k, t)]
+                for k in (16, 20, 24) for t in range(1, k)
+                for side in ("m", "omega_literal", "omega_corrected")]
+        digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()[:16]
+        assert digest == LARGEST_K_SIDES_SHA256
 
     @pytest.mark.parametrize("get", [
         lambda: symbolic_side("m", 4, 2),
