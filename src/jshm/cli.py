@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except SizeBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

@@ -121,10 +121,6 @@ def basis_vector(params: SchemeParams, r: int) -> BMVector:
     )
 
 
-def identity_vector(params: SchemeParams) -> BMVector:
-    return basis_vector(params, 0)
-
-
 def plus_identity(coeffs) -> list:
     """Coefficients of X + I from those of X (any scalar type; I is A_0)."""
     return [coeffs[0] + 1, *coeffs[1:]]
@@ -171,24 +167,13 @@ def entry_sum(v: BMVector):
     return v.params.order * row_sum(v)
 
 
-def wilson_basis_vector(i: int, params: SchemeParams) -> BMVector:
-    """The k-subset-indexed product of the inclusion and disjointness matrices.
-
-    Entry (S, T) counts the i-subsets of S avoiding T, which depends only on
-    |S minus T|, so the coefficient on A_r is C(r, i).  Wilson's matrix is
-    written in this basis.
-    """
-    if not 0 <= i <= params.k:
-        raise ValueError(f"basis index {i} out of range [0, {params.k}]")
-    return BMVector(
-        params, tuple(Fraction(binom(r, i)) for r in range(params.num_classes))
-    )
-
-
 def w_to_a(w) -> list:
     """Coefficients c_r = sum_{a <= r} C(r, a) w_a on A_0..A_k of
     sum_a w_a W_a, over any scalar type (a zero takes the type of w_k): the
-    inverse of the change of basis in ``eigenvalues``."""
+    inverse of the change of basis in ``eigenvalues``.  W_a, the product of
+    the transposed inclusion and the disjointness matrices of a-subsets
+    against k-subsets, counts in entry (S, T) the a-subsets of S avoiding T,
+    so it has C(r, a) on A_r; Wilson's matrix is written in this basis."""
     zero = 0 * w[-1]
     terms = [(a, x) for a, x in enumerate(w) if x != 0]
     return [sum((binom(r, a) * x for a, x in terms if a <= r), zero) for r in range(len(w))]
@@ -200,8 +185,8 @@ def multiplicities(n: int, k: int) -> tuple[int, ...]:
 
 
 def lemma_eigenvalue(binom_at, k: int, a: int, j: int):
-    """Eigenvalue of W_a (``wilson_basis_vector(a)``) on V_j by Wilson's lemma:
-    (-1)^j C(k-j, a-j) C(nu-a-j, k-j), over the binomial provider."""
+    """Eigenvalue of W_a (``w_to_a`` of the unit vector e_a) on V_j by Wilson's
+    lemma: (-1)^j C(k-j, a-j) C(nu-a-j, k-j), over the binomial provider."""
     return (-1) ** j * binom(k - j, a - j) * binom_at(-a - j, k - j)
 
 

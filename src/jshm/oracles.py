@@ -4,7 +4,9 @@ Floating point lives here and only here: the float spectrum corroborates
 the exact spectra but never feeds a certificate.  The Eberlein polynomials
 are the tests' reference for the spectra of Wilson's lemma.  Matrix entries,
 inner products, the inclusion and disjointness matrices and their dense
-products check the algebra's coefficient form entry by entry.  Intersection
+products check the algebra's coefficient form entry by entry, and the
+projection of a dense matrix, summed entry by entry, is the reference for
+the pair-distribution count of ``projection.project_family``.  Intersection
 numbers are counted over all k-subsets, a second reference for the
 eigenvalue table, and the colex rank is the reference
 for the colex order of the enumerations.  Design verification by testing every
@@ -31,7 +33,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import Report, binom
-from .johnson import DEFAULT_DENSE_BUDGET, BMVector, SchemeParams, colex_masks, entry_sum, schur
+from .johnson import (DEFAULT_DENSE_BUDGET, BMVector, SchemeParams, class_size, colex_masks,
+                      entry_sum, schur)
 from .subsets import MAX_ENUMERATED_SUBSETS, Family, colex_tuples, refuse_above, subset_mask
 
 
@@ -393,14 +396,35 @@ def max_family(n: int, k: int, t: int,
     )
 
 
+def project_dense(mat: list[list], params: SchemeParams) -> BMVector:
+    """Projection of an arbitrary exact square matrix onto the algebra.
+
+    The coefficient on A_r is the sum of the entries of ``mat`` lying on the
+    support of A_r, divided by the number of ones of A_r, and 0 when A_r is
+    empty (r > n - k).  Matrices already in the algebra are fixed points.
+    """
+    order = params.order
+    if len(mat) != order or any(len(row) != order for row in mat):
+        raise ValueError(f"matrix order does not match C({params.n},{params.k}) = {order}")
+    masks = colex_masks(params.n, params.k)
+    k = params.k
+    sums = [Fraction(0)] * (k + 1)
+    for a, row in zip(masks, mat):
+        for b, x in zip(masks, row):
+            if x:
+                sums[k - (a & b).bit_count()] += x
+    sizes = [class_size(params, r) for r in range(k + 1)]
+    return BMVector(params, tuple(total / size if size else Fraction(0)
+                                  for total, size in zip(sums, sizes)))
+
+
 def brute_projection(fam: Family) -> BMVector:
     """Projection of the family's pair matrix computed on the dense path.
 
     Builds the rank-one indicator matrix explicitly and projects it entry
-    by entry; must agree with the pair-distribution shortcut.
+    by entry with ``project_dense``; must agree with the pair-distribution
+    count of ``projection.project_family``.
     """
-    from .projection import project_dense  # only this oracle projects
-
     params = SchemeParams(fam.n, fam.k)
     refuse_above(params.order, DEFAULT_DENSE_BUDGET,
                  f"order of J({fam.n},{fam.k}) under the dense budget")

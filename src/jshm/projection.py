@@ -3,9 +3,9 @@
 For a family F with characteristic vector x, the projection of the rank-one
 matrix x x^T is determined by the pair distribution of F (Delsarte's inner
 distribution): the coefficient on A_r is the number d_r of ordered member
-pairs meeting in k - r points, divided by the number of ones of A_r.  The
-same projection computed from a dense matrix is retained as an independent
-oracle path.
+pairs meeting in k - r points, divided by the number of ones of A_r.  Its
+reference, the same projection computed from a dense matrix, is
+``oracles.project_dense``.
 
 The pair distribution is counted through shared subsets.  With c(U) the
 number of members containing U, N_i = sum over i-sets U of c(U)^2 counts the
@@ -33,7 +33,6 @@ from .johnson import (
     BMVector,
     SchemeParams,
     SelfCheckError,
-    colex_masks,
     class_size,
     entry_sum,
     trace,
@@ -79,28 +78,6 @@ def project_family(fam: Family) -> BMVector:
     d = pair_distribution(fam).counts
     return BMVector(
         params, tuple(_per_one(Fraction(d[r]), params, r) for r in range(fam.k + 1))
-    )
-
-
-def project_dense(mat: list[list], params: SchemeParams) -> BMVector:
-    """Projection of an arbitrary exact square matrix (oracle path).
-
-    The coefficient on A_r is the sum of the entries of ``mat`` lying on the
-    support of A_r, divided by the number of ones of A_r.  Matrices already
-    in the algebra are fixed points.
-    """
-    order = params.order
-    if len(mat) != order or any(len(row) != order for row in mat):
-        raise ValueError(f"matrix order does not match C({params.n},{params.k}) = {order}")
-    masks = colex_masks(params.n, params.k)
-    k = params.k
-    sums = [Fraction(0)] * (k + 1)
-    for a, row in zip(masks, mat):
-        for b, x in zip(masks, row):
-            if x:
-                sums[k - (a & b).bit_count()] += x
-    return BMVector(
-        params, tuple(_per_one(sums[r], params, r) for r in range(k + 1))
     )
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jshm.designs import as_design, search_design
-from jshm.johnson import BMVector, SchemeParams
+from jshm.johnson import BMVector, SchemeParams, w_to_a
 from jshm.oracles import eberlein_table
 from jshm.subsets import Family, colex_tuples, make_family, star_family
 
@@ -56,6 +56,11 @@ def random_vector(params: SchemeParams, rng: random.Random) -> BMVector:
         tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
               for _ in range(params.num_classes)),
     )
+
+
+def w_basis(a: int, params: SchemeParams) -> BMVector:
+    """W_a on the main route: ``w_to_a`` of the unit W vector e_a."""
+    return BMVector(params, tuple(w_to_a([int(i == a) for i in range(params.num_classes)])))
 
 
 _table = functools.cache(eberlein_table)

@@ -112,6 +112,17 @@ class TestRationalFunctionArithmetic:
         f = RationalFunction((-1, 0, 1), (-1, 1))
         assert f - (NU + 1) == RationalFunction.const(0)
 
+    def test_scalar_minus_function(self):
+        # a scalar on the left of ``-`` takes RationalFunction.__rsub__
+        f = RationalFunction((1, 1), (-4, 2))  # (nu + 1) / (2 nu - 4)
+        for h, num, den, scalar, g in [(1 - NU, (1, -1), (1,), 1, NU),
+                                       (Fraction(1, 2) - f, (-3,), (-4, 2), Fraction(1, 2), f)]:
+            assert type(h) is RationalFunction
+            assert (h.num, h.den) == (num, den)
+            _assert_canonical(h)
+            for x in (0, 1, 3, 7, Fraction(-5, 3)):
+                assert h.evaluate(x) == scalar - g.evaluate(x)
+
     def test_division_by_zero_function(self):
         with pytest.raises(ZeroDivisionError):
             NU / RationalFunction.const(0)

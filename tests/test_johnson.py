@@ -18,14 +18,12 @@ from jshm.johnson import (
     eigensystem,
     eigenvalues,
     entry_sum,
-    identity_vector,
     multiplicities,
     psd_report,
     row_sum,
     schur,
     trace,
     w_to_a,
-    wilson_basis_vector,
 )
 from jshm.oracles import (
     colex_rank,
@@ -41,14 +39,14 @@ from jshm.oracles import (
 )
 from jshm.subsets import colex_tuples
 
-from conftest import eberlein_spectrum, random_vector
+from conftest import eberlein_spectrum, random_vector, w_basis
 
 
 class TestEntry:
     def test_identity_diagonal(self):
         p = SchemeParams(7, 3)
         s = (1, 2, 3)
-        assert entry(identity_vector(p), s, s) == 1
+        assert entry(basis_vector(p, 0), s, s) == 1
 
     def test_all_ones_everywhere(self):
         p = SchemeParams(7, 3)
@@ -67,7 +65,7 @@ class TestEntry:
 class TestDense:
     def test_identity_j42(self):
         p = SchemeParams(4, 2)
-        mat = dense(identity_vector(p))
+        mat = dense(basis_vector(p, 0))
         assert len(mat) == 6
         assert all(mat[i][j] == (1 if i == j else 0)
                    for i in range(6) for j in range(6))
@@ -94,7 +92,7 @@ class TestDense:
                         for j in range(p.order):
                             total[i][j] += mat[i][j]
                 assert all(x == 1 for row in total for x in row)
-                ident = dense(identity_vector(p))
+                ident = dense(basis_vector(p, 0))
                 assert all(ident[i][j] == (1 if i == j else 0)
                            for i in range(p.order) for j in range(p.order))
 
@@ -139,7 +137,7 @@ class TestSchur:
 class TestInnerTraceSum:
     def test_identity_inner(self):
         p = SchemeParams(7, 3)
-        assert inner(identity_vector(p), identity_vector(p)) == 35
+        assert inner(basis_vector(p, 0), basis_vector(p, 0)) == 35
 
     def test_class_inner_and_dense_count(self):
         p = SchemeParams(7, 3)
@@ -188,16 +186,15 @@ class TestSubsetMatrices:
 
     def test_wilson_basis_extremes(self):
         p = SchemeParams(7, 3)
-        assert wilson_basis_vector(0, p).coeffs == all_ones_vector(p).coeffs
-        assert wilson_basis_vector(3, p).coeffs == basis_vector(p, 3).coeffs
+        assert w_basis(0, p).coeffs == all_ones_vector(p).coeffs
+        assert w_basis(3, p).coeffs == basis_vector(p, 3).coeffs
 
     def test_w_to_a(self):
         # W_a back from its unit W vector, and the inverse of the change of
         # basis that eigenvalues writes out
         p = SchemeParams(9, 4)
         for a in range(5):
-            assert w_to_a([int(i == a) for i in range(5)]) == list(
-                wilson_basis_vector(a, p).coeffs)
+            assert w_to_a([int(i == a) for i in range(5)]) == [binom(r, a) for r in range(5)]
         rng = random.Random(17)
         for _ in range(5):
             c = random_vector(p, rng).coeffs
@@ -209,17 +206,18 @@ class TestSubsetMatrices:
         assert got == [0, 0, 1 / NU, 3 / NU + 3 / (NU - 1)]
 
     def test_dense_product_orientation(self):
-        # transpose(W_2) * Wbar_2 must equal the k-indexed coefficient form
+        # transpose(W_a) * Wbar_a must equal w_to_a's coefficient form
         p = SchemeParams(7, 3)
-        prod = mat_mul(mat_transpose(inclusion_matrix(2, p)),
-                       disjointness_matrix(2, p))
-        assert prod == dense(wilson_basis_vector(2, p))
+        for a in range(4):
+            prod = mat_mul(mat_transpose(inclusion_matrix(a, p)),
+                           disjointness_matrix(a, p))
+            assert prod == dense(w_basis(a, p)), a
 
     def test_wilson_basis_expansion_dense(self):
         for (n, k) in [(7, 3), (8, 4)]:
             p = SchemeParams(n, k)
             for i in range(k + 1):
-                expected = dense(wilson_basis_vector(i, p))
+                expected = dense(w_basis(i, p))
                 total = [[0] * p.order for _ in range(p.order)]
                 for r in range(k + 1):
                     mat = dense(basis_vector(p, r))
@@ -363,7 +361,7 @@ class TestEigenSystem:
 class TestBMEigenvalues:
     def test_identity(self):
         p = SchemeParams(7, 3)
-        assert eigenvalues(identity_vector(p)) == (1, 1, 1, 1)
+        assert eigenvalues(basis_vector(p, 0)) == (1, 1, 1, 1)
 
     def test_all_ones(self):
         p = SchemeParams(7, 3)
@@ -381,26 +379,39 @@ class TestBMEigenvalues:
 
 class TestPSD:
     def test_identity_psd(self):
-        rep = psd_report(identity_vector(SchemeParams(7, 3)))
+        rep = psd_report(basis_vector(SchemeParams(7, 3), 0))
         assert rep.psd and rep.min_eigenvalue == 1
 
     def test_negated_identity(self):
-        rep = psd_report(identity_vector(SchemeParams(7, 3)).scale(-1))
+        rep = psd_report(basis_vector(SchemeParams(7, 3), 0).scale(-1))
         assert not rep.psd
 
     def test_kneser_shift_has_zero_minimum(self):
         # least eigenvalue of the disjointness class is -C(n-k-1, k-1) = -3,
         # so I + A_3/3 just touches zero; float oracle agrees
         p = SchemeParams(7, 3)
-        v = identity_vector(p) + basis_vector(p, 3).scale(Fraction(1, 3))
+        v = basis_vector(p, 0) + basis_vector(p, 3).scale(Fraction(1, 3))
         rep = psd_report(v)
         assert rep.psd and rep.min_eigenvalue == 0
         assert min(float_spectrum(dense(v))) == pytest.approx(0, abs=1e-8)
 
 
+def test_difference_is_coefficientwise():
+    p = SchemeParams(7, 3)
+    rng = random.Random(23)
+    u, v = random_vector(p, rng), random_vector(p, rng)
+    diff = u - v
+    assert diff.coeffs == tuple(a - b for a, b in zip(u.coeffs, v.coeffs))
+    assert diff + v == u
+    du, dv = dense(u), dense(v)
+    assert dense(diff) == [[a - b for a, b in zip(ru, rv)] for ru, rv in zip(du, dv)]
+
+
 def test_parameter_mismatch_raises():
-    u = identity_vector(SchemeParams(7, 3))
-    v = identity_vector(SchemeParams(6, 3))
+    u = basis_vector(SchemeParams(7, 3), 0)
+    v = basis_vector(SchemeParams(6, 3), 0)
+    with pytest.raises(ValueError, match="mismatch"):
+        u - v
     with pytest.raises(ValueError, match="mismatch"):
         schur(u, v)
     with pytest.raises(ValueError, match="mismatch"):

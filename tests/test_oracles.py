@@ -17,7 +17,6 @@ from jshm.johnson import (
     all_ones_vector,
     basis_vector,
     dense,
-    identity_vector,
     multiplicities,
 )
 from jshm.oracles import (
@@ -35,7 +34,7 @@ from conftest import eberlein_spectrum, projection_corpus
 
 class TestFloatSpectrum:
     def test_identity(self):
-        got = float_spectrum(dense(identity_vector(SchemeParams(4, 2))))
+        got = float_spectrum(dense(basis_vector(SchemeParams(4, 2), 0)))
         assert got == pytest.approx([1.0] * 6)
 
     def test_petersen(self):

@@ -11,20 +11,19 @@ from jshm.johnson import (
     SchemeParams,
     SelfCheckError,
     SizeBudgetError,
+    basis_vector,
     dense,
-    identity_vector,
     psd_report,
 )
 from jshm.projection import (
     family_lemma_report,
     first_violating_pair,
     pair_distribution,
-    project_dense,
     project_family,
 )
 from jshm.exact import binom
 from jshm.johnson import entry_sum, trace
-from jshm.oracles import mat_mul, mat_transpose
+from jshm.oracles import mat_mul, mat_transpose, project_dense
 from jshm.subsets import colex_tuples, make_family, star_family
 
 from conftest import projection_corpus, random_vector
@@ -271,4 +270,4 @@ class TestSupportOfIntersectingFamilies:
 
     def test_empty_like_identity(self):
         p = SchemeParams(7, 3)
-        assert identity_vector(p).coeffs[0] == 1
+        assert basis_vector(p, 0).coeffs[0] == 1

@@ -1,6 +1,6 @@
 """Start-up: each CLI command loads only the jshm modules it runs, and no
 command loads ``dataclasses``; and the structure of the source: one raise of
-``SizeBudgetError``."""
+``SizeBudgetError``, and one definition of each object."""
 
 import ast
 import json
@@ -100,6 +100,43 @@ def test_one_size_budget_refusal():
                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert raises == [("subsets", "refuse_above")]
     assert not [name for name in functions if "unrank" in name]
+
+
+def _names(tree):
+    """Every identifier a module's code names, comments and strings aside:
+    definitions, imported names, variables and attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _definitions(tree):
+    """The names a module binds by def, class or assignment, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def test_one_definition_per_object():
+    # W_a is built only by johnson.w_to_a and I only as basis_vector(p, 0);
+    # the dense projection, and the colex masks that dense paths walk, live
+    # beside the other oracles
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert {m for m, tree in trees.items() if "colex_masks" in set(_names(tree))} == {
+        "johnson", "oracles"}
+    defined = {m: set(_definitions(tree)) for m, tree in trees.items()}
+    assert [m for m, names in defined.items() if "project_dense" in names] == ["oracles"]
+    assert not [m for m, names in defined.items()
+                if names & {"wilson_basis_vector", "identity_vector"}]
 
 
 def test_variant_choices_match_wilson():

@@ -15,12 +15,10 @@ from jshm.johnson import (
     SizeBudgetError,
     all_ones_vector,
     basis_vector,
-    identity_vector,
     lemma_eigenvalue,
     lemma_spectrum,
     multiplicities,
     schur,
-    wilson_basis_vector,
 )
 from jshm.oracles import (
     disjointness_matrix,
@@ -43,7 +41,7 @@ from jshm.wilson import (
     wilson_matrix_symbolic,
 )
 
-from conftest import STS9_BLOCKS, eberlein_spectrum
+from conftest import STS9_BLOCKS, eberlein_spectrum, w_basis
 
 
 def certificate_grid():
@@ -118,7 +116,7 @@ class TestCertificateMatrix:
             for n in range(2 * k, 13):
                 p = SchemeParams(n, k)
                 got = certificate_matrix(n, k, 1)
-                expected = identity_vector(p) + basis_vector(p, k).scale(
+                expected = basis_vector(p, 0) + basis_vector(p, k).scale(
                     Fraction(1, binom(n - k - 1, k - 1)))
                 assert got.coeffs == expected.coeffs
 
@@ -144,7 +142,7 @@ class TestRatio:
         assert sum_trace_ratio(v) == 7 == Fraction(binom(7, 2), binom(3, 2))
 
     def test_identity(self):
-        assert sum_trace_ratio(identity_vector(SchemeParams(7, 3))) == 1
+        assert sum_trace_ratio(basis_vector(SchemeParams(7, 3), 0)) == 1
 
     def test_strength_one_closed_form(self):
         for k in range(2, 6):
@@ -179,7 +177,7 @@ class TestCliqueCoclique:
 
     def test_identity_pair(self):
         p = SchemeParams(7, 3)
-        rep = clique_coclique(identity_vector(p), identity_vector(p))
+        rep = clique_coclique(basis_vector(p, 0), basis_vector(p, 0))
         assert rep.applicable and rep.holds and not rep.tight
         assert rep.product == 1
 
@@ -237,7 +235,7 @@ class TestWilsonLemma:
             for k in range(1, n // 2 + 1):
                 p = SchemeParams(n, k)
                 for a in range(k + 1):
-                    table = eberlein_spectrum(wilson_basis_vector(a, p))
+                    table = eberlein_spectrum(w_basis(a, p))
                     assert tuple(lemma_eigenvalue(integers_at(n), k, a, j)
                                  for j in range(k + 1)) == table, (n, k, a)
 
