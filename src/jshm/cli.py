@@ -206,11 +206,56 @@ def _cmd_oracle_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _flag(*names, **kwargs) -> argparse.ArgumentParser:
-    """A parser holding one flag, shared through argparse's ``parents``."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument(*names, **kwargs)
-    return parser
+# Each flag that several commands share, declared once.
+_SHARED = {
+    "--n": {"type": int, "required": True},
+    "--k": {"type": int, "required": True},
+    "--t": {"type": int, "required": True},
+    "--budget": {"type": int, "default": None},
+    "--variant": {"choices": VARIANTS, "default": "corrected"},
+    "--lhs": {"choices": sorted(_LHS_FLAGS), "default": "m"},
+    "--rhs": {"choices": sorted(_RHS_FLAGS), "default": "corrected"},
+    "--file": {"required": True},
+}
+
+_GROUPS = {
+    "wilson": "Wilson matrix and EKR certificates",
+    "design": "verify, search, admissibility",
+    "identity": "design matrix vs Wilson matrix",
+    "oracle": "brute-force oracles",
+}
+
+# One row per command, in help order: its words, handler, help, shared flags
+# and own flags.  A parser takes its shared flags first, so identity witness,
+# whose --budget follows its own --n, lists --budget as an own flag.
+_COMMANDS = (
+    ("scheme", _cmd_scheme, "exact eigenvalue table of J(n,k)", "--n --k", ()),
+    ("wilson omega", _cmd_wilson_omega, "coefficients of the Wilson matrix",
+     "--n --k --t --variant", ()),
+    ("wilson certify", _cmd_wilson_certify, "build and verify an EKR certificate",
+     "--n --k --t --variant", ()),
+    ("project", _cmd_project, "project a family file onto the algebra", "--file --t", ()),
+    ("design verify", _cmd_design_verify, "verify a family file as a t-design",
+     "--file --t", ()),
+    ("design search", _cmd_design_search, "exact-cover search for a t-(n,k,1) design",
+     "--n --k --t --budget", ()),
+    ("design admissible", _cmd_design_admissible, "divisibility admissibility", "--k --t",
+     (("--n", {"type": int, "default": None}), ("--n-max", {"type": int, "default": None}))),
+    ("identity prove", _cmd_identity_prove, "symbolic coefficient comparison",
+     "--k --t --lhs --rhs", ()),
+    ("identity pointwise", _cmd_identity_pointwise, "exact comparison over an integer range",
+     "--k --t --lhs --rhs", (("--n-from", {"type": int, "required": True}),
+                             ("--n-to", {"type": int, "required": True}))),
+    ("identity witness", _cmd_identity_witness, "verify through explicitly found designs",
+     "--k --t", (("--n", {"type": int, "action": "append", "required": True,
+                          "help": "ground-set size to test (repeatable)"}),
+                 ("--budget", _SHARED["--budget"]))),
+    ("oracle max-family", _cmd_oracle_max_family, "exact maximum t-intersecting family",
+     "--n --k --t --budget", ()),
+    ("oracle spectrum", _cmd_oracle_spectrum, "float spectrum of an algebra element",
+     "--n --k", (("--coeffs", {"required": True,
+                               "help": "comma-separated rationals c_0..c_k"}),)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,73 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certificates in the Johnson scheme: Wilson matrix, "
                     "design projections, intersecting-family bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # a parent's flags come before the command's own in help and usage, so
-    # a flag declared after a command-specific one stays local
-    n, k, t = (_flag(name, type=int, required=True) for name in ("--n", "--k", "--t"))
-    budget = _flag("--budget", type=int, default=None)
-    variant = _flag("--variant", choices=VARIANTS, default="corrected")
-    lhs = _flag("--lhs", choices=sorted(_LHS_FLAGS), default="m")
-    rhs = _flag("--rhs", choices=sorted(_RHS_FLAGS), default="corrected")
-    file = _flag("--file", required=True)
-
-    p = sub.add_parser("scheme", parents=[n, k], help="exact eigenvalue table of J(n,k)")
-    p.set_defaults(func=_cmd_scheme)
-
-    w = sub.add_parser("wilson", help="Wilson matrix and EKR certificates")
-    wsub = w.add_subparsers(dest="subcommand", required=True)
-    p = wsub.add_parser("omega", parents=[n, k, t, variant],
-                        help="coefficients of the Wilson matrix")
-    p.set_defaults(func=_cmd_wilson_omega)
-    p = wsub.add_parser("certify", parents=[n, k, t, variant],
-                        help="build and verify an EKR certificate")
-    p.set_defaults(func=_cmd_wilson_certify)
-
-    p = sub.add_parser("project", parents=[file, t],
-                       help="project a family file onto the algebra")
-    p.set_defaults(func=_cmd_project)
-
-    d = sub.add_parser("design", help="verify, search, admissibility")
-    dsub = d.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("verify", parents=[file, t],
-                        help="verify a family file as a t-design")
-    p.set_defaults(func=_cmd_design_verify)
-    p = dsub.add_parser("search", parents=[n, k, t, budget],
-                        help="exact-cover search for a t-(n,k,1) design")
-    p.set_defaults(func=_cmd_design_search)
-    p = dsub.add_parser("admissible", parents=[k, t], help="divisibility admissibility")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.set_defaults(func=_cmd_design_admissible)
-
-    i = sub.add_parser("identity", help="design matrix vs Wilson matrix")
-    isub = i.add_subparsers(dest="subcommand", required=True)
-    p = isub.add_parser("prove", parents=[k, t, lhs, rhs],
-                        help="symbolic coefficient comparison")
-    p.set_defaults(func=_cmd_identity_prove)
-    p = isub.add_parser("pointwise", parents=[k, t, lhs, rhs],
-                        help="exact comparison over an integer range")
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
-    p.set_defaults(func=_cmd_identity_pointwise)
-    p = isub.add_parser("witness", parents=[k, t],
-                        help="verify through explicitly found designs")
-    p.add_argument("--n", type=int, action="append", required=True,
-                   help="ground-set size to test (repeatable)")
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_identity_witness)
-
-    o = sub.add_parser("oracle", help="brute-force oracles")
-    osub = o.add_subparsers(dest="subcommand", required=True)
-    p = osub.add_parser("max-family", parents=[n, k, t, budget],
-                        help="exact maximum t-intersecting family")
-    p.set_defaults(func=_cmd_oracle_max_family)
-    p = osub.add_parser("spectrum", parents=[n, k],
-                        help="float spectrum of an algebra element")
-    p.add_argument("--coeffs", required=True,
-                   help="comma-separated rationals c_0..c_k")
-    p.set_defaults(func=_cmd_oracle_spectrum)
-
+    # keyed by group, "" for the top level
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, func, help_text, shared, own in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = subparsers[""].add_parser(
+                group, help=_GROUPS[group]).add_subparsers(dest="subcommand", required=True)
+        p = subparsers[group].add_parser(name, help=help_text)
+        for flag in shared.split():
+            p.add_argument(flag, **_SHARED[flag])
+        for flag, spec in own:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -45,8 +45,8 @@ from fractions import Fraction
 from itertools import chain, combinations, compress
 
 from .exact import RationalFunction, Record, Report, binom, binom_at_int, binom_rf, to_json
-from .johnson import (MAX_TABLE_K, MAX_TABLE_N, BMVector, SchemeParams, entry_sum,
-                      plus_identity, trace)
+from .johnson import (MAX_TABLE_K, MAX_TABLE_N, BMVector, SchemeParams,
+                      binomial_inversion, entry_sum, plus_identity, trace)
 from .projection import project_family
 from .subsets import (
     MAX_COUNT_WORK,
@@ -183,12 +183,12 @@ def design_matrix_symbolic(k: int, t: int) -> list[RationalFunction]:
 def _excess_numerators(binom_at, k, t):
     """(E, l, g) over the provider, in ring operations only, for i, s = 0..t:
     E = lcm of the C(k-i, t-i), which is free of nu, l_i = E lambda_i =
-    C(nu-i, t-i) E / C(k-i, t-i) and g_s = E excess_sum(s)."""
+    C(nu-i, t-i) E / C(k-i, t-i) and g_s = E excess_sum(s), the binomial
+    inversion of C(k, i) (l_i - E)."""
     e = math.lcm(*(binom(k - i, t - i) for i in range(t + 1)))
     lam = [binom_at(-i, t - i) * (e // binom(k - i, t - i)) for i in range(t + 1)]
     excess = [x - e for x in lam]
-    g = [sum((-1) ** (i - s) * binom(i, s) * binom(k, i) * excess[i]
-             for i in range(s, t + 1)) for s in range(t + 1)]
+    g = binomial_inversion([binom(k, i) * x for i, x in enumerate(excess)])
     return e, lam, g
 
 

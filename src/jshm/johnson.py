@@ -179,6 +179,14 @@ def w_to_a(w) -> list:
     return [sum((binom(r, a) * x for a, x in terms if a <= r), zero) for r in range(len(w))]
 
 
+def binomial_inversion(x) -> list:
+    """y_j = sum_{i >= j} (-1)^(i-j) C(i, j) x_i for j = 0..len(x)-1, over
+    any scalar type: the "exactly j" counts y from the "at least" counts
+    x_i = sum_{j >= i} C(j, i) y_j."""
+    return [sum((-1) ** (i - j) * binom(i, j) * x[i] for i in range(j, len(x)))
+            for j in range(len(x))]
+
+
 def multiplicities(n: int, k: int) -> tuple[int, ...]:
     """Dimensions m_j = C(n,j) - C(n,j-1) of the eigenspaces V_0..V_k of J(n,k)."""
     return tuple(binom(n, j) - binom(n, j - 1) for j in range(k + 1))
@@ -215,22 +223,17 @@ class EigenSystem(Record):
 
 def eigensystem(params: SchemeParams) -> EigenSystem:
     """Build and self-verify the eigenvalue table of J(n,k), k <= n-k, in
-    integers: A_i = sum_a (-1)^(a-i) C(a, i) W_a, so column i combines the
-    spectra of W_0..W_k, each taken once from Wilson's lemma.  The eigenspace
-    dimensions must sum to C(n,k), row j must sum to C(n,k) if j = 0 and to 0
-    otherwise, every class but A_0 must have zero trace, and column 1 must
-    equal (k-j)(n-k-j) - j."""
+    integers: A_i = sum_a (-1)^(a-i) C(a, i) W_a, so row j is the binomial
+    inversion of the eigenvalues of W_0..W_k on V_j from Wilson's lemma (0
+    for a < j).  The eigenspace dimensions must sum to C(n,k), row j must sum
+    to C(n,k) if j = 0 and to 0 otherwise, every class but A_0 must have zero
+    trace, and column 1 must equal (k-j)(n-k-j) - j."""
     n, k = params.n, params.k
     if k > n - k:
         raise ValueError(f"eigensystem requires k <= n-k, got k={k}, n={n}")
     binom_at = binom_at_int(n)
-    table = [[0] * (k + 1) for _ in range(k + 1)]
-    for a in range(k + 1):
-        spectrum = [lemma_eigenvalue(binom_at, k, a, j) for j in range(a + 1)]  # 0 beyond a
-        for i in range(a + 1):
-            c = (-1) ** (a - i) * binom(a, i)
-            for j, x in enumerate(spectrum):
-                table[j][i] += c * x
+    table = [binomial_inversion([lemma_eigenvalue(binom_at, k, a, j) for a in range(k + 1)])
+             for j in range(k + 1)]
     m = multiplicities(n, k)
     order = params.order
     if sum(m) != order:

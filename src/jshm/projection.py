@@ -11,9 +11,10 @@ The pair distribution is counted through shared subsets.  With c(U) the
 number of members containing U, N_i = sum over i-sets U of c(U)^2 counts the
 ordered pairs (S, T) with an i-subset of S and T, so N_i = sum_j C(j,i) e_j,
 where e_j is the number of ordered pairs meeting in j points.  Binomial
-inversion gives e_j = sum_{i >= j} (-1)^(i-j) C(i,j) N_i exactly, and
-d_r = e_{k-r}.  This costs O(|F| 2^k) against O(|F|^2) for the walk over
-member pairs, so the counts are used when 2^k <= |F| and the walk otherwise.
+inversion (``johnson.binomial_inversion``) gives e_j = sum_{i >= j} (-1)^(i-j)
+C(i,j) N_i exactly, and d_r = e_{k-r}.  This costs O(|F| 2^k) against
+O(|F|^2) for the walk over member pairs, so the counts are used when
+2^k <= |F| and the walk otherwise.
 
 The projection preserves both the trace and the sum of entries (take the
 defining orthogonality against I and against the all-ones matrix), so a
@@ -28,11 +29,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exact import Record, Report, binom
+from .exact import Record, Report
 from .johnson import (
     BMVector,
     SchemeParams,
     SelfCheckError,
+    binomial_inversion,
     class_size,
     entry_sum,
     trace,
@@ -67,9 +69,7 @@ def pair_distribution(fam: Family) -> PairDistribution:
     for i in range(k + 1):
         through = Counter(chain.from_iterable(combinations(b, i) for b in fam.members))
         shared.append(sum(c * c for c in through.values()))
-    meets = [sum((-1) ** (i - j) * binom(i, j) * shared[i] for i in range(j, k + 1))
-             for j in range(k + 1)]
-    return PairDistribution(tuple(reversed(meets)))
+    return PairDistribution(tuple(reversed(binomial_inversion(shared))))
 
 
 def project_family(fam: Family) -> BMVector:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import jshm
-from jshm import identity, projection
+from jshm import cli, identity, projection
 from jshm.cli import main
 from jshm.designs import SearchOutcome, verify_design
 from jshm.subsets import family_from_dict, family_to_dict
@@ -960,8 +961,8 @@ def test_pinned_output(argv, tmp_path):
 
 
 # The first 16 hex digits of the sha256 of each parser's -h output at 80
-# columns, keyed by its usage prefix: all 17 parsers, pinned while each
-# command still declared every one of its flags itself.
+# columns, keyed by its usage prefix: all 17 parsers that build_parser makes
+# from cli._COMMANDS and cli._GROUPS, one per command, group and the top level.
 HELP = {
     "jshm": "36d26c83f9e809cc",
     "jshm scheme": "f11196a760a5b4a7",
@@ -981,6 +982,24 @@ HELP = {
     "jshm oracle max-family": "7339d10a675b78a8",
     "jshm oracle spectrum": "481640175d197612",
 }
+
+
+def test_every_parser_has_its_help_pinned(monkeypatch):
+    # a command added to the table cannot land without its help pin
+    paths = {words for words, *_ in cli._COMMANDS}
+    groups = {words.rpartition(" ")[0] for words in paths} - {""}
+    assert groups == set(cli._GROUPS)
+    assert {"jshm"} | {f"jshm {path}" for path in paths | groups} == set(HELP)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser()
+    assert len(built) == len(HELP)
 
 
 @pytest.mark.parametrize("command", sorted(HELP))

@@ -342,6 +342,9 @@ PINNED_SEARCHES = {
     (12, 6, 5, None): ("found", 132, "6480f77b3209906b"),
     (21, 5, 2, None): ("found", 21, "4b51faed948a01ad"),
     (25, 5, 2, None): ("found", 205, "9389c161bce9cc36"),
+    # 990 columns by 14 190 rows, above MAX_PACKED_CELLS: the list kernel, and
+    # the same nodes and blocks as oracles.exact_cover
+    (45, 3, 2, None): ("found", 351, "5baa858f3d2776d8"),
     (5, 5, 5, None): ("found", 1, "05b245f79a23de6a"),
     (6, 2, 1, None): ("found", 3, "dfcd6ae0bc2228de"),
     (4, 1, 1, None): ("found", 4, "1af3813c7227d698"),

@@ -12,6 +12,7 @@ from jshm.johnson import (
     SizeBudgetError,
     all_ones_vector,
     basis_vector,
+    binomial_inversion,
     class_size,
     colex_masks,
     dense,
@@ -204,6 +205,18 @@ class TestSubsetMatrices:
         got = w_to_a([0, 0, 1 / NU, 3 / (NU - 1)])
         assert all(isinstance(x, RationalFunction) for x in got)
         assert got == [0, 0, 1 / NU, 3 / NU + 3 / (NU - 1)]
+
+    def test_binomial_inversion(self):
+        # inverts x_i = sum_{j >= i} C(j, i) y_j, over ints, Fractions and Q(nu)
+        rng = random.Random(29)
+        for length in range(1, 9):
+            ints = [rng.randint(-50, 50) for _ in range(length)]
+            for y in (ints, [Fraction(v, rng.randint(1, 9)) for v in ints],
+                      [v / (NU + v) for v in ints]):
+                x = [sum((binom(j, i) * y[j] for j in range(i, length)), 0 * y[0])
+                     for i in range(length)]
+                assert binomial_inversion(x) == y
+        assert binomial_inversion([]) == []
 
     def test_dense_product_orientation(self):
         # transpose(W_a) * Wbar_a must equal w_to_a's coefficient form

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -53,6 +55,29 @@ class TestPairDistribution:
         # the walk runs when 2^k > |F|, the shared-subset counts otherwise
         fam = data.draw(families(counted))
         assert pair_distribution(fam).counts == walked_distribution(fam)
+
+    # (seed, n, k, |F|) -> (first 16 hex digits of the sha256 of the JSON
+    # block list, counts); |F| >= 2^k, so the shared-subset counts run.  The
+    # counts were checked against the walk over all member pairs.
+    PINNED_COUNTS = {
+        (8, 24, 8, 300): ("878df12facc5dfbb",
+                          (300, 14, 426, 3836, 15554, 29910, 27294, 10986, 1680)),
+        (9, 30, 9, 600): ("5e166e8010c96bb7",
+                          (600, 8, 180, 2836, 19142, 64392, 113730, 105340, 46120, 7652)),
+        (10, 40, 10, 1100): ("1d40387bb7a45747", (1100, 0, 32, 720, 8332, 51590, 177808,
+                                                   348352, 375208, 204180, 42678)),
+    }
+
+    @pytest.mark.parametrize("seed,n,k,size", sorted(PINNED_COUNTS))
+    def test_pinned_counts(self, seed, n, k, size):
+        rng = random.Random(seed)
+        blocks = set()
+        while len(blocks) < size:
+            blocks.add(tuple(sorted(rng.sample(range(1, n + 1), k))))
+        fam = make_family(n, k, sorted(blocks))
+        assert 2 ** k <= fam.size
+        digest = hashlib.sha256(json.dumps(fam.blocks()).encode()).hexdigest()[:16]
+        assert (digest, pair_distribution(fam).counts) == self.PINNED_COUNTS[seed, n, k, size]
 
     @pytest.mark.parametrize("fam,work", [
         (make_family(7, 3, [[1, 2, 3], [4, 5, 6], [1, 4, 7]]), 3 * 3),  # walk
