@@ -10,10 +10,10 @@ the classical counting formulas give the number of blocks through any i-set,
 and the projection of the design's pair matrix onto the Bose-Mesner algebra
 is (|D| / C(n,k)) * (I + M(n,k,t)), where the matrix M is assembled from the
 alternating excess sums below.  M is well defined whether or not a design
-exists.  The block counts and excess sums are written once, in ring
-operations over a binomial provider, numeric (``exact.binom_at_int(n)``) or
-symbolic in nu (``exact.binom_rf``), as numerators over one integer E; each
-caller divides once, so M makes one quotient per coefficient.
+exists.  The block counts, excess sums and M's coefficients are written
+once, as numerators over E and over E C(k,r) C(nu-k,r) (``_m_numerators``)
+in ring operations over a binomial provider: ``exact.binom_at_int(n)``, or
+k! ``exact.binom_rf``, which keeps the symbolic M in Z[nu].
 
 The search is Knuth's Algorithm X (*Dancing Links*, 2000) over plain
 sequences: each row is a tuple of its column indices, each column a list of
@@ -44,7 +44,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, compress
 
-from .exact import RationalFunction, Record, Report, binom, binom_at_int, binom_rf, to_json
+from .exact import (RationalFunction, Record, Report, _reduced, binom, binom_at_int, binom_rf,
+                    to_json)
 from .johnson import (MAX_TABLE_K, MAX_TABLE_N, BMVector, SchemeParams,
                       binomial_inversion, entry_sum, plus_identity, trace)
 from .projection import project_family
@@ -166,29 +167,38 @@ def design_matrix(n: int, k: int, t: int) -> BMVector:
     params = SchemeParams(n, k)
     if k > n - k:
         raise ValueError(f"out of regime: C({n - k},{k}) = 0 (need k <= n-k)")
-    e, _, g = _excess_numerators(binom_at_int(n), k, t)
-    return BMVector(params, (Fraction(0),) * (k - t) + tuple(
-        Fraction(g[k - r], e * binom(n - k, r) * binom(k, r)) for r in range(k - t, k + 1)))
+    return BMVector(params, tuple(Fraction(a, b) for a, b in _m_numerators(binom_at_int(n), k, t)))
 
 
 def design_matrix_symbolic(k: int, t: int) -> list[RationalFunction]:
-    """Coefficients of M(nu,k,t) on A_0..A_k as rational functions of nu."""
+    """Coefficients of M(nu,k,t) on A_0..A_k as rational functions of nu, each
+    reduced once: k! C(nu+shift, b) is an integer polynomial for b <= k."""
     if not 0 <= t < k:
         raise ValueError(f"need 0 <= t < k, got t={t}, k={k}")
-    e, _, g = _excess_numerators(binom_rf, k, t)
-    return [RationalFunction.const(0)] * (k - t) + [
-        g[k - r] / (binom_rf(-k, r) * (e * binom(k, r))) for r in range(k - t, k + 1)]
+    scale = math.factorial(k)
+    pairs = _m_numerators(lambda shift, b: binom_rf(shift, b) * scale, k, t)
+    return [_reduced(list(a.num), b.num) for a, b in pairs]
+
+
+def _m_numerators(binom_at, k, t) -> list:
+    """M's coefficients on A_0..A_k as (numerator, denominator) pairs over the
+    provider: g_(k-r) over E C(k,r) C(nu-k,r) for r = k-t..k, and 0 over the
+    provider's 1 below."""
+    e, _, g = _excess_numerators(binom_at, k, t)
+    one = binom_at(0, 0)
+    return [(0 * one, one)] * (k - t) + [
+        (g[k - r], binom_at(-k, r) * (e * binom(k, r))) for r in range(k - t, k + 1)]
 
 
 def _excess_numerators(binom_at, k, t):
     """(E, l, g) over the provider, in ring operations only, for i, s = 0..t:
     E = lcm of the C(k-i, t-i), which is free of nu, l_i = E lambda_i =
     C(nu-i, t-i) E / C(k-i, t-i) and g_s = E excess_sum(s), the binomial
-    inversion of C(k, i) (l_i - E)."""
+    inversion of C(k, i) (l_i - l_t), as lambda_t = 1.  Over a provider
+    scaled by a constant, l and g scale with it."""
     e = math.lcm(*(binom(k - i, t - i) for i in range(t + 1)))
     lam = [binom_at(-i, t - i) * (e // binom(k - i, t - i)) for i in range(t + 1)]
-    excess = [x - e for x in lam]
-    g = binomial_inversion([binom(k, i) * x for i, x in enumerate(excess)])
+    g = binomial_inversion([binom(k, i) * (x - lam[t]) for i, x in enumerate(lam)])
     return e, lam, g
 
 

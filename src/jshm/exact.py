@@ -22,7 +22,9 @@ one, and ``to_json`` writes every document.
 
 A binomial provider, ``binom_rf`` or ``binom_at_int(n)``, maps (shift, b)
 to C(nu + shift, b); formulas use it with ring operations only, so the
-numeric ones stay in integers, and each caller divides once.
+numeric ones stay in integers, and each caller divides once; over integer
+polynomials, each their own form, ring operations reduce nothing, so a
+symbolic caller stays in Z[nu] and calls ``_reduced`` once per result.
 
 Everything here is immutable and pure; ``binom_rf`` is memoised for that
 reason.
@@ -170,6 +172,8 @@ def _reduced(a: list[int], b) -> "RationalFunction":
         a.pop()
     if not a:
         return _ZERO
+    if len(b) == 1 and b[0] == 1:  # an integer polynomial is its own form
+        return _rf(tuple(a), (1,))
     (ca, a), (cb, b) = _split(a), _split(b)
     if len(a) > 1 and len(b) > 1:
         g = _zgcd(a, b)
@@ -272,6 +276,8 @@ class RationalFunction:
             # a nonzero scalar p/q changes only the contents: num and den
             # stay coprime up to an integer, which one gcd divides out
             p, q = other.numerator, other.denominator
+            if q == 1 and self.den == (1,):  # an integer polynomial stays one
+                return _rf(tuple(x * p for x in self.num), (1,))
             num, den = [x * p for x in self.num], [x * q for x in self.den]
             g = math.gcd(*num, *den)
             return _rf(tuple(x // g for x in num), tuple(x // g for x in den))
@@ -458,10 +464,15 @@ def binom_rf(shift: int, b: int) -> RationalFunction:
     """
     if b < 0:
         raise ValueError(f"binom_rf: negative subset size {b}")
-    falling = [1]
-    for j in range(b):  # times (nu + shift - j)
-        falling = _padd([0] + falling, [(shift - j) * c for c in falling])
-    return _reduced(falling, (math.factorial(b),))
+    return _reduced(_linear_product(range(-shift, b - shift)), (math.factorial(b),))
+
+
+def _linear_product(roots) -> list[int]:
+    """The product of (nu - m) over the integers m in roots, ascending."""
+    out = [1]
+    for m in roots:
+        out = _padd([0] + out, [-m * c for c in out])
+    return out
 
 
 def binom_at_int(n: int):

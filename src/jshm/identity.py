@@ -10,13 +10,11 @@ form, so "equal" means every h_r is the zero rational function.
 A pointwise comparator re-derives the verdict from exact evaluations at
 integer ground-set sizes: once both sides agree at more points than the
 degree of the cleared numerators (2k+1 suffices), polynomial vanishing
-forces symbolic equality.  Both routes share one transcription of M's and
-of Omega's terms, in ring operations over one common denominator: the
-numeric sides evaluate ``designs._excess_numerators`` and
-``wilson._omega_terms`` in integers over ``exact.binom_at_int``, the
-symbolic sides over ``exact.binom_rf``, so this tests the two evaluations;
-the formulas themselves are checked by :func:`design_witness_check`,
-M = Omega and perfbench/checks.py.
+forces symbolic equality.  Both routes share one transcription of M and
+of Omega's terms as numerators over a denominator, in integers at a size
+(compared by cross-multiplication) and in Z[nu], so this tests the two
+evaluations; the formulas themselves are checked by
+:func:`design_witness_check`, M = Omega and perfbench/checks.py.
 
 Each symbolic side is built once per (k, t, variant) and kept for the life
 of the process: the six side pairs of one (k, t) and the pointwise
@@ -32,6 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .designs import (
+    _m_numerators,
     admissible,
     design_matrix,
     design_matrix_symbolic,
@@ -39,10 +38,10 @@ from .designs import (
     search_design,
     DEFAULT_SEARCH_BUDGET,
 )
-from .exact import PoleError, RationalFunction, Report
-from .johnson import MAX_TABLE_N, BMVector, SelfCheckError, plus_identity
+from .exact import PoleError, RationalFunction, Report, binom_at_int
+from .johnson import MAX_TABLE_N, BMVector, SelfCheckError, plus_identity, w_to_a
 from .subsets import SizeBudgetError, refuse_above
-from .wilson import wilson_matrix, wilson_matrix_symbolic
+from .wilson import _omega_numerators, wilson_matrix, wilson_matrix_symbolic
 
 # side -> (builder, Wilson variant, adds I on A_0)
 _SIDES = {
@@ -57,11 +56,11 @@ RHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "omega")
 
 # The symbolic sides (and so compare_symbolic and compare_pointwise) refuse
 # k > MAX_SYMBOLIC_K: rational-function cost grows steeply with k.  On a
-# 2-vCPU x86-64 host the worst admitted comparison, k = 24 against the
-# corrected Omega at t near 18, takes about 0.04 s cold, against 0.07 s at
-# k = 28.  compare_pointwise also refuses more than MAX_POINTWISE_POINTS
-# sizes (each costs up to 2 ms at k = 24, so 1000 take about 1.5 s) and
-# n_to >= MAX_TABLE_N, the bound of the numeric sides.
+# 2-vCPU x86-64 host the worst admitted comparison, M against the corrected
+# Omega at k = 24, takes 0.011-0.017 s cold, against 0.016-0.023 s at k = 28.
+# compare_pointwise also refuses more than MAX_POINTWISE_POINTS sizes (each
+# costs up to 0.7 ms at k = 24, so 1000 take 0.5-0.7 s) and n_to >=
+# MAX_TABLE_N, the bound of the numeric sides.
 MAX_SYMBOLIC_K = 24
 MAX_POINTWISE_POINTS = 1000
 
@@ -102,6 +101,21 @@ def numeric_side(name: str, n: int, k: int, t: int) -> BMVector:
     if adds_identity:
         side = BMVector(side.params, tuple(plus_identity(side.coeffs)))
     return side
+
+
+def _side_numerators(name: str, n: int, k: int, t: int) -> list[tuple[int, int]]:
+    """One side's coefficients at size n as integer (numerator, denominator)
+    pairs; adding I adds the denominator on A_0."""
+    builder, variant, adds_identity = _SIDES[name]
+    if builder == "m":
+        pairs = _m_numerators(binom_at_int(n), k, t)
+    else:
+        den, w = _omega_numerators(n, k, t, variant)
+        pairs = [(c, den) for c in w_to_a(w)]
+    if adds_identity:
+        a, b = pairs[0]
+        pairs[0] = (a + b, b)
+    return pairs
 
 
 class SymbolicWitness(NamedTuple):
@@ -211,10 +225,9 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
     The range must start at 2k (below that the coefficient formulas hit
     poles or empty classes) and contain at least 2k+1 integers; agreement at
     2k+1 pole-free points exceeds the cleared-numerator degree bound and so
-    certifies the identity.  The numeric M and Omega are the integer
-    evaluations of ``designs._excess_numerators`` and ``wilson._omega_terms``
-    over one common denominator each, the symbolic ones use
-    ``exact.binom_rf``.  The verdict is cross-checked against
+    certifies the identity.  At each size each side is integer numerators
+    over denominators (:func:`_side_numerators`), and the sides agree on A_r
+    when the cross products agree.  The verdict is cross-checked against
     :func:`compare_symbolic` and a disagreement aborts loudly.  Before any
     point is evaluated, k above MAX_SYMBOLIC_K, more than
     MAX_POINTWISE_POINTS sizes and n_to >= 2**64 are refused with SizeBudgetError.
@@ -232,13 +245,13 @@ def compare_pointwise(k: int, t: int, lhs: str, rhs: str,
     equal_count = 0
     first_failure = None
     for n in range(n_from, n_to + 1):
-        left = numeric_side(lhs, n, k, t)
-        right = numeric_side(rhs, n, k, t)
-        if left.coeffs == right.coeffs:
+        pairs = list(zip(_side_numerators(lhs, n, k, t), _side_numerators(rhs, n, k, t)))
+        r = next((r for r, ((a, b), (c, d)) in enumerate(pairs) if a * d != c * b), None)
+        if r is None:
             equal_count += 1
         elif first_failure is None:
-            r = next(i for i, (a, b) in enumerate(zip(left.coeffs, right.coeffs)) if a != b)
-            first_failure = PointwiseFailure(n, r, left.coeffs[r], right.coeffs[r])
+            (a, b), (c, d) = pairs[r]
+            first_failure = PointwiseFailure(n, r, Fraction(a, b), Fraction(c, d))
 
     # the range holds at least 2k+1 = threshold sizes, so no failure means
     # equal_count >= threshold

@@ -176,14 +176,14 @@ def w_to_a(w) -> list:
     so it has C(r, a) on A_r; Wilson's matrix is written in this basis."""
     zero = 0 * w[-1]
     terms = [(a, x) for a, x in enumerate(w) if x != 0]
-    return [sum((binom(r, a) * x for a, x in terms if a <= r), zero) for r in range(len(w))]
+    return [sum((math.comb(r, a) * x for a, x in terms if a <= r), zero) for r in range(len(w))]
 
 
 def binomial_inversion(x) -> list:
     """y_j = sum_{i >= j} (-1)^(i-j) C(i, j) x_i for j = 0..len(x)-1, over
     any scalar type: the "exactly j" counts y from the "at least" counts
     x_i = sum_{j >= i} C(j, i) y_j."""
-    return [sum((-1) ** (i - j) * binom(i, j) * x[i] for i in range(j, len(x)))
+    return [sum((-1) ** (i - j) * math.comb(i, j) * x[i] for i in range(j, len(x)))
             for j in range(len(x))]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from operator import lt
 
 from .exact import Record, binom
 
@@ -73,6 +74,10 @@ class Family(Record):
     def __post_init__(self):
         n, k = self.n, self.k
         for m in self.members:
+            # a block of k ints in [1, n], strictly increasing, passes this
+            # one test; the ordered checks below name the fault of any other
+            if 0 < k == len(m) and 0 < m[0] and m[-1] <= n and all(map(lt, m, m[1:])):
+                continue
             if len(set(m)) != len(m):
                 raise ValueError(f"duplicate element in block {list(m)}")
             if len(m) != k:

@@ -12,9 +12,9 @@ Two variants of Omega are implemented side by side:
 Only the corrected variant agrees with the design-projection matrix (the
 identity module demonstrates the mismatch of the literal one mechanically),
 so ``corrected`` is the default everywhere.  Omega's terms are written once
-(``_omega_terms``): the numeric Omega evaluates them in integers over one
-common denominator, the symbolic one over ``exact.binom_rf``, and both go
-to the A basis through ``johnson.w_to_a``.
+(``_omega_terms``), put over one common denominator, in integers or in
+Z[nu] (``_omega_numerators`` and its twin), and taken to the A basis by
+``johnson.w_to_a``; the symbolic Omega reduces each coefficient once.
 
 A certificate for (n,k,t) verifies, with exact arithmetic throughout: the
 matrix is positive semidefinite, its off-diagonal support avoids A_1..
@@ -30,8 +30,9 @@ entry-sum/trace ratio, so every verdict is a sign or a cross-multiplication
 of integers, and Fractions appear only in the document.  Two self-checks
 raise SelfCheckError: the spectrum must give the trace C(n,k) of I + Omega,
 and theta_0 must equal the entry-sum/trace ratio from the class valencies.
-The tests hold the spectrum against ``oracles.eberlein_table`` and the
-coefficients against the symbolic Omega over ``exact.binom_rf``.
+The tests hold the spectrum against ``oracles.eberlein_table``, the
+coefficients against the symbolic Omega, and that against its terms summed
+over ``exact.binom_rf``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact import RationalFunction, Report, binom, binom_at_int, binom_rf, rat_to_str
+from .exact import (RationalFunction, Report, _linear_product, _pdivmod, _reduced, binom,
+                    binom_at_int, rat_to_str)
 from .johnson import (
     BMVector,
     SchemeParams,
@@ -89,10 +91,8 @@ def wilson_matrix_symbolic(k: int, t: int, variant: str = "corrected") -> list[R
     _check_variant(variant)
     if not 1 <= t <= k:
         raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
-    w = [0] * (k + 1)
-    for s, h, a in _omega_terms(k, t, variant):
-        w[a] = s / binom_rf(h, k - t)
-    return w_to_a(w)
+    den, w = _omega_numerators_symbolic(k, t, variant)
+    return [_reduced(list(c.num), den) for c in w_to_a(w)]
 
 
 def _omega_terms(k, t, variant):
@@ -113,6 +113,20 @@ def _omega_numerators(n, k, t, variant) -> tuple[int, list[int]]:
     w = [0] * (k + 1)
     for s, d, a in terms:
         w[a] = s * (den // d)
+    return den, w
+
+
+def _omega_numerators_symbolic(k, t, variant) -> tuple[list[int], list]:
+    """(D, w), the twin of ``_omega_numerators`` in Z[nu]: C(nu+h, k-t) is
+    (nu+h)...(nu+h-k+t+1) / (k-t)!, so D, the product of nu - m over the
+    union of the terms' roots m, is their lcm, and w_a = s D / C(nu+h, k-t)
+    are integer polynomials."""
+    terms = [(s, range(-h, k - t - h), a) for s, h, a in _omega_terms(k, t, variant)]
+    den = _linear_product(set().union(*(r for _, r, _ in terms)))
+    scale = math.factorial(k - t)
+    w = [0] * (k + 1)
+    for s, r, a in terms:
+        w[a] = _reduced([s * scale * c for c in _pdivmod(den, _linear_product(r))[0]], (1,))
     return den, w
 
 

@@ -261,10 +261,11 @@ class TestDesignMatrix:
         assert top.params == SchemeParams(MAX_TABLE_N - 1, MAX_TABLE_K)
 
     def test_symbolic_matches_numeric(self):
-        # the symbolic M divides by binom_rf, the numeric M makes one Fraction
-        # per coefficient from integers: every t < k, every 2k <= n <= 25 for
-        # k <= 8, and three sizes each for k = 12, 16, 24.  Every numeric
-        # coefficient is a Fraction, which to_json writes as a string.
+        # the symbolic M reduces integer polynomials over k! binom_rf, the
+        # numeric M makes one Fraction per coefficient from integers over
+        # binom_at_int: every t < k, every 2k <= n <= 25 for k <= 8, and three
+        # sizes each for k = 12, 16, 24.  Every numeric coefficient is a
+        # Fraction, which to_json writes as a string.
         for k in [*range(2, 9), 12, 16, 24]:
             sizes = range(2 * k, 26) if k <= 8 else (2 * k, 3 * k + 1, 10**6 + 7)
             for t in range(k):

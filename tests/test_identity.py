@@ -4,22 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from jshm import identity
+from jshm import designs, identity, wilson
 from jshm.designs import design_matrix, design_matrix_symbolic
-from jshm.exact import NU, rf_to_str
+from jshm.exact import NU, RationalFunction, binom, binom_rf, rf_to_str
 from jshm.identity import (
     LHS_CHOICES,
     MAX_POINTWISE_POINTS,
     MAX_SYMBOLIC_K,
     RHS_CHOICES,
+    PointwiseFailure,
+    PointwiseReport,
     compare_pointwise,
     compare_symbolic,
     design_witness_check,
     numeric_side,
     symbolic_side,
 )
-from jshm.johnson import MAX_TABLE_N, SelfCheckError, SizeBudgetError
-from jshm.wilson import wilson_matrix, wilson_matrix_symbolic
+from jshm.johnson import MAX_TABLE_N, SelfCheckError, SizeBudgetError, w_to_a
+from jshm.wilson import VARIANTS, wilson_matrix, wilson_matrix_symbolic
 
 # sha256 of json.dumps([compare_symbolic(k, t, lhs, rhs).to_dict() ...],
 # sort_keys=True) over 2 <= k <= 7, 1 <= t < k, LHS_CHOICES x RHS_CHOICES,
@@ -168,6 +170,18 @@ class TestSymbolicSides:
         assert all(compare_symbolic(k, t, "m", "omega_corrected").equal
                    for t in range(1, k))
 
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_one_denominator_matches_term_by_term(self, k):
+        # the sides reduce each coefficient once over one denominator; the
+        # reference adds Omega's terms s / C(nu+h, k-t) and divides M's
+        # excess numerators by C(nu-k, r) E C(k, r) in Q(nu), one reduction
+        # per operation
+        for t in range(1, k):
+            assert design_matrix_symbolic(k, t) == _term_by_term_m(k, t), (k, t)
+            for variant in VARIANTS:
+                assert wilson_matrix_symbolic(k, t, variant) == \
+                    _term_by_term_omega(k, t, variant), (k, t, variant)
+
     def test_k_bound(self):
         assert compare_symbolic(MAX_SYMBOLIC_K, 1, "m", "omega_corrected").equal
         with pytest.raises(SizeBudgetError):
@@ -176,7 +190,49 @@ class TestSymbolicSides:
             symbolic_side("m", 60, 30)
 
 
+def _term_by_term_omega(k, t, variant):
+    """Omega(nu,k,t) as the sum of its terms s / C(nu+h, k-t) times W_a in Q(nu)."""
+    w = [0] * (k + 1)
+    for s, h, a in wilson._omega_terms(k, t, variant):
+        w[a] = s / binom_rf(h, k - t)
+    return w_to_a(w)
+
+
+def _term_by_term_m(k, t):
+    """M(nu,k,t) as g_(k-r) / (C(nu-k, r) E C(k, r)) in Q(nu), over binom_rf."""
+    e, _, g = designs._excess_numerators(binom_rf, k, t)
+    return [RationalFunction.const(0)] * (k - t) + [
+        g[k - r] / (binom_rf(-k, r) * (e * binom(k, r))) for r in range(k - t, k + 1)]
+
+
+def _fraction_pointwise(k, t, lhs, rhs, n_from, n_to) -> PointwiseReport:
+    """compare_pointwise's report from the Fraction coefficients of numeric_side."""
+    equal_count, failure = 0, None
+    for n in range(n_from, n_to + 1):
+        left, right = numeric_side(lhs, n, k, t).coeffs, numeric_side(rhs, n, k, t).coeffs
+        if left == right:
+            equal_count += 1
+        elif failure is None:
+            r = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+            failure = PointwiseFailure(n, r, left[r], right[r])
+    return PointwiseReport(
+        k=k, t=t, lhs=lhs, rhs=rhs, n_from=n_from, n_to=n_to,
+        points_checked=n_to - n_from + 1, points_equal=equal_count,
+        first_failure=failure, equal=failure is None, threshold=2 * k + 1, skipped_poles=())
+
+
 class TestComparePointwise:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_integers_match_fractions(self, k):
+        # cross-multiplied integer numerators against Fractions of the numeric
+        # sides: the whole document, first failure's values included
+        for t in range(1, k):
+            for lhs in LHS_CHOICES:
+                for rhs in RHS_CHOICES:
+                    got = compare_pointwise(k, t, lhs, rhs, 2 * k, 4 * k + 2).to_dict()
+                    want = _fraction_pointwise(k, t, lhs, rhs, 2 * k, 4 * k + 2).to_dict()
+                    assert got == want, (k, t, lhs, rhs)
+
     def test_corrected_over_range(self):
         rep = compare_pointwise(3, 2, "m", "omega_corrected", 7, 20)
         assert rep.equal

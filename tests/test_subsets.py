@@ -4,6 +4,8 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jshm import johnson, subsets
 from jshm.exact import binom
@@ -65,6 +67,55 @@ class TestColexUnrank:
                 assert sorted(ranks) == list(range(binom(n, k)))
 
 
+@st.composite
+def family_inputs(draw):
+    """(n, k, members): blocks of up to k distinct elements of [0, n+1],
+    sorted (most of them valid) or in any order, and arbitrary tuples of
+    [-1, 10]."""
+    n, k = draw(st.integers(-1, 9)), draw(st.integers(-1, 6))
+    size = min(max(k, 0), max(n, 0) + 2)
+    distinct = st.lists(st.integers(0, max(n, 0) + 1), min_size=size, max_size=size,
+                        unique=True)
+    block = st.one_of(distinct.map(lambda b: tuple(sorted(b))), distinct.map(tuple),
+                      st.lists(st.integers(-1, 10), max_size=6).map(tuple))
+    return n, k, tuple(draw(st.lists(block, max_size=5)))
+
+
+def _outcome(build, n, k, members):
+    """The ValueError message that build(n, k, members) raises, or None."""
+    try:
+        build(n, k, members)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _ordered_checks(n, k, members):
+    """Family's checks as they were before the combined test: in order, on
+    every block."""
+    for m in members:
+        if len(set(m)) != len(m):
+            raise ValueError(f"duplicate element in block {list(m)}")
+        if len(m) != k:
+            raise ValueError(f"block {list(m)} has size {len(m)}, expected {k}")
+        if n < 1:
+            raise ValueError(f"ground-set size must be positive, got {n}")
+        if not m:
+            raise ValueError("empty subset")
+        if min(m) < 1 or max(m) > n:
+            raise ValueError(f"element out of range [1, {n}]: {m}")
+        if list(m) != sorted(m):  # the elements are distinct
+            raise ValueError(f"elements must be strictly increasing: {m}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if len(set(members)) != len(members):
+        seen = set()
+        for m in members:
+            if m in seen:
+                raise ValueError(f"duplicate block {list(m)}")
+            seen.add(m)
+
+
 class TestKSubsetValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -80,6 +131,14 @@ class TestKSubsetValidation:
     def test_family_rejects_unsorted_block(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             Family(7, 3, ((2, 1, 3),))
+
+    @settings(max_examples=600, deadline=None)
+    @given(family_inputs())
+    def test_family_checks_match_the_ordered_checks(self, inputs):
+        # Family runs the ordered checks only on a block that fails its one
+        # combined test; the reference runs them on every block
+        n, k, members = inputs
+        assert _outcome(Family, n, k, members) == _outcome(_ordered_checks, n, k, members)
 
 
 class TestFamilyLoading:

@@ -85,10 +85,10 @@ class TestWilsonMatrix:
         assert top.params == SchemeParams(MAX_TABLE_N - 1, MAX_TABLE_K)
 
     def test_symbolic_matches_numeric(self):
-        # the symbolic Omega takes its term denominators from binom_rf, not
-        # from the integer W vector over one common denominator: every t,
-        # both variants, every 2k <= n <= 25 for k <= 8, and three sizes each
-        # for k = 12, 16, 24
+        # the symbolic Omega puts its terms over the product of their linear
+        # factors in Z[nu], the numeric one over the integer lcm at each size:
+        # every t, both variants, every 2k <= n <= 25 for k <= 8, and three
+        # sizes each for k = 12, 16, 24
         for k in [*range(2, 9), 12, 16, 24]:
             sizes = range(2 * k, 26) if k <= 8 else (2 * k, 3 * k + 1, 10**6 + 7)
             for t in range(1, k + 1):
