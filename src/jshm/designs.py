@@ -12,8 +12,9 @@ is (|D| / C(n,k)) * (I + M(n,k,t)), where the matrix M is assembled from the
 alternating excess sums below.  M is well defined whether or not a design
 exists.  The block counts, excess sums and M's coefficients are written
 once, as numerators over E and over E C(k,r) C(nu-k,r) (``_m_numerators``)
-in ring operations over a binomial provider: ``exact.binom_at_int(n)``, or
-k! ``exact.binom_rf``, which keeps the symbolic M in Z[nu].
+in ring operations over a binomial provider: ``exact.binom_at_int(n)`` at a
+size, and ``exact.binom_zpoly(k)`` in Z[nu], which :mod:`jshm.identity`
+reduces once per coefficient.
 
 The search is Knuth's Algorithm X (*Dancing Links*, 2000) over plain
 sequences: each row is a tuple of its column indices, each column a list of
@@ -44,8 +45,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, compress
 
-from .exact import (RationalFunction, Record, Report, _reduced, binom, binom_at_int, binom_rf,
-                    to_json)
+from .exact import Record, Report, binom, binom_at_int, to_json
 from .johnson import (MAX_TABLE_K, MAX_TABLE_N, BMVector, SchemeParams,
                       binomial_inversion, entry_sum, plus_identity, trace)
 from .projection import project_family
@@ -168,16 +168,6 @@ def design_matrix(n: int, k: int, t: int) -> BMVector:
     if k > n - k:
         raise ValueError(f"out of regime: C({n - k},{k}) = 0 (need k <= n-k)")
     return BMVector(params, tuple(Fraction(a, b) for a, b in _m_numerators(binom_at_int(n), k, t)))
-
-
-def design_matrix_symbolic(k: int, t: int) -> list[RationalFunction]:
-    """Coefficients of M(nu,k,t) on A_0..A_k as rational functions of nu, each
-    reduced once: k! C(nu+shift, b) is an integer polynomial for b <= k."""
-    if not 0 <= t < k:
-        raise ValueError(f"need 0 <= t < k, got t={t}, k={k}")
-    scale = math.factorial(k)
-    pairs = _m_numerators(lambda shift, b: binom_rf(shift, b) * scale, k, t)
-    return [_reduced(list(a.num), b.num) for a, b in pairs]
 
 
 def _m_numerators(binom_at, k, t) -> list:

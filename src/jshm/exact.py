@@ -20,14 +20,17 @@ subclass's ``__init__`` once, so that no module imports ``dataclasses`` at
 start-up.  ``Report``, the record whose JSON document is its fields, is
 one, and ``to_json`` writes every document.
 
-A binomial provider, ``binom_rf`` or ``binom_at_int(n)``, maps (shift, b)
-to C(nu + shift, b); formulas use it with ring operations only, so the
-numeric ones stay in integers, and each caller divides once; over integer
-polynomials, each their own form, ring operations reduce nothing, so a
-symbolic caller stays in Z[nu] and calls ``_reduced`` once per result.
+A binomial provider maps (shift, b) to C(nu + shift, b) or a fixed
+multiple of it: ``binom_rf`` over Q(nu), ``binom_zpoly(k)``, k! C(nu +
+shift, b) in Z[nu] for b <= k, and ``binom_at_int(n)`` at a size.
+Formulas use it with ring operations only, so over integers each caller
+divides once, and over integer polynomials, each their own form, ring
+operations reduce nothing and a symbolic caller calls ``_reduced`` once per
+result; a result read over a scaled provider has as many of its values above
+the line as below, so the scale cancels.
 
-Everything here is immutable and pure; ``binom_rf`` is memoised for that
-reason.
+Everything here is immutable and pure; ``binom_rf`` and the values of
+``binom_zpoly`` are memoised for that reason.
 """
 
 from __future__ import annotations
@@ -475,6 +478,20 @@ def _linear_product(roots) -> list[int]:
     return out
 
 
+def binom_zpoly(k: int):
+    """Binomial provider (shift, b) -> k! C(nu + shift, b) for 0 <= b <= k, an
+    integer polynomial; M and Omega of one k share its values."""
+    return functools.partial(_zpoly, k)
+
+
+@functools.lru_cache(maxsize=4096)
+def _zpoly(k: int, shift: int, b: int) -> RationalFunction:
+    """k! C(nu + shift, b): the falling product times k!/b!, which needs no gcd."""
+    scale = math.factorial(k) // math.factorial(b)
+    return _rf(tuple(c * scale for c in _linear_product(range(-shift, b - shift))), (1,))
+
+
 def binom_at_int(n: int):
-    """Binomial provider (shift, b) -> C(n + shift, b) as an int, at size n."""
-    return lambda shift, b: binom(n + shift, b)
+    """Binomial provider (shift, b) -> C(n + shift, b) as an int, at size n;
+    every caller keeps b >= 0 and n + shift >= 0."""
+    return lambda shift, b: math.comb(n + shift, b)

@@ -10,14 +10,16 @@ form, so "equal" means every h_r is the zero rational function.
 A pointwise comparator re-derives the verdict from exact evaluations at
 integer ground-set sizes: once both sides agree at more points than the
 degree of the cleared numerators (2k+1 suffices), polynomial vanishing
-forces symbolic equality.  Both routes share one transcription of M and
-of Omega's terms as numerators over a denominator, in integers at a size
-(compared by cross-multiplication) and in Z[nu], so this tests the two
-evaluations; the formulas themselves are checked by
-:func:`design_witness_check`, M = Omega and perfbench/checks.py.
+forces symbolic equality.  Both routes read M and Omega, each written once
+over a binomial provider, as (numerator, denominator) pairs: integers over
+``exact.binom_at_int(n)``, compared by cross-multiplication, and integer
+polynomials over ``exact.binom_zpoly(k)``, which this module alone
+reduces, once per coefficient.  So this tests the two evaluations; the
+formulas themselves are checked by :func:`design_witness_check`, M = Omega
+and perfbench/checks.py.
 
-Each symbolic side is built once per (k, t, variant) and kept for the life
-of the process: the six side pairs of one (k, t) and the pointwise
+Each symbolic formula is built once per (k, t, variant) and kept for the
+life of the process: the six side pairs of one (k, t) and the pointwise
 cross-check share M(nu,k,t) and Omega(nu,k,t).  Every caller still gets a
 fresh list.  Comparisons are refused above k = MAX_SYMBOLIC_K, which also
 bounds that memo.
@@ -33,15 +35,14 @@ from .designs import (
     _m_numerators,
     admissible,
     design_matrix,
-    design_matrix_symbolic,
     design_projection_report,
     search_design,
     DEFAULT_SEARCH_BUDGET,
 )
-from .exact import PoleError, RationalFunction, Report, binom_at_int
-from .johnson import MAX_TABLE_N, BMVector, SelfCheckError, plus_identity, w_to_a
+from .exact import PoleError, RationalFunction, Report, _reduced, binom_at_int, binom_zpoly
+from .johnson import MAX_TABLE_N, SelfCheckError, plus_identity, w_to_a
 from .subsets import SizeBudgetError, refuse_above
-from .wilson import _omega_numerators, wilson_matrix, wilson_matrix_symbolic
+from .wilson import _omega_numerators, wilson_matrix
 
 # side -> (builder, Wilson variant, adds I on A_0)
 _SIDES = {
@@ -57,7 +58,8 @@ RHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "omega")
 # The symbolic sides (and so compare_symbolic and compare_pointwise) refuse
 # k > MAX_SYMBOLIC_K: rational-function cost grows steeply with k.  On a
 # 2-vCPU x86-64 host the worst admitted comparison, M against the corrected
-# Omega at k = 24, takes 0.011-0.017 s cold, against 0.016-0.023 s at k = 28.
+# Omega at k = 24, takes 0.013-0.018 s of CPU time cold in a fresh process,
+# against 0.021-0.028 s at k = 28.
 # compare_pointwise also refuses more than MAX_POINTWISE_POINTS sizes (each
 # costs up to 0.7 ms at k = 24, so 1000 take 0.5-0.7 s) and n_to >=
 # MAX_TABLE_N, the bound of the numeric sides.
@@ -65,19 +67,31 @@ MAX_SYMBOLIC_K = 24
 MAX_POINTWISE_POINTS = 1000
 
 
+def _formula_pairs(builder: str, variant: str | None, binom_at, k: int, t: int) -> list:
+    """M's or Omega's coefficients on A_0..A_k as (numerator, denominator)
+    pairs over the binomial provider."""
+    if builder == "m":
+        return _m_numerators(binom_at, k, t)
+    den, w = _omega_numerators(binom_at, k, t, variant)
+    return [(c, den) for c in w_to_a(w)]
+
+
 @functools.lru_cache(maxsize=None)
 def _symbolic_coeffs(builder: str, variant: str | None, k: int,
                      t: int) -> tuple[RationalFunction, ...]:
-    """M(nu,k,t) or Omega(nu,k,t), built once per (builder, variant, k, t).
+    """M(nu,k,t) or Omega(nu,k,t), built once per (builder, variant, k, t)
+    over ``binom_zpoly(k)`` and reduced once per coefficient.
 
     Entries are immutable, and callers get a fresh list from
     :func:`symbolic_side`, so sharing the tuple is safe.  The bound on k
     also bounds the memo.
     """
     refuse_above(k, MAX_SYMBOLIC_K, "k of a symbolic comparison")
-    if builder == "m":
-        return tuple(design_matrix_symbolic(k, t))
-    return tuple(wilson_matrix_symbolic(k, t, variant))
+    low, high = (0, k - 1) if builder == "m" else (1, k)
+    if not low <= t <= high:
+        raise ValueError(f"need {low} <= t <= {high}, got t={t}, k={k}")
+    return tuple(_reduced(list(a.num), b.num)
+                 for a, b in _formula_pairs(builder, variant, binom_zpoly(k), k, t))
 
 
 def symbolic_side(name: str, k: int, t: int) -> list[RationalFunction]:
@@ -89,29 +103,11 @@ def symbolic_side(name: str, k: int, t: int) -> list[RationalFunction]:
     return plus_identity(coeffs) if adds_identity else list(coeffs)
 
 
-def numeric_side(name: str, n: int, k: int, t: int) -> BMVector:
-    """One side evaluated at a concrete ground-set size."""
-    if name not in _SIDES:
-        raise ValueError(f"unknown side {name!r}")
-    builder, variant, adds_identity = _SIDES[name]
-    if builder == "m":
-        side = design_matrix(n, k, t)
-    else:
-        side = wilson_matrix(n, k, t, variant)
-    if adds_identity:
-        side = BMVector(side.params, tuple(plus_identity(side.coeffs)))
-    return side
-
-
 def _side_numerators(name: str, n: int, k: int, t: int) -> list[tuple[int, int]]:
     """One side's coefficients at size n as integer (numerator, denominator)
     pairs; adding I adds the denominator on A_0."""
     builder, variant, adds_identity = _SIDES[name]
-    if builder == "m":
-        pairs = _m_numerators(binom_at_int(n), k, t)
-    else:
-        den, w = _omega_numerators(n, k, t, variant)
-        pairs = [(c, den) for c in w_to_a(w)]
+    pairs = _formula_pairs(builder, variant, binom_at_int(n), k, t)
     if adds_identity:
         a, b = pairs[0]
         pairs[0] = (a + b, b)
@@ -316,7 +312,7 @@ def _witness_point(n: int, k: int, t: int, budget: int) -> WitnessPoint:
     if not design_projection_report(outcome.design).verified:
         return WitnessPoint(n, "failed", "design projection identity failed",
                             outcome.nodes)
-    if numeric_side("m", n, k, t) != numeric_side("omega_corrected", n, k, t):
+    if design_matrix(n, k, t) != wilson_matrix(n, k, t, "corrected"):
         return WitnessPoint(n, "failed", "design matrix differs from the corrected "
                             "Wilson matrix", outcome.nodes)
     return WitnessPoint(n, "verified", f"{outcome.design.size}-block design found; "

@@ -12,9 +12,11 @@ Two variants of Omega are implemented side by side:
 Only the corrected variant agrees with the design-projection matrix (the
 identity module demonstrates the mismatch of the literal one mechanically),
 so ``corrected`` is the default everywhere.  Omega's terms are written once
-(``_omega_terms``), put over one common denominator, in integers or in
-Z[nu] (``_omega_numerators`` and its twin), and taken to the A basis by
-``johnson.w_to_a``; the symbolic Omega reduces each coefficient once.
+(``_omega_terms``) and put over one common denominator once
+(``_omega_numerators``), in ring operations over a binomial provider, and
+taken to the A basis by ``johnson.w_to_a``: over ``exact.binom_at_int(n)``
+at a size, and over ``exact.binom_zpoly(k)`` in Z[nu], which
+:mod:`jshm.identity` reduces once per coefficient.
 
 A certificate for (n,k,t) verifies, with exact arithmetic throughout: the
 matrix is positive semidefinite, its off-diagonal support avoids A_1..
@@ -22,12 +24,13 @@ A_{k-t}, and its entry-sum/trace ratio is C(n,t)/C(k,t); by the clique-
 coclique bound these force every t-intersecting family to have size at most
 C(n-t,k-t).
 
-A certificate is one integer vector over one denominator: over D, the lcm
-of Omega's term denominators, Omega's W coefficients are integers w_a, which
-give the numerators of I + Omega on A_0..A_k (``johnson.w_to_a``), its
-spectrum (``johnson.lemma_spectrum``, Wilson's lemma: k+1 integers) and its
-entry-sum/trace ratio, so every verdict is a sign or a cross-multiplication
-of integers, and Fractions appear only in the document.  Two self-checks
+A certificate is one integer vector over one denominator: over D > 0, a
+common multiple of Omega's term denominators, Omega's W coefficients are
+integers w_a, which give the numerators of I + Omega on A_0..A_k
+(``johnson.w_to_a``), its spectrum (``johnson.lemma_spectrum``, Wilson's
+lemma: k+1 integers) and its entry-sum/trace ratio, so every verdict is a
+sign or a cross-multiplication of integers, and Fractions appear only in
+the document.  Two self-checks
 raise SelfCheckError: the spectrum must give the trace C(n,k) of I + Omega,
 and theta_0 must equal the entry-sum/trace ratio from the class valencies.
 The tests hold the spectrum against ``oracles.eberlein_table``, the
@@ -41,8 +44,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact import (RationalFunction, Report, _linear_product, _pdivmod, _reduced, binom,
-                    binom_at_int, rat_to_str)
+from .exact import Report, binom, binom_at_int, rat_to_str
 from .johnson import (
     BMVector,
     SchemeParams,
@@ -76,7 +78,7 @@ def wilson_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BMVecto
     if not 1 <= t <= k <= n - k:
         raise ValueError(f"need 1 <= t <= k <= n-k, got t={t}, k={k}, n={n}")
     params = SchemeParams(n, k)  # refuses the table bound before any big-integer work
-    den, w = _omega_numerators(n, k, t, variant)
+    den, w = _omega_numerators(binom_at_int(n), k, t, variant)
     return BMVector(params, tuple(Fraction(c, den) for c in w_to_a(w)))
 
 
@@ -84,15 +86,6 @@ def certificate_matrix(n: int, k: int, t: int, variant: str = "corrected") -> BM
     """I + Omega(n,k,t)."""
     omega = wilson_matrix(n, k, t, variant)
     return BMVector(omega.params, tuple(plus_identity(omega.coeffs)))
-
-
-def wilson_matrix_symbolic(k: int, t: int, variant: str = "corrected") -> list[RationalFunction]:
-    """Coefficients of Omega(nu,k,t) on A_0..A_k as rational functions of nu."""
-    _check_variant(variant)
-    if not 1 <= t <= k:
-        raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
-    den, w = _omega_numerators_symbolic(k, t, variant)
-    return [_reduced(list(c.num), den) for c in w_to_a(w)]
 
 
 def _omega_terms(k, t, variant):
@@ -105,28 +98,29 @@ def _omega_terms(k, t, variant):
                -k - t + (1 if variant == "literal" else i), k - i)
 
 
-def _omega_numerators(n, k, t, variant) -> tuple[int, list[int]]:
-    """(D, w): D is the lcm of the terms' C(n+h, k-t), and w_a = s D / C(n+h,
-    k-t) are the integer W coefficients of D * Omega(n,k,t)."""
-    terms = [(s, binom(n + h, k - t), a) for s, h, a in _omega_terms(k, t, variant)]
-    den = math.lcm(*(d for _, d, _ in terms))
-    w = [0] * (k + 1)
-    for s, d, a in terms:
-        w[a] = s * (den // d)
-    return den, w
+def _omega_numerators(binom_at, k, t, variant):
+    """(D, w) over the provider, in ring operations only: w_a = s D / C(nu+h,
+    k-t) are the W coefficients of D * Omega(nu,k,t).
 
-
-def _omega_numerators_symbolic(k, t, variant) -> tuple[list[int], list]:
-    """(D, w), the twin of ``_omega_numerators`` in Z[nu]: C(nu+h, k-t) is
-    (nu+h)...(nu+h-k+t+1) / (k-t)!, so D, the product of nu - m over the
-    union of the terms' roots m, is their lcm, and w_a = s D / C(nu+h, k-t)
-    are integer polynomials."""
-    terms = [(s, range(-h, k - t - h), a) for s, h, a in _omega_terms(k, t, variant)]
-    den = _linear_product(set().union(*(r for _, r, _ in terms)))
-    scale = math.factorial(k - t)
+    Term i's C(nu+h, k-t) has the roots -h..-h+k-t-1, and -h falls with i
+    (corrected) or is fixed (literal), so the roots make one run lo..hi of L
+    integers, from the last term's first root to the first term's last.
+    D = L! C(nu-lo, L) C(nu, 0), the product of nu - m over the run, is a
+    common multiple (the lcm in Z[nu] for t < k), and w_a = s (k-t)! A! B!
+    C(nu-lo, A) C(nu+h-(k-t), B), A and B counting the run's roots below and
+    above the term's: two provider values each, so a provider scaled by a
+    constant gives the same ratios.  At a size n >= 2k, D > 0.
+    """
+    terms = list(_omega_terms(k, t, variant))
+    lo, hi = -terms[-1][1], -terms[0][1] + k - t - 1
+    fact = math.factorial
+    den = binom_at(-lo, hi - lo + 1) * binom_at(0, 0) * fact(hi - lo + 1)
+    scale = fact(k - t)
     w = [0] * (k + 1)
-    for s, r, a in terms:
-        w[a] = _reduced([s * scale * c for c in _pdivmod(den, _linear_product(r))[0]], (1,))
+    for s, h, a in terms:
+        below, above = -h - lo, hi - (k - t - 1 - h)
+        w[a] = binom_at(-lo, below) * binom_at(h - (k - t), above) * (
+            s * scale * fact(below) * fact(above))
     return den, w
 
 
@@ -224,11 +218,12 @@ def ekr_certificate(n: int, k: int, t: int, variant: str = "corrected") -> EKRCe
         raise ValueError(f"need k <= n-k, got k={k}, n={n}")
     _check_variant(variant)
     params = SchemeParams(n, k)  # refuses the table bound before any big-integer work
-    den, w = _omega_numerators(n, k, t, variant)
+    binom_at = binom_at_int(n)
+    den, w = _omega_numerators(binom_at, k, t, variant)
     nums = w_to_a(w)
     nums[0] += den  # I; Omega has no A_0 part
     nabla = BMVector(params, tuple(nums))  # D * (I + Omega)
-    spectrum = [den + x for x in lemma_spectrum(binom_at_int(n), w, k)]
+    spectrum = [den + x for x in lemma_spectrum(binom_at, w, k)]
     if sum(m * x for m, x in zip(multiplicities(n, k), spectrum)) != trace(nabla):
         raise SelfCheckError(f"the spectrum of I + Omega({n},{k},{t}) misses its trace")
     row = row_sum(nabla)  # D times the entry-sum/trace ratio, as c_0 = D

@@ -252,9 +252,8 @@ class TestWitnessStatuses:
              "bound: 3999900 exceeds the bound 1000000", None)]
 
     def test_failed_matrices(self, capsys, monkeypatch):
-        side = identity.numeric_side
-        monkeypatch.setattr(identity, "numeric_side", lambda name, n, k, t: (
-            side("omega_literal", n, k, t) if name == "m" else side(name, n, k, t)))
+        monkeypatch.setattr(identity, "design_matrix", lambda n, k, t: (
+            identity.wilson_matrix(n, k, t, "literal")))
         code, points = self.witness(capsys, 7)
         assert code == 1
         assert points[0][:3] == (

@@ -24,7 +24,6 @@ from jshm.designs import (
     as_design,
     block_count,
     design_matrix,
-    design_matrix_symbolic,
     design_projection_report,
     excess_sum,
     partition_design,
@@ -32,6 +31,7 @@ from jshm.designs import (
     verify_design,
 )
 from jshm.exact import binom
+from jshm.identity import symbolic_side
 from jshm.johnson import (
     MAX_TABLE_K,
     MAX_TABLE_N,
@@ -261,7 +261,7 @@ class TestDesignMatrix:
         assert top.params == SchemeParams(MAX_TABLE_N - 1, MAX_TABLE_K)
 
     def test_symbolic_matches_numeric(self):
-        # the symbolic M reduces integer polynomials over k! binom_rf, the
+        # the symbolic M reduces integer polynomials over binom_zpoly(k), the
         # numeric M makes one Fraction per coefficient from integers over
         # binom_at_int: every t < k, every 2k <= n <= 25 for k <= 8, and three
         # sizes each for k = 12, 16, 24.  Every numeric coefficient is a
@@ -269,7 +269,7 @@ class TestDesignMatrix:
         for k in [*range(2, 9), 12, 16, 24]:
             sizes = range(2 * k, 26) if k <= 8 else (2 * k, 3 * k + 1, 10**6 + 7)
             for t in range(k):
-                sym = design_matrix_symbolic(k, t)
+                sym = symbolic_side("m", k, t)
                 for n in sizes:
                     num = design_matrix(n, k, t).coeffs
                     assert tuple(f.evaluate(n) for f in sym) == num, (n, k, t)

@@ -14,6 +14,7 @@ from jshm.exact import (
     Record,
     binom,
     binom_rf,
+    binom_zpoly,
     rat_from_str,
     rat_to_str,
     rf_to_str,
@@ -68,6 +69,17 @@ class TestBinomPoly:
     def test_evaluation_matches_binom_example(self):
         f = binom_rf(-2, 2)
         assert f.evaluate(7) == 10 == binom(5, 2)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
+    def test_zpoly_is_k_factorial_binom_rf(self, k):
+        # built from the falling product with no gcd, it must still be the
+        # canonical integer polynomial k! C(nu + shift, b)
+        provider = binom_zpoly(k)
+        for b in range(k + 1):
+            for shift in (-2 * k - 3, -k, -1, 0, 1, k + 4):
+                p = provider(shift, b)
+                assert p == binom_rf(shift, b) * math.factorial(k), (k, shift, b)
+                assert p.den == (1,) and p.num[-1] > 0, (k, shift, b)
 
 
 small_fractions = st.fractions(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jshm import designs, identity, wilson
-from jshm.designs import design_matrix, design_matrix_symbolic
+from jshm.designs import design_matrix
 from jshm.exact import NU, RationalFunction, binom, binom_rf, rf_to_str
 from jshm.identity import (
     LHS_CHOICES,
@@ -17,11 +17,10 @@ from jshm.identity import (
     compare_pointwise,
     compare_symbolic,
     design_witness_check,
-    numeric_side,
     symbolic_side,
 )
-from jshm.johnson import MAX_TABLE_N, SelfCheckError, SizeBudgetError, w_to_a
-from jshm.wilson import VARIANTS, wilson_matrix, wilson_matrix_symbolic
+from jshm.johnson import MAX_TABLE_N, SelfCheckError, SizeBudgetError, plus_identity, w_to_a
+from jshm.wilson import VARIANTS, certificate_matrix, wilson_matrix
 
 # sha256 of json.dumps([compare_symbolic(k, t, lhs, rhs).to_dict() ...],
 # sort_keys=True) over 2 <= k <= 7, 1 <= t < k, LHS_CHOICES x RHS_CHOICES,
@@ -132,8 +131,8 @@ class TestSymbolicSides:
         lambda: symbolic_side("m_plus_i", 4, 2),
         lambda: symbolic_side("omega_literal", 4, 2),
         lambda: symbolic_side("nabla_corrected", 4, 2),
-        lambda: design_matrix_symbolic(4, 2),
-        lambda: wilson_matrix_symbolic(4, 2, "corrected"),
+        lambda: symbolic_side("omega_corrected", 4, 2),
+        lambda: symbolic_side("m", 5, 3),
     ])
     def test_returned_list_is_fresh(self, get):
         first = get()
@@ -143,26 +142,18 @@ class TestSymbolicSides:
         assert get() == expected
 
     def test_each_side_is_built_once(self, monkeypatch):
-        builds = []
-
-        def counting(build):
-            def wrapper(*args):
-                builds.append((build.__name__,) + args)
-                return build(*args)
-            return wrapper
-
-        monkeypatch.setattr(identity, "design_matrix_symbolic",
-                            counting(design_matrix_symbolic))
-        monkeypatch.setattr(identity, "wilson_matrix_symbolic",
-                            counting(wilson_matrix_symbolic))
+        # one build per formula, M and the two Omegas, each over one Z[nu]
+        # provider; the pointwise sweep builds none
+        providers = []
+        zpoly = identity.binom_zpoly
+        monkeypatch.setattr(identity, "binom_zpoly", lambda k: providers.append(k) or zpoly(k))
         identity._symbolic_coeffs.cache_clear()
         for lhs in LHS_CHOICES:
             for rhs in RHS_CHOICES:
                 compare_symbolic(5, 2, lhs, rhs)
         compare_pointwise(5, 2, "m", "omega_literal", 10, 22)
-        assert sorted(builds) == [("design_matrix_symbolic", 5, 2),
-                                  ("wilson_matrix_symbolic", 5, 2, "corrected"),
-                                  ("wilson_matrix_symbolic", 5, 2, "literal")]
+        assert identity._symbolic_coeffs.cache_info().misses == 3
+        assert providers == [5, 5, 5]
 
     @pytest.mark.parametrize("k", [16, 20, MAX_SYMBOLIC_K])
     def test_m_equals_omega_at_large_k(self, k):
@@ -177,9 +168,9 @@ class TestSymbolicSides:
         # excess numerators by C(nu-k, r) E C(k, r) in Q(nu), one reduction
         # per operation
         for t in range(1, k):
-            assert design_matrix_symbolic(k, t) == _term_by_term_m(k, t), (k, t)
+            assert symbolic_side("m", k, t) == _term_by_term_m(k, t), (k, t)
             for variant in VARIANTS:
-                assert wilson_matrix_symbolic(k, t, variant) == \
+                assert symbolic_side(f"omega_{variant}", k, t) == \
                     _term_by_term_omega(k, t, variant), (k, t, variant)
 
     def test_k_bound(self):
@@ -205,11 +196,22 @@ def _term_by_term_m(k, t):
         g[k - r] / (binom_rf(-k, r) * (e * binom(k, r))) for r in range(k - t, k + 1)]
 
 
+# side -> its Fraction coefficients at size n, from the numeric matrices
+FRACTION_SIDES = {
+    "m": lambda n, k, t: design_matrix(n, k, t).coeffs,
+    "m_plus_i": lambda n, k, t: tuple(plus_identity(design_matrix(n, k, t).coeffs)),
+    "omega_literal": lambda n, k, t: wilson_matrix(n, k, t, "literal").coeffs,
+    "omega_corrected": lambda n, k, t: wilson_matrix(n, k, t, "corrected").coeffs,
+    "nabla_corrected": lambda n, k, t: certificate_matrix(n, k, t, "corrected").coeffs,
+}
+
+
 def _fraction_pointwise(k, t, lhs, rhs, n_from, n_to) -> PointwiseReport:
-    """compare_pointwise's report from the Fraction coefficients of numeric_side."""
+    """compare_pointwise's report from the Fraction coefficients of the
+    numeric matrices."""
     equal_count, failure = 0, None
     for n in range(n_from, n_to + 1):
-        left, right = numeric_side(lhs, n, k, t).coeffs, numeric_side(rhs, n, k, t).coeffs
+        left, right = FRACTION_SIDES[lhs](n, k, t), FRACTION_SIDES[rhs](n, k, t)
         if left == right:
             equal_count += 1
         elif failure is None:
@@ -279,12 +281,13 @@ class TestComparePointwise:
 
 class TestNumericSides:
     def test_sides_at_sample_point(self):
+        # the pointwise sweep's integer pairs are the numeric matrices
         n, k, t = 9, 3, 2
-        assert numeric_side("m", n, k, t).coeffs == design_matrix(n, k, t).coeffs
-        assert numeric_side("omega_corrected", n, k, t).coeffs == \
-            wilson_matrix(n, k, t, "corrected").coeffs
-        mi = numeric_side("m_plus_i", n, k, t)
-        assert mi.coeffs[0] == design_matrix(n, k, t).coeffs[0] + 1
+        assert set(FRACTION_SIDES) == set(LHS_CHOICES + RHS_CHOICES)
+        for name, side in FRACTION_SIDES.items():
+            pairs = identity._side_numerators(name, n, k, t)
+            assert tuple(Fraction(a, b) for a, b in pairs) == side(n, k, t), name
+        assert FRACTION_SIDES["m_plus_i"](n, k, t)[0] == design_matrix(n, k, t).coeffs[0] + 1
 
 
 class TestDesignWitness:

@@ -137,6 +137,21 @@ def test_one_definition_per_object():
     assert [m for m, names in defined.items() if "project_dense" in names] == ["oracles"]
     assert not [m for m, names in defined.items()
                 if names & {"wilson_basis_vector", "identity_vector"}]
+    # each side is reduced over Z[nu] only by identity, from the one
+    # transcription of each formula over a binomial provider
+    assert not [m for m, names in defined.items()
+                if names & {"_omega_numerators_symbolic", "wilson_matrix_symbolic",
+                            "design_matrix_symbolic", "numeric_side"}]
+
+
+@pytest.mark.parametrize("module", ["designs", "wilson"])
+def test_formulas_name_nothing_of_q_nu(module):
+    # M and Omega are written in ring operations over a binomial provider,
+    # so neither module names a rational function, its reduction or a Z[nu]
+    # provider
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    assert not set(_names(tree)) & {"RationalFunction", "_reduced", "_pdivmod",
+                                    "_linear_product", "binom_rf", "binom_zpoly"}
 
 
 def test_variant_choices_match_wilson():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,7 +7,8 @@ import pytest
 
 from jshm import johnson, projection, wilson
 from jshm.designs import as_design, partition_design
-from jshm.exact import binom, binom_rf
+from jshm.exact import binom, binom_at_int, binom_rf
+from jshm.identity import symbolic_side
 from jshm.johnson import (
     MAX_TABLE_K,
     MAX_TABLE_N,
@@ -38,7 +40,6 @@ from jshm.wilson import (
     sum_trace_ratio,
     support_ok,
     wilson_matrix,
-    wilson_matrix_symbolic,
 )
 
 from conftest import STS9_BLOCKS, eberlein_spectrum, w_basis
@@ -85,21 +86,37 @@ class TestWilsonMatrix:
         assert top.params == SchemeParams(MAX_TABLE_N - 1, MAX_TABLE_K)
 
     def test_symbolic_matches_numeric(self):
-        # the symbolic Omega puts its terms over the product of their linear
-        # factors in Z[nu], the numeric one over the integer lcm at each size:
-        # every t, both variants, every 2k <= n <= 25 for k <= 8, and three
-        # sizes each for k = 12, 16, 24
+        # one transcription of Omega over two providers: binom_zpoly(k),
+        # reduced in Q(nu), and binom_at_int(n) at each size: every t, both
+        # variants, every 2k <= n <= 25 for k <= 8, and three sizes each for
+        # k = 12, 16, 24
         for k in [*range(2, 9), 12, 16, 24]:
             sizes = range(2 * k, 26) if k <= 8 else (2 * k, 3 * k + 1, 10**6 + 7)
             for t in range(1, k + 1):
                 for variant in VARIANTS:
-                    sym = wilson_matrix_symbolic(k, t, variant)
+                    sym = symbolic_side(f"omega_{variant}", k, t)
                     for n in sizes:
                         want = tuple(f.evaluate(n) for f in sym)
                         assert wilson_matrix(n, k, t, variant).coeffs == want, (n, k, t)
                         if t < k:
                             assert ekr_certificate(n, k, t, variant).coeffs == (
                                 want[0] + 1, *want[1:]), (n, k, t, variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_common_denominator_is_positive_and_common(self, variant):
+        # the certificate's PSD verdict and argmin read signs of integers
+        # over D, so D > 0 at every admitted size; D must be a multiple of
+        # the lcm of the terms' C(n+h, k-t), computed here from the terms,
+        # and each w_a must be s D / C(n+h, k-t) exactly
+        for k in range(1, MAX_TABLE_K + 1):
+            for n in (2 * k, 2 * k + 1, 10**6 + 7):
+                for t in range(1, k + 1):
+                    terms = [(s, binom(n + h, k - t), a)
+                             for s, h, a in wilson._omega_terms(k, t, variant)]
+                    lcm = math.lcm(*(d for _, d, _ in terms))
+                    den, w = wilson._omega_numerators(binom_at_int(n), k, t, variant)
+                    assert den > 0 and den % lcm == 0, (n, k, t)
+                    assert all(w[a] * d == s * den for s, d, a in terms), (n, k, t)
 
 
 class TestCertificateMatrix:
@@ -326,8 +343,8 @@ class TestCertificateSpectrum:
         # sum, so neither self-check can see the error; the ratio test does
         numerators = wilson._omega_numerators
 
-        def mutant(n, k, t, variant):
-            den, w = numerators(n, k, t, variant)
+        def mutant(binom_at, k, t, variant):
+            den, w = numerators(binom_at, k, t, variant)
             if a is None:
                 return den + 1, w
             w[a] += 1
