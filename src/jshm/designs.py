@@ -14,7 +14,9 @@ exists.  The block counts, excess sums and M's coefficients are written
 once, as numerators over E and over E C(k,r) C(nu-k,r) (``_m_numerators``)
 in ring operations over a binomial provider: ``exact.binom_at_int(n)`` at a
 size, and ``exact.binom_zpoly(k)`` in Z[nu], which :mod:`jshm.identity`
-reduces once per coefficient.
+reduces once per coefficient.  The integers that do not depend on nu (E, its
+quotients, the inversion's coefficients and E C(k,r)) are computed once per
+(k, t) (``_m_constants``).
 
 The search is Knuth's Algorithm X (*Dancing Links*, 2000) over plain
 sequences: each row is a tuple of its column indices, each column a list of
@@ -40,6 +42,7 @@ walks only t-subsets it has counted, and one more.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -47,7 +50,7 @@ from itertools import chain, combinations, compress
 
 from .exact import Record, Report, binom, binom_at_int, to_json
 from .johnson import (MAX_TABLE_K, MAX_TABLE_N, BMVector, SchemeParams,
-                      binomial_inversion, entry_sum, plus_identity, trace)
+                      entry_sum, plus_identity, trace)
 from .projection import project_family
 from .subsets import (
     MAX_COUNT_WORK,
@@ -174,10 +177,11 @@ def _m_numerators(binom_at, k, t) -> list:
     """M's coefficients on A_0..A_k as (numerator, denominator) pairs over the
     provider: g_(k-r) over E C(k,r) C(nu-k,r) for r = k-t..k, and 0 over the
     provider's 1 below."""
-    e, _, g = _excess_numerators(binom_at, k, t)
+    g = _excess_numerators(binom_at, k, t)[2]
+    scaled = _m_constants(k, t)[3]
     one = binom_at(0, 0)
     return [(0 * one, one)] * (k - t) + [
-        (g[k - r], binom_at(-k, r) * (e * binom(k, r))) for r in range(k - t, k + 1)]
+        (g[k - r], binom_at(-k, r) * scaled[r]) for r in range(k - t, k + 1)]
 
 
 def _excess_numerators(binom_at, k, t):
@@ -186,10 +190,25 @@ def _excess_numerators(binom_at, k, t):
     C(nu-i, t-i) E / C(k-i, t-i) and g_s = E excess_sum(s), the binomial
     inversion of C(k, i) (l_i - l_t), as lambda_t = 1.  Over a provider
     scaled by a constant, l and g scale with it."""
+    e, quotients, inversion, _ = _m_constants(k, t)
+    lam = [binom_at(-i, t - i) * q for i, q in enumerate(quotients)]
+    excess = [x - lam[t] for x in lam]
+    zero = 0 * lam[t]
+    return e, lam, [sum((c * excess[i] for i, c in row), zero) for row in inversion]
+
+
+@functools.lru_cache(maxsize=4096)
+def _m_constants(k, t):
+    """The integers of M that are free of nu, once per (k, t): E, the
+    quotients E / C(k-i, t-i), for each s the terms (i, c) of g_s with c =
+    (-1)^(i-s) C(i, s) C(k, i), the coefficients of
+    ``johnson.binomial_inversion`` times C(k, i), for s <= i < t (as
+    l_t - l_t = 0), and E C(k, r) for r = 0..k."""
     e = math.lcm(*(binom(k - i, t - i) for i in range(t + 1)))
-    lam = [binom_at(-i, t - i) * (e // binom(k - i, t - i)) for i in range(t + 1)]
-    g = binomial_inversion([binom(k, i) * (x - lam[t]) for i, x in enumerate(lam)])
-    return e, lam, g
+    return (e, tuple(e // binom(k - i, t - i) for i in range(t + 1)),
+            tuple(tuple((i, (-1) ** (i - s) * math.comb(i, s) * math.comb(k, i))
+                        for i in range(s, t)) for s in range(t + 1)),
+            tuple(e * binom(k, r) for r in range(k + 1)))
 
 
 class DesignProjectionReport(Report):

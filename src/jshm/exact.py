@@ -22,12 +22,12 @@ one, and ``to_json`` writes every document.
 
 A binomial provider maps (shift, b) to C(nu + shift, b) or a fixed
 multiple of it: ``binom_rf`` over Q(nu), ``binom_zpoly(k)``, k! C(nu +
-shift, b) in Z[nu] for b <= k, and ``binom_at_int(n)`` at a size.
-Formulas use it with ring operations only, so over integers each caller
-divides once, and over integer polynomials, each their own form, ring
-operations reduce nothing and a symbolic caller calls ``_reduced`` once per
-result; a result read over a scaled provider has as many of its values above
-the line as below, so the scale cancels.
+shift, b) as a :class:`ZPoly` for b <= k, and ``binom_at_int(n)`` at a
+size.  Formulas use it with ring operations only, so over integers each
+caller divides once, and over ``ZPoly``, plain integer polynomials whose
+ring operations reduce nothing, a symbolic caller calls ``_reduced`` once
+per result; a result read over a scaled provider has as many of its values
+above the line as below, so the scale cancels.
 
 Everything here is immutable and pure; ``binom_rf`` and the values of
 ``binom_zpoly`` are memoised for that reason.
@@ -479,16 +479,68 @@ def _linear_product(roots) -> list[int]:
 
 
 def binom_zpoly(k: int):
-    """Binomial provider (shift, b) -> k! C(nu + shift, b) for 0 <= b <= k, an
-    integer polynomial; M and Omega of one k share its values."""
+    """Binomial provider (shift, b) -> k! C(nu + shift, b) for 0 <= b <= k, a
+    :class:`ZPoly`; M and Omega of one k share its values."""
     return functools.partial(_zpoly, k)
 
 
 @functools.lru_cache(maxsize=4096)
-def _zpoly(k: int, shift: int, b: int) -> RationalFunction:
+def _zpoly(k: int, shift: int, b: int) -> ZPoly:
     """k! C(nu + shift, b): the falling product times k!/b!, which needs no gcd."""
     scale = math.factorial(k) // math.factorial(b)
-    return _rf(tuple(c * scale for c in _linear_product(range(-shift, b - shift))), (1,))
+    return ZPoly._of([c * scale for c in _linear_product(range(-shift, b - shift))])
+
+
+class ZPoly(tuple):
+    """An integer polynomial in nu: its trimmed ascending int coefficients,
+    with the ring operations of a provider's values, +, -, unary -, and
+    times an int or a ZPoly, which reduce nothing.  It equals an int as
+    a constant polynomial, zero being (), as a rational function does."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, c: list) -> ZPoly:
+        while c and not c[-1]:
+            c.pop()
+        return tuple.__new__(cls, c)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = (other,)
+        elif not isinstance(other, ZPoly):
+            return NotImplemented
+        return ZPoly._of(_padd(self, other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return tuple.__new__(ZPoly, [-x for x in self])
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, (int, ZPoly)) else NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return tuple.__new__(ZPoly, [x * other for x in self] if other else ())
+        if isinstance(other, ZPoly):
+            return tuple.__new__(ZPoly, _pmul(self, other))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = (other,) if other else ()
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        return hash(tuple(self)) if len(self) > 1 else hash(self[0] if self else 0)
 
 
 def binom_at_int(n: int):

@@ -19,10 +19,11 @@ formulas themselves are checked by :func:`design_witness_check`, M = Omega
 and perfbench/checks.py.
 
 Each symbolic formula is built once per (k, t, variant) and kept for the
-life of the process: the six side pairs of one (k, t) and the pointwise
-cross-check share M(nu,k,t) and Omega(nu,k,t).  Every caller still gets a
-fresh list.  Comparisons are refused above k = MAX_SYMBOLIC_K, which also
-bounds that memo.
+life of the process, and so is each difference M - Omega, one per variant:
+the six side pairs of one (k, t) and the pointwise cross-check read it and
+differ only by the I on A_0.  Every caller still gets a fresh list.
+Comparisons are refused above k = MAX_SYMBOLIC_K, which also bounds both
+memos.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ RHS_CHOICES = tuple(name for name, row in _SIDES.items() if row[0] == "omega")
 # The symbolic sides (and so compare_symbolic and compare_pointwise) refuse
 # k > MAX_SYMBOLIC_K: rational-function cost grows steeply with k.  On a
 # 2-vCPU x86-64 host the worst admitted comparison, M against the corrected
-# Omega at k = 24, takes 0.013-0.018 s of CPU time cold in a fresh process,
-# against 0.021-0.028 s at k = 28.
+# Omega at k = 24, takes 0.016-0.018 s of CPU time cold in a fresh process,
+# against 0.024-0.025 s at k = 28.
 # compare_pointwise also refuses more than MAX_POINTWISE_POINTS sizes (each
-# costs up to 0.7 ms at k = 24, so 1000 take 0.5-0.7 s) and n_to >=
-# MAX_TABLE_N, the bound of the numeric sides.
+# costs up to 0.8 ms at k = 24 near 2**64, so 1000 take 0.45-0.8 s) and
+# n_to >= MAX_TABLE_N, the bound of the numeric sides.
 MAX_SYMBOLIC_K = 24
 MAX_POINTWISE_POINTS = 1000
 
@@ -90,7 +91,7 @@ def _symbolic_coeffs(builder: str, variant: str | None, k: int,
     low, high = (0, k - 1) if builder == "m" else (1, k)
     if not low <= t <= high:
         raise ValueError(f"need {low} <= t <= {high}, got t={t}, k={k}")
-    return tuple(_reduced(list(a.num), b.num)
+    return tuple(_reduced(list(a), b)
                  for a, b in _formula_pairs(builder, variant, binom_zpoly(k), k, t))
 
 
@@ -150,26 +151,40 @@ def compare_symbolic(k: int, t: int, lhs: str = "m",
 
     Since the classes A_r are linearly independent, vanishing of every
     difference h_r is equivalent to equality of the matrices for every
-    ground-set size (away from the finitely many denominator roots).
+    ground-set size (away from the finitely many denominator roots).  The
+    differences are M - Omega of the right-hand side's variant
+    (:func:`_difference`, once per (k, t, variant)), plus 1 on A_0 when only
+    the left-hand side adds I and minus 1 when only the right-hand side does.
     """
     _validate_sides(k, t, lhs, rhs)
-    left = symbolic_side(lhs, k, t)
-    right = symbolic_side(rhs, k, t)
-    h = tuple(a - b for a, b in zip(left, right))
+    _, _, left_i = _SIDES[lhs]
+    _, variant, right_i = _SIDES[rhs]
+    h = _difference(k, t, variant)
+    if left_i != right_i:
+        h = (h[0] + (left_i - right_i), *h[1:])
+    witness = next((SymbolicWitness(r, *_sample_nonzero(f, k))
+                    for r, f in enumerate(h) if not f.is_zero()), None)
+    return IdentityReport(
+        k=k, t=t, lhs=lhs, rhs=rhs, h=h, equal=witness is None, witness=witness
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _difference(k: int, t: int, variant: str) -> tuple[RationalFunction, ...]:
+    """M(nu,k,t) - Omega(nu,k,t) coefficientwise, once per (k, t, variant),
+    which the six side pairs of one (k, t) and the pointwise cross-check
+    share; k is bounded by MAX_SYMBOLIC_K, and so is this memo.  Neither
+    side has an A_0 part for t < k, and each difference must have a
+    numerator of degree at most 2k."""
+    h = tuple(a - b for a, b in zip(_symbolic_coeffs("m", None, k, t),
+                                    _symbolic_coeffs("omega", variant, k, t)))
     for r, f in enumerate(h):
         degree = len(f.num) - 1
         if degree > 2 * k:
             raise SelfCheckError(
                 f"difference at class {r} has numerator degree {degree} > 2k"
             )
-    witness = None
-    for r, f in enumerate(h):
-        if not f.is_zero():
-            witness = SymbolicWitness(r, *_sample_nonzero(f, k))
-            break
-    return IdentityReport(
-        k=k, t=t, lhs=lhs, rhs=rhs, h=h, equal=witness is None, witness=witness
-    )
+    return h
 
 
 def _sample_nonzero(f: RationalFunction, k: int) -> tuple[int, Fraction]:

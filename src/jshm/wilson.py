@@ -16,7 +16,9 @@ so ``corrected`` is the default everywhere.  Omega's terms are written once
 (``_omega_numerators``), in ring operations over a binomial provider, and
 taken to the A basis by ``johnson.w_to_a``: over ``exact.binom_at_int(n)``
 at a size, and over ``exact.binom_zpoly(k)`` in Z[nu], which
-:mod:`jshm.identity` reduces once per coefficient.
+:mod:`jshm.identity` reduces once per coefficient.  The integers of that
+denominator that do not depend on nu are computed once per (k, t, variant)
+(``_omega_constants``).
 
 A certificate for (n,k,t) verifies, with exact arithmetic throughout: the
 matrix is positive semidefinite, its off-diagonal support avoids A_1..
@@ -40,6 +42,7 @@ over ``exact.binom_rf``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -109,19 +112,30 @@ def _omega_numerators(binom_at, k, t, variant):
     common multiple (the lcm in Z[nu] for t < k), and w_a = s (k-t)! A! B!
     C(nu-lo, A) C(nu+h-(k-t), B), A and B counting the run's roots below and
     above the term's: two provider values each, so a provider scaled by a
-    constant gives the same ratios.  At a size n >= 2k, D > 0.
+    constant gives the same ratios.  At a size n >= 2k, D > 0.  The integers
+    free of nu come from :func:`_omega_constants`.
     """
+    lo, length, scale, terms = _omega_constants(k, t, variant)
+    den = binom_at(-lo, length) * binom_at(0, 0) * scale
+    w = [0] * (k + 1)
+    for a, below, above, shift, c in terms:
+        w[a] = binom_at(-lo, below) * binom_at(shift, above) * c
+    return den, w
+
+
+@functools.lru_cache(maxsize=4096)
+def _omega_constants(k, t, variant):
+    """The integers of :func:`_omega_numerators` that are free of nu, once per
+    (k, t, variant): lo, L, L! and, for each term, (a, A, B, h - (k-t),
+    s (k-t)! A! B!)."""
     terms = list(_omega_terms(k, t, variant))
     lo, hi = -terms[-1][1], -terms[0][1] + k - t - 1
     fact = math.factorial
-    den = binom_at(-lo, hi - lo + 1) * binom_at(0, 0) * fact(hi - lo + 1)
-    scale = fact(k - t)
-    w = [0] * (k + 1)
+    out = []
     for s, h, a in terms:
         below, above = -h - lo, hi - (k - t - 1 - h)
-        w[a] = binom_at(-lo, below) * binom_at(h - (k - t), above) * (
-            s * scale * fact(below) * fact(above))
-    return den, w
+        out.append((a, below, above, h - (k - t), s * fact(k - t) * fact(below) * fact(above)))
+    return lo, hi - lo + 1, fact(hi - lo + 1), tuple(out)
 
 
 def support_ok(v: BMVector, t: int) -> bool:

@@ -30,7 +30,7 @@ from jshm.designs import (
     search_design,
     verify_design,
 )
-from jshm.exact import binom
+from jshm.exact import binom, binom_at_int
 from jshm.identity import symbolic_side
 from jshm.johnson import (
     MAX_TABLE_K,
@@ -38,6 +38,7 @@ from jshm.johnson import (
     SchemeParams,
     SizeBudgetError,
     basis_vector,
+    binomial_inversion,
 )
 from jshm.oracles import brute_verify_design, exact_cover
 from jshm.subsets import (
@@ -221,6 +222,16 @@ class TestExcessSum:
 
     def test_fano_parameters(self):
         assert [excess_sum(7, 3, 2, s) for s in range(3)] == [0, 6, 0]
+
+    def test_cached_inversion_is_binomial_inversion(self):
+        # g is read through the inversion's coefficients, kept once per
+        # (k, t); it must be the inversion of C(k, i) (l_i - l_t) at every size
+        for k in range(1, 13):
+            for t in range(k + 1):
+                for n in (2 * k, 3 * k + 1, 10**6 + 7):
+                    e, lam, g = designs._excess_numerators(binom_at_int(n), k, t)
+                    assert g == binomial_inversion(
+                        [binom(k, i) * (x - lam[t]) for i, x in enumerate(lam)]), (n, k, t)
 
     def test_sts9_parameters(self):
         assert [excess_sum(9, 3, 2, s) for s in range(3)] == [2, 9, 0]

@@ -12,6 +12,7 @@ from jshm.exact import (
     PoleError,
     RationalFunction,
     Record,
+    ZPoly,
     binom,
     binom_rf,
     binom_zpoly,
@@ -78,8 +79,43 @@ class TestBinomPoly:
         for b in range(k + 1):
             for shift in (-2 * k - 3, -k, -1, 0, 1, k + 4):
                 p = provider(shift, b)
-                assert p == binom_rf(shift, b) * math.factorial(k), (k, shift, b)
-                assert p.den == (1,) and p.num[-1] > 0, (k, shift, b)
+                f = binom_rf(shift, b) * math.factorial(k)
+                assert type(p) is ZPoly and (tuple(p), (1,)) == (f.num, f.den), (k, shift, b)
+                assert p[-1] > 0, (k, shift, b)
+
+
+def zpolys():
+    """Integer polynomials from ascending coefficient lists, trailing zeros
+    allowed."""
+    return st.lists(st.integers(-50, 50), max_size=5).map(ZPoly._of)
+
+
+class TestZPoly:
+    @settings(max_examples=300)
+    @given(zpolys(), zpolys(), st.integers(-6, 6))
+    def test_ring_operations_match_rational_functions(self, p, q, c):
+        # every operation on integer polynomials must give the canonical
+        # numerator of the same operation in Q(nu) over den (1,)
+        def form(x):
+            assert type(x) is ZPoly and (not x or x[-1]), x
+            return tuple(x), (1,)
+
+        def rf(f):
+            return f.num, f.den
+
+        fp, fq = RationalFunction(p), RationalFunction(q)
+        assert form(p) == rf(fp)
+        assert form(p + q) == rf(fp + fq)
+        assert form(p - q) == rf(fp - fq)
+        assert form(-p) == rf(-fp)
+        assert form(p * c) == form(c * p) == rf(fp * c)
+        assert form(p + c) == form(c + p) == rf(fp + c)
+        assert form(p - c) == rf(fp - c)
+        assert form(p * q) == rf(fp * fq)
+        assert form(sum([p, q, p], 0 * p)) == rf(fp + fq + fp)
+        assert (p == 0) is fp.is_zero() and (p != 0) is not fp.is_zero()
+        assert (p == c) is (fp == c) and (p != c) is (fp != c)
+        assert hash(ZPoly._of([c])) == hash(c)
 
 
 small_fractions = st.fractions(

@@ -143,17 +143,41 @@ class TestSymbolicSides:
 
     def test_each_side_is_built_once(self, monkeypatch):
         # one build per formula, M and the two Omegas, each over one Z[nu]
-        # provider; the pointwise sweep builds none
+        # provider, and one difference M - Omega per variant; the six side
+        # pairs and the pointwise sweep build nothing more
         providers = []
         zpoly = identity.binom_zpoly
         monkeypatch.setattr(identity, "binom_zpoly", lambda k: providers.append(k) or zpoly(k))
         identity._symbolic_coeffs.cache_clear()
+        identity._difference.cache_clear()
         for lhs in LHS_CHOICES:
             for rhs in RHS_CHOICES:
                 compare_symbolic(5, 2, lhs, rhs)
         compare_pointwise(5, 2, "m", "omega_literal", 10, 22)
         assert identity._symbolic_coeffs.cache_info().misses == 3
+        assert identity._difference.cache_info().misses == 2
         assert providers == [5, 5, 5]
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_shared_difference_matches_direct_subtraction(self, k):
+        # each report reads one memoised M - Omega and adjusts A_0 for I; the
+        # reference subtracts the two sides afresh and samples its own witness
+        for t in range(1, k):
+            for lhs in LHS_CHOICES:
+                for rhs in RHS_CHOICES:
+                    h = tuple(a - b for a, b in zip(symbolic_side(lhs, k, t),
+                                                    symbolic_side(rhs, k, t)))
+                    witness = None
+                    for r, f in enumerate(h):
+                        if not f.is_zero():
+                            n = next(n for n in range(2 * k + 1, 8 * k)
+                                     if _horner(f.den, n) and _horner(f.num, n))
+                            witness = (r, n, f.evaluate(n))
+                            break
+                    rep = compare_symbolic(k, t, lhs, rhs)
+                    assert vars(rep) == {
+                        "k": k, "t": t, "lhs": lhs, "rhs": rhs, "h": h,
+                        "equal": witness is None, "witness": witness}, (k, t, lhs, rhs)
 
     @pytest.mark.parametrize("k", [16, 20, MAX_SYMBOLIC_K])
     def test_m_equals_omega_at_large_k(self, k):
@@ -179,6 +203,10 @@ class TestSymbolicSides:
             compare_symbolic(MAX_SYMBOLIC_K + 1, 2, "m", "omega_corrected")
         with pytest.raises(SizeBudgetError):
             symbolic_side("m", 60, 30)
+
+
+def _horner(c, n):
+    return sum(x * n ** i for i, x in enumerate(c))
 
 
 def _term_by_term_omega(k, t, variant):
