@@ -10,10 +10,11 @@ reading test code.
 from fractions import Fraction
 
 from jshm.designs import search_design
-from jshm.exact import binom, rat_to_str, rf_to_str
+from jshm.exact import binom, rat_to_str
 from jshm.identity import compare_symbolic
 from jshm.johnson import entry_sum
 from jshm.projection import project_family
+from jshm.qnu import rf_to_str
 from jshm.wilson import certificate_matrix, ekr_certificate, sum_trace_ratio, wilson_matrix
 
 

@@ -21,7 +21,9 @@ from .johnson import SchemeParams, SizeBudgetError
 from .subsets import family_to_dict, load_family
 
 # Each command imports the modules it runs when it is called, so start-up
-# compiles only those and the exact, johnson and subsets imported above.
+# compiles only those and the exact, johnson and subsets imported above (Q(nu)
+# arithmetic, in qnu, only the identity commands load), and main builds the
+# parsers of that command alone.
 # The --variant choices, equal to wilson.VARIANTS (a test pins them), are
 # spelled out so that building the parser does not import wilson.
 VARIANTS = ("literal", "corrected")
@@ -258,7 +260,9 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every row of _COMMANDS, or of the row whose words are
+    ``only`` alone: the top level, its group and its own parser."""
     parser = argparse.ArgumentParser(
         prog="jshm",
         description="Exact certificates in the Johnson scheme: Wilson matrix, "
@@ -267,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     # keyed by group, "" for the top level
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
     for words, func, help_text, shared, own in _COMMANDS:
+        if only is not None and words != only:
+            continue
         group, _, name = words.rpartition(" ")
         if group not in subparsers:
             subparsers[group] = subparsers[""].add_parser(
@@ -280,9 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, byte for byte, from the one
+    branch whose words begin argv; with no such row, or any argument left
+    over, the whole tree parses again and writes argparse's own help or
+    error."""
+    words = next((words for words, *_ in _COMMANDS
+                  if argv[:words.count(" ") + 1] == words.split()), None)
+    if words is not None:
+        args, rest = build_parser(words).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except SizeBudgetError as exc:

@@ -13,7 +13,7 @@ alternating excess sums below.  M is well defined whether or not a design
 exists.  The block counts, excess sums and M's coefficients are written
 once, as numerators over E and over E C(k,r) C(nu-k,r) (``_m_numerators``)
 in ring operations over a binomial provider: ``exact.binom_at_int(n)`` at a
-size, and ``exact.binom_zpoly(k)`` in Z[nu], which :mod:`jshm.identity`
+size, and ``qnu.binom_zpoly(k)`` in Z[nu], which :mod:`jshm.identity`
 reduces once per coefficient.  The integers that do not depend on nu (E, its
 quotients, the inversion's coefficients and E C(k,r)) are computed once per
 (k, t) (``_m_constants``).

@@ -13,7 +13,7 @@ degree of the cleared numerators (2k+1 suffices), polynomial vanishing
 forces symbolic equality.  Both routes read M and Omega, each written once
 over a binomial provider, as (numerator, denominator) pairs: integers over
 ``exact.binom_at_int(n)``, compared by cross-multiplication, and integer
-polynomials over ``exact.binom_zpoly(k)``, which this module alone
+polynomials over ``qnu.binom_zpoly(k)``, which this module alone
 reduces, once per coefficient.  So this tests the two evaluations; the
 formulas themselves are checked by :func:`design_witness_check`, M = Omega
 and perfbench/checks.py.
@@ -40,8 +40,9 @@ from .designs import (
     search_design,
     DEFAULT_SEARCH_BUDGET,
 )
-from .exact import PoleError, RationalFunction, Report, _reduced, binom_at_int, binom_zpoly
+from .exact import Report, binom_at_int
 from .johnson import MAX_TABLE_N, SelfCheckError, plus_identity, w_to_a
+from .qnu import PoleError, RationalFunction, _reduced, binom_zpoly
 from .subsets import SizeBudgetError, refuse_above
 from .wilson import _omega_numerators, wilson_matrix
 

@@ -20,6 +20,7 @@ polynomials and counted intersection numbers, are in :mod:`jshm.oracles`.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -167,6 +168,24 @@ def entry_sum(v: BMVector):
     return v.params.order * row_sum(v)
 
 
+@functools.lru_cache(maxsize=None)
+def _pascal(k: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..k of Pascal's triangle, C(r, a) at [r][a], sharing the rows
+    below k; k above MAX_TABLE_K is refused, which bounds this memo and
+    that of ``_lemma_factors``."""
+    refuse_above(k, MAX_TABLE_K, "k of a binomial table under the table bound")
+    return (_pascal(k - 1) if k > 0 else ()) + (tuple(math.comb(k, a) for a in range(k + 1)),)
+
+
+@functools.lru_cache(maxsize=None)
+def _lemma_factors(k: int) -> tuple[tuple[int, ...], ...]:
+    """(-1)^j C(k-j, a-j) at [a][j] for 0 <= a, j <= k: W_a's eigenvalue on
+    V_j over C(nu-a-j, k-j), zero for j > a."""
+    rows = _pascal(k)
+    return tuple(tuple((-1) ** j * rows[k - j][a - j] if j <= a else 0 for j in range(k + 1))
+                 for a in range(k + 1))
+
+
 def w_to_a(w) -> list:
     """Coefficients c_r = sum_{a <= r} C(r, a) w_a on A_0..A_k of
     sum_a w_a W_a, over any scalar type (a zero takes the type of w_k): the
@@ -176,7 +195,8 @@ def w_to_a(w) -> list:
     so it has C(r, a) on A_r; Wilson's matrix is written in this basis."""
     zero = 0 * w[-1]
     terms = [(a, x) for a, x in enumerate(w) if x != 0]
-    return [sum((math.comb(r, a) * x for a, x in terms if a <= r), zero) for r in range(len(w))]
+    return [sum((row[a] * x for a, x in terms if a <= r), zero)
+            for r, row in enumerate(_pascal(len(w) - 1))]
 
 
 def binomial_inversion(x) -> list:
@@ -195,7 +215,7 @@ def multiplicities(n: int, k: int) -> tuple[int, ...]:
 def lemma_eigenvalue(binom_at, k: int, a: int, j: int):
     """Eigenvalue of W_a (``w_to_a`` of the unit vector e_a) on V_j by Wilson's
     lemma: (-1)^j C(k-j, a-j) C(nu-a-j, k-j), over the binomial provider."""
-    return (-1) ** j * binom(k - j, a - j) * binom_at(-a - j, k - j)
+    return _lemma_factors(k)[a][j] * binom_at(-a - j, k - j)
 
 
 def lemma_spectrum(binom_at, w, top: int) -> tuple:

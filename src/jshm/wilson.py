@@ -15,7 +15,7 @@ so ``corrected`` is the default everywhere.  Omega's terms are written once
 (``_omega_terms``) and put over one common denominator once
 (``_omega_numerators``), in ring operations over a binomial provider, and
 taken to the A basis by ``johnson.w_to_a``: over ``exact.binom_at_int(n)``
-at a size, and over ``exact.binom_zpoly(k)`` in Z[nu], which
+at a size, and over ``qnu.binom_zpoly(k)`` in Z[nu], which
 :mod:`jshm.identity` reduces once per coefficient.  The integers of that
 denominator that do not depend on nu are computed once per (k, t, variant)
 (``_omega_constants``).
@@ -37,7 +37,7 @@ raise SelfCheckError: the spectrum must give the trace C(n,k) of I + Omega,
 and theta_0 must equal the entry-sum/trace ratio from the class valencies.
 The tests hold the spectrum against ``oracles.eberlein_table``, the
 coefficients against the symbolic Omega, and that against its terms summed
-over ``exact.binom_rf``.
+over ``qnu.binom_rf``.
 """
 
 from __future__ import annotations

@@ -540,10 +540,12 @@ class TestDeterminismAndEnv:
 
 
 def test_import_does_not_load_numpy():
-    # numpy is deferred to the float oracle, so CLI start-up does not pay for it
+    # numpy is deferred to the float oracle and Q(nu) to the identity
+    # commands, so CLI start-up pays for neither
     src = os.path.dirname(os.path.dirname(jshm.__file__))
     subprocess.run(
-        [sys.executable, "-c", "import jshm.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", "import jshm.cli, sys; "
+                               "assert not {'numpy', 'jshm.qnu'} & set(sys.modules)"],
         check=True, env={**os.environ, "PYTHONPATH": src},
     )
 

@@ -7,8 +7,12 @@ are missing, repeated or left without a value.  Integers stay at most 10
 and budgets at most 1000, with ``JSHM_BUDGET`` at 1000 for commands whose
 ``--budget`` is missing, so every case is small.  ``project`` and ``design
 verify`` also read generated family documents, valid or with one fault.
+``main`` parses with the parser branch of the command that argv names, and
+with the whole tree otherwise; every argument vector gets the same bytes
+and exit code from both.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from jshm import cli
 
 from conftest import FANO_BLOCKS
+from test_cli import PINNED, README_ARGV, pinned_output
 
 MALFORMED = ["", "x", "1.5", "1e3", "0x10", "-", "--", "--n", " 3", "-0",
              "99999999999999999999999"]
@@ -96,10 +101,11 @@ def _rarely(odds):
 
 
 @st.composite
-def argvs(draw, paths, command, flags):
+def argvs(draw, paths, command, flags, clean=False):
     """A command with plausible values for its flags (1 <= t < k <= n/2,
-    n <= 10), then mangled: now and then a wild value, a missing or repeated
-    flag, a flag without its value, a wrong subcommand, an extra token."""
+    n <= 10), then, unless ``clean``, mangled: now and then a wild value, a
+    missing or repeated flag, a flag without its value, a wrong subcommand,
+    an extra token."""
     n = draw(st.integers(4, 10))
     k = draw(st.integers(2, n // 2))
     t = draw(st.integers(1, k - 1))
@@ -119,23 +125,40 @@ def argvs(draw, paths, command, flags):
         "--file": st.sampled_from(paths),
     }
     head = list(command)
-    mangle = draw(st.sampled_from(["none"] * 18 + ["drop", "unknown"]))
+    mangle = "none" if clean else draw(st.sampled_from(["none"] * 18 + ["drop", "unknown"]))
     if mangle == "drop":
         head = head[:-1]
     elif mangle == "unknown":
         head[-1] = draw(st.sampled_from(["bogus", "", "-x", command[-1].upper()]))
     tokens = []
     for name in flags:
-        for _ in range(draw(st.sampled_from([1] * 20 + [0, 2]))):
-            if draw(_rarely(40)):
+        for _ in range(1 if clean else draw(st.sampled_from([1] * 20 + [0, 2]))):
+            if not clean and draw(_rarely(40)):
                 tokens.append([name])
                 continue
-            wild = draw(_rarely(10))
+            wild = not clean and draw(_rarely(10))
             value = draw(WILD.get(name, WILD_INT) if wild else plausible[name])
             tokens.append([name, str(value)])
-    if draw(_rarely(10)):
+    if not clean and draw(_rarely(10)):
         tokens.append([draw(st.sampled_from(["--bogus", "-h", "7", "--n="]))])
     return head + [token for group in draw(st.permutations(tokens)) for token in group]
+
+
+def run_main(argv, whole_tree=False):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``, argparse's exits
+    included; ``whole_tree`` makes main parse every argv with the whole
+    tree's ``parse_args``."""
+    build = cli.build_parser
+    tree = (mock.patch.object(cli, "_parse_args", lambda argv: build().parse_args(argv))
+            if whole_tree else contextlib.nullcontext())
+    out, err = io.StringIO(), io.StringIO()
+    with tree, mock.patch.dict(os.environ, {"JSHM_BUDGET": "1000", "COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("command,flags", COMMANDS, ids=["-".join(c) for c, _ in COMMANDS])
@@ -144,17 +167,51 @@ def argvs(draw, paths, command, flags):
 @given(data=st.data())
 def test_every_argument_vector_ends_in_a_documented_exit(files, command, flags, data):
     argv = data.draw(argvs(files, command, flags), label="argv")
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"JSHM_BUDGET": "1000"}), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse: 2 for a usage error, 0 for -h
-            code = exc.code
+    code, out, err = run_main(argv)  # argparse exits 2 for a usage error, 0 for -h
     assert code in (0, 1, 2, 3), (argv, code)
-    assert "Traceback" not in err.getvalue()
-    if code in (0, 1) and out.getvalue() and "-h" not in argv:
-        strict_json(out.getvalue())
+    assert "Traceback" not in err
+    if code in (0, 1) and out and "-h" not in argv:
+        strict_json(out)
+
+
+@pytest.mark.parametrize("command,flags", COMMANDS, ids=["-".join(c) for c, _ in COMMANDS])
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_branch_parses_as_the_whole_tree(files, command, flags, data):
+    # half the vectors are clean, so valid commands are run as well as help
+    # and usage errors
+    clean = data.draw(st.booleans(), label="clean")
+    argv = data.draw(argvs(files, command, flags, clean), label="argv")
+    assert run_main(argv) == run_main(argv, whole_tree=True), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["wilson"], ["wilson", "-h"], ["-h", "scheme"],
+    ["--n", "5", "scheme"], ["scheme"], ["scheme", "-h"], ["scheme", "--n", "5"],
+    ["scheme", "--n", "5", "--k", "2", "extra"], ["scheme", "--n", "5", "--k", "2", "--"],
+    ["scheme", "--n", "x", "--k", "2", "--bogus"], ["wilson", "omega", "certify"],
+    ["identity", "witness", "--k", "3", "--t", "2", "--n", "7", "--n"],
+    ["oracle", "spectrum", "--n", "5", "--k", "2", "--coeffs", "-1,0,1"],
+], ids=" ".join)
+def test_edge_vectors_parse_as_the_whole_tree(argv):
+    assert run_main(argv) == run_main(argv, whole_tree=True)
+
+
+@pytest.mark.parametrize("argv", README_ARGV)
+def test_a_command_builds_only_its_parsers(argv, tmp_path, monkeypatch):
+    # the top level, its group (if any) and its own: 2 or 3 of the 17
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert pinned_output(argv, tmp_path) == PINNED[argv]
+    words = next(row[0] for row in cli._COMMANDS if argv.startswith(row[0] + " "))
+    assert len(built) == len(words.split()) + 1
 
 
 NOT_INT = st.sampled_from([1.0, "1", True, False, None, [1]])

@@ -8,10 +8,11 @@ from typing import NamedTuple
 import pytest
 
 from jshm.designs import as_design, design_projection_report
-from jshm.exact import NU, Report, to_json
+from jshm.exact import Report, to_json
 from jshm.identity import compare_pointwise, compare_symbolic, design_witness_check
 from jshm.oracles import max_family
 from jshm.projection import family_lemma_report, project_family
+from jshm.qnu import NU
 from jshm.subsets import make_family, star_family
 from jshm.wilson import bound_from_design, certificate_matrix, clique_coclique, ekr_certificate
 

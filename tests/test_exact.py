@@ -6,23 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jshm.exact import (
-    MAX_DECIMAL_EXPONENT,
-    NU,
-    PoleError,
-    RationalFunction,
-    Record,
-    ZPoly,
-    binom,
-    binom_rf,
-    binom_zpoly,
-    rat_from_str,
-    rat_to_str,
-    rf_to_str,
-)
+from jshm.exact import MAX_DECIMAL_EXPONENT, Record, binom, rat_from_str, rat_to_str
 from jshm.designs import Design
 from jshm.johnson import BMVector, SchemeParams
 from jshm.oracles import euclid_divmod, euclid_gcd
+from jshm.qnu import (
+    NU,
+    PoleError,
+    RationalFunction,
+    ZPoly,
+    binom_rf,
+    binom_zpoly,
+    rf_to_str,
+)
 
 
 class TestBinom:

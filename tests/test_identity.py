@@ -6,7 +6,7 @@ import pytest
 
 from jshm import designs, identity, wilson
 from jshm.designs import design_matrix
-from jshm.exact import NU, RationalFunction, binom, binom_rf, rf_to_str
+from jshm.exact import binom
 from jshm.identity import (
     LHS_CHOICES,
     MAX_POINTWISE_POINTS,
@@ -20,6 +20,7 @@ from jshm.identity import (
     symbolic_side,
 )
 from jshm.johnson import MAX_TABLE_N, SelfCheckError, SizeBudgetError, plus_identity, w_to_a
+from jshm.qnu import NU, RationalFunction, binom_rf, rf_to_str
 from jshm.wilson import VARIANTS, certificate_matrix, wilson_matrix
 
 # sha256 of json.dumps([compare_symbolic(k, t, lhs, rhs).to_dict() ...],

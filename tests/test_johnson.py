@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from jshm.exact import NU, RationalFunction, binom
+from jshm import johnson
+from jshm.exact import binom
 from jshm.johnson import (
     MAX_TABLE_K,
     MAX_TABLE_N,
@@ -38,6 +40,7 @@ from jshm.oracles import (
     mat_mul,
     mat_transpose,
 )
+from jshm.qnu import NU, RationalFunction
 from jshm.subsets import colex_tuples
 
 from conftest import eberlein_spectrum, random_vector, w_basis
@@ -205,6 +208,21 @@ class TestSubsetMatrices:
         got = w_to_a([0, 0, 1 / NU, 3 / (NU - 1)])
         assert all(isinstance(x, RationalFunction) for x in got)
         assert got == [0, 0, 1 / NU, 3 / NU + 3 / (NU - 1)]
+
+    def test_binomial_tables_are_math_comb(self):
+        # the per-k tables that w_to_a and lemma_eigenvalue read, up to the
+        # table bound and refused past it
+        for k in range(MAX_TABLE_K + 1):
+            assert johnson._pascal(k) == tuple(
+                tuple(math.comb(r, a) for a in range(r + 1)) for r in range(k + 1))
+            assert johnson._lemma_factors(k) == tuple(
+                tuple((-1) ** j * math.comb(k - j, a - j) if j <= a else 0
+                      for j in range(k + 1)) for a in range(k + 1))
+        for table in (johnson._pascal, johnson._lemma_factors):
+            with pytest.raises(SizeBudgetError):
+                table(MAX_TABLE_K + 1)
+        with pytest.raises(SizeBudgetError):
+            w_to_a([1] * (MAX_TABLE_K + 2))
 
     def test_binomial_inversion(self):
         # inverts x_i = sum_{j >= i} C(j, i) y_j, over ints, Fractions and Q(nu)

@@ -73,6 +73,15 @@ def test_oracles_never_on_the_main_route():
     assert importers == ["cli"]
 
 
+def test_q_nu_only_on_the_identity_route():
+    # the rational functions are imported by identity, and by exact.to_json
+    # inside the function, for a value that is nothing else
+    importers = sorted(path.stem for path in SOURCE.glob("*.py")
+                       if "qnu" in set(_imported_modules(
+                           ast.parse(path.read_text(encoding="utf-8")))))
+    assert importers == ["exact", "identity"]
+
+
 def _raises_in(body, scope, name):
     """(scope, line) of each ``raise name(...)`` or ``raise name``, scoped by
     the function that holds it."""
@@ -178,7 +187,7 @@ FAMILIES = {
         ["oracle", "max-family", "--n", "7", "--k", "3", "--t", "2"],
         ["oracle", "spectrum", "--n", "5", "--k", "2", "--coeffs", "0,0,1"],
     ]),
-    "identity": (DESIGN | {"identity", "wilson"}, [
+    "identity": (DESIGN | {"identity", "qnu", "wilson"}, [
         ["identity", "prove", "--k", "3", "--t", "2", "--rhs", "literal"],
         ["identity", "pointwise", "--k", "3", "--t", "2", "--n-from", "7", "--n-to", "20"],
         ["identity", "witness", "--k", "3", "--t", "2", "--n", "7", "--n", "9"],

@@ -7,7 +7,7 @@ import pytest
 
 from jshm import johnson, projection, wilson
 from jshm.designs import as_design, partition_design
-from jshm.exact import binom, binom_at_int, binom_rf
+from jshm.exact import binom, binom_at_int
 from jshm.identity import symbolic_side
 from jshm.johnson import (
     MAX_TABLE_K,
@@ -30,6 +30,7 @@ from jshm.oracles import (
     mat_transpose,
 )
 from jshm.projection import project_family
+from jshm.qnu import binom_rf
 from jshm.subsets import make_family, star_family
 from jshm.wilson import (
     VARIANTS,
